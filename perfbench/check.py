@@ -27,6 +27,7 @@ class Invocation:
     err: str
     seconds: float
     warnings: int = 0
+    cal: float = 0.0  # the speed calibration's time just before the call
 
 
 _CHI_LINE = re.compile(r"chi\[(\w+)\] = (.+)$")

@@ -8,9 +8,10 @@ prints ``READY``; the parent times set-up up to that line. With MODE
 ``setup`` the child stops there. With MODE ``measure`` it runs passes
 over the workload (every command on every input) in process through
 ``hyperforman.cli.main``, checks every output, and writes
-``result.json`` into WORKDIR. With TRACE 1 it alternates untraced and
-traced passes, and writes the traced spans, with their self times, to
-``spans.jsonl`` at the end.
+``result.json`` into WORKDIR, with each invocation's wall time and
+its time at the reference speed (see speed.py). With TRACE 1 it
+alternates untraced and traced passes, and writes the traced spans,
+with their self times, to ``spans.jsonl`` at the end.
 """
 
 from __future__ import annotations
@@ -32,16 +33,19 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from check import Invocation, check_invocation, check_pass  # noqa: E402
 from gen import WORKLOADS  # noqa: E402
+from speed import at_reference_speed, calibrate  # noqa: E402
 from tracing import LayerPass, Tracer, instrument, self_times  # noqa: E402
 
 
 def invoke(cli, command: tuple, path: Path, tracer: Tracer | None = None) -> Invocation:
     """Run one CLI command in process with stdout and stderr captured and
     warnings recorded (so every repeat sees them and none reach the
-    console). Garbage is collected before the timed window."""
+    console). Garbage is collected, and the machine's speed measured,
+    just before the timed window."""
     argv = [command[0], str(path), *command[1:]]
     out, err = io.StringIO(), io.StringIO()
     gc.collect()
+    cal = calibrate()
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(
         record=True
     ) as caught:
@@ -58,7 +62,7 @@ def invoke(cli, command: tuple, path: Path, tracer: Tracer | None = None) -> Inv
         seconds = time.perf_counter() - start
     return Invocation(
         " ".join(command), path.name, argv, rc, out.getvalue(), err.getvalue(),
-        seconds, len(caught),
+        seconds, len(caught), cal,
     )
 
 
@@ -97,6 +101,7 @@ class Measurement:
         if not self.passes:
             self.reference = reference
         samples: dict[str, list[float]] = {}
+        wall: dict[str, list[float]] = {}
         for i, inv in enumerate(invocations):
             digest = hashlib.sha256(inv.out.encode()).hexdigest()
             first = self.first_hash.setdefault((inv.command, inv.input), digest)
@@ -107,11 +112,15 @@ class Measurement:
             if problems:
                 self.failed += 1
                 self.problems.append(f"{inv.command} {inv.input}: {problems[0]}")
-            samples.setdefault(inv.command, []).append(inv.seconds)
+            samples.setdefault(inv.command, []).append(
+                at_reference_speed(inv.seconds, inv.cal)
+            )
+            wall.setdefault(inv.command, []).append(inv.seconds)
         self.passes.append(
             {
                 "traced": tracer is not None,
                 "samples": samples,
+                "wall": wall,
                 "layers": layers.metrics() if layers else None,
             }
         )

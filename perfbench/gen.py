@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 # Each workload is a batch of networks. Short invocations repeated many
-# times give far steadier best-of-k times on a shared machine than a few
-# long ones (see README.md).
+# times give steadier medians on a shared machine than a few long ones
+# (see README.md).
 WIDE_NETWORKS = 4
 WIDE_NODES = 200
 DEEP_NETWORKS = 4
@@ -114,9 +114,29 @@ def wide_one(rng: random.Random, n_nodes: int) -> Network:
     return Network(tuple(nodes), tuple(hvs), tuple(edges))
 
 
+def relabel(rng: random.Random, net: Network) -> Network:
+    """An isomorphic copy of ``net`` with new node labels and its
+    hypervertices and hyperedges in a new order."""
+    width = len(str(10 * len(net.nodes) - 1))
+    labels = rng.sample(range(10 * len(net.nodes)), len(net.nodes))
+    name = {old: f"n{new:0{width}d}" for old, new in zip(net.nodes, labels)}
+    order = list(range(len(net.hypervertices)))
+    rng.shuffle(order)
+    index = {old: new for new, old in enumerate(order)}
+    hvs = tuple(tuple(sorted(name[x] for x in net.hypervertices[old])) for old in order)
+    edges = [tuple(sorted((index[a], index[b]))) for a, b in net.hyperedges]
+    rng.shuffle(edges)
+    return Network(tuple(sorted(name.values())), hvs, tuple(edges))
+
+
 def wide(seed: int, n_nodes: int = WIDE_NODES, networks: int = WIDE_NETWORKS) -> list[Network]:
+    """The shapes come from one fixed stream; the seed draws node labels
+    and the order of hypervertices and hyperedges, so every seed costs
+    the same work. Shapes drawn afresh per seed differ by up to a quarter
+    in filtration work (steps x triangles) at the default sizes."""
+    shapes = random.Random("wide-shapes")
     rng = random.Random(f"wide-{seed}")
-    return [wide_one(rng, n_nodes) for _ in range(networks)]
+    return [relabel(rng, wide_one(shapes, n_nodes)) for _ in range(networks)]
 
 
 def deep_one(rng: random.Random, towers: int, depth: int) -> Network:
@@ -189,7 +209,7 @@ def dense_one(rng: random.Random) -> Network:
 
     Networks are drawn until their intersecting-family count lies in
     ``DENSE_FAMILIES``: that count, and with it the cost of geometric
-    chi, otherwise ranges over two orders of magnitude between seeds.
+    chi, otherwise ranges over two orders of magnitude between draws.
     """
     nodes = [f"d{i:02d}" for i in range(DENSE_NODES)]
     lo, hi = DENSE_FAMILIES
@@ -204,8 +224,12 @@ def dense_one(rng: random.Random) -> Network:
 
 
 def dense(seed: int, networks: int = DENSE_NETWORKS) -> list[Network]:
+    """As in ``wide``, the seed relabels shapes from one fixed stream.
+    The family window bounds the work of one network, but the number of
+    draws it takes, and with it the set-up time, would vary with the seed."""
+    shapes = random.Random("dense-shapes")
     rng = random.Random(f"dense-{seed}")
-    return [dense_one(rng) for _ in range(networks)]
+    return [relabel(rng, dense_one(shapes)) for _ in range(networks)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ measures. It prints the realised input sizes, a sha256 per command, and
 every metric by name with its unit; the last line is one JSON object
 with ``correct``, ``attempted``, ``failed`` and ``metrics``. With
 ``--trace 0`` the metrics are the end-to-end ones, with ``--trace 1``
-the per-layer ones from a traced run.
+the per-layer ones from a traced run. End-to-end times are scaled to a
+reference machine speed (see speed.py).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import time
 from pathlib import Path
 
 from gen import WORKLOADS
+from speed import at_reference_speed, calibrate
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -84,8 +86,9 @@ class ChildFailed(RuntimeError):
 
 def start_child(workdir: Path, args, mode: str, deadline: float) -> tuple[subprocess.Popen, float]:
     """Start one child and wait for its READY line; returns the process
-    and its set-up time (start to READY)."""
+    and its set-up time (start to READY) at the reference speed."""
     env = {k: v for k, v in os.environ.items() if k != "HYPERFORMAN_CHAIN_CAP"}
+    cal = calibrate()
     start = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, str(HERE / "child.py"), str(workdir), args.workload,
@@ -98,7 +101,7 @@ def start_child(workdir: Path, args, mode: str, deadline: float) -> tuple[subpro
     if line != b"READY\n":
         stop(proc)
         raise ChildFailed(f"{mode} child did not get ready (exit {proc.returncode})")
-    return proc, setup
+    return proc, at_reference_speed(setup, cal)
 
 
 def stop(proc: subprocess.Popen) -> None:
@@ -135,38 +138,35 @@ def tail_percentile(samples: list[float]) -> str:
     return "no percentile has ten samples beyond it"
 
 
-def best_of_passes(passes: list[dict], command: str) -> float:
-    """Each input's fastest time for ``command`` over the passes, summed.
-
-    Other tenants of the machine slow single passes down by up to half;
-    the fastest repeat of each invocation is far steadier from run to
-    run than the median (see README.md).
-    """
+def median_of_passes(passes: list[dict], command: str) -> float:
+    """Each input's median time for ``command`` over the passes, at the
+    reference speed, summed over the inputs."""
     per_input = zip(*(p["samples"][command] for p in passes))
-    return sum(min(times) for times in per_input)
+    return sum(statistics.median(times) for times in per_input)
 
 
 def end_to_end(result: dict, setups: list[float]) -> tuple[dict, list[str]]:
     passes = [p for p in result["passes"] if not p["traced"]]
     values: dict[str, float] = {"setup_s": statistics.median(setups)}
-    notes = [f"setup_s: median of {len(setups)} child starts"]
+    notes = [f"setup_s: median of {len(setups)} child starts, at the reference speed"]
     for command in passes[0]["samples"]:
         metric = COMMAND_METRICS[command.split()[0]]
-        per_pass = [sum(p["samples"][command]) for p in passes]
+        wall = [sum(p["wall"][command]) for p in passes]
         per_call = [s for p in passes for s in p["samples"][command]]
-        values[metric] = best_of_passes(passes, command)
+        values[metric] = median_of_passes(passes, command)
         notes.append(
-            f"{metric} ({command}): best of {len(per_pass)} passes; median pass "
-            f"{statistics.median(per_pass):.4f} s; per invocation n={len(per_call)}, "
-            f"median {statistics.median(per_call):.4f} s, {tail_percentile(per_call)}"
+            f"{metric} ({command}): {len(passes)} passes, median wall time of a pass "
+            f"{statistics.median(wall):.4f} s; at the reference speed, per invocation "
+            f"n={len(per_call)}, median {statistics.median(per_call):.4f} s, "
+            f"{tail_percentile(per_call)}"
         )
     values["mix_s"] = sum(values[m] for m in COMMAND_METRICS.values())
     values["peak_rss_mb"] = result["peak_rss_mb"]
     return {k: {"value": values[k], "unit": u} for k, u in END_TO_END_UNITS.items()}, notes
 
 
-def best_mix(passes: list[dict]) -> float:
-    return sum(best_of_passes(passes, c) for c in passes[0]["samples"])
+def median_mix(passes: list[dict]) -> float:
+    return sum(median_of_passes(passes, c) for c in passes[0]["samples"])
 
 
 def per_layer(result: dict) -> dict:
@@ -176,7 +176,7 @@ def per_layer(result: dict) -> dict:
         name: statistics.median(p["layers"][name] for p in traced)
         for name in traced[0]["layers"]
     }
-    values["trace.overhead_ratio"] = best_mix(traced) / best_mix(plain)
+    values["trace.overhead_ratio"] = median_mix(traced) / median_mix(plain)
     return {k: {"value": values[k], "unit": u} for k, u in LAYER_UNITS.items()}
 
 

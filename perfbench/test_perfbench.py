@@ -5,6 +5,7 @@ Run from the repository root with ``python3 -m pytest perfbench -q``.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from itertools import combinations
@@ -15,6 +16,7 @@ import pytest
 import child  # puts the checkout's src on sys.path
 import gen
 import run
+import speed
 from check import Invocation, check_invocation, check_pass
 from tracing import LayerPass, Tracer, instrument, self_times
 
@@ -37,7 +39,10 @@ def _load(net: gen.Network, fmt: str):
 def test_wide_is_deterministic_and_exact(seed):
     nets = gen.wide(seed, n_nodes=80, networks=2)
     assert [n.to_json() for n in nets] == [n.to_json() for n in gen.wide(seed, 80, 2)]
-    assert nets[0].to_json() != gen.wide(seed + 1, 80, 2)[0].to_json()
+    other = gen.wide(seed + 1, 80, 2)[0]
+    assert nets[0].to_json() != other.to_json()
+    # another seed relabels the same shape
+    assert sorted(map(len, nets[0].hypervertices)) == sorted(map(len, other.hypervertices))
     assert nets[0].to_json() != nets[1].to_json()
     for net in nets:
         h = _load(net, "json")
@@ -61,6 +66,7 @@ def test_deep_is_deterministic_and_exact():
 def test_dense_is_deterministic_and_exact():
     nets = gen.dense(5, networks=2)
     assert [n.to_json() for n in nets] == [n.to_json() for n in gen.dense(5, networks=2)]
+    assert nets[0].to_json() != gen.dense(6, networks=1)[0].to_json()
     lo, hi = gen.DENSE_FAMILIES
     for net in nets:
         h = _load(net, "json")
@@ -164,6 +170,22 @@ def test_warnings_are_recorded_on_every_repeat(tmp_path):
     path.write_text(gen.deep(1, towers=1, depth=5, networks=1)[0].to_text())
     counts = [child.invoke(cli, ("curvature",), path).warnings for _ in range(2)]
     assert counts == [1, 1]
+
+
+# -- speed scaling --------------------------------------------------------------
+
+
+def test_calibration_keeps_the_collector_state():
+    for enabled in (False, True):
+        (gc.enable if enabled else gc.disable)()
+        assert speed.calibrate() > 0
+        assert gc.isenabled() is enabled
+
+
+def test_invocations_carry_their_calibration(small_input):
+    inv = child.invoke(cli, ("chi",), small_input)
+    assert inv.cal > 0
+    assert speed.at_reference_speed(inv.seconds, speed.CAL_REF_S) == inv.seconds
 
 
 # -- tracing ------------------------------------------------------------------
