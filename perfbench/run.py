@@ -21,6 +21,7 @@ import json
 import os
 import select
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -95,8 +96,12 @@ def start_child(workdir: Path, args, mode: str, deadline: float) -> tuple[subpro
          str(args.seed), str(args.seconds), str(args.trace), mode],
         stdout=subprocess.PIPE, env=env, cwd=ROOT,
     )
-    ready, _, _ = select.select([proc.stdout], [], [], max(deadline - time.perf_counter(), 0))
-    line = proc.stdout.readline() if ready else b""
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], max(deadline - time.perf_counter(), 0))
+        line = proc.stdout.readline() if ready else b""
+    except BaseException:
+        stop(proc)
+        raise
     setup = time.perf_counter() - start
     if line != b"READY\n":
         stop(proc)
@@ -115,9 +120,9 @@ def finish(proc: subprocess.Popen, deadline: float) -> None:
     try:
         proc.wait(timeout=max(deadline - time.perf_counter(), 0))
     except subprocess.TimeoutExpired:
-        stop(proc)
         raise ChildFailed("child ran past the deadline")
-    stop(proc)
+    finally:
+        stop(proc)
     if proc.returncode != 0:
         raise ChildFailed(f"child exited with {proc.returncode}")
 
@@ -213,6 +218,9 @@ def main(argv=None) -> int:
         print(f"error: no hyperforman sources under {ROOT / 'src'}", file=sys.stderr)
         return 2
 
+    # on SIGTERM, unwind so that the running child is stopped and the
+    # work directory removed
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     deadline = time.perf_counter() + DEADLINE_S
     workdir = ROOT / ".perfbench_work" / str(os.getpid())
     workdir.mkdir(parents=True)
