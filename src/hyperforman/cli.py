@@ -3,9 +3,11 @@
 Subcommands: validate, chi, curvature, gauss-bonnet, filtrate, report.
 Inputs are hypernetwork files (JSON or text) or poset JSON files (an
 object with an ``elements`` key); the pipeline is input -> inclusion
-poset -> order complex -> curvature. Exit codes: 0 success, 2 invalid
-input or configuration, 3 I/O failure, 4 chain cap exceeded, 5 broken
-curvature/Euler balance.
+poset -> order complex -> 2-skeleton -> curvature. Each run builds one
+:class:`Analysis` that holds the loaded input and the flags and computes
+every stage lazily, at most once; the subcommands only format what it
+holds. Exit codes: 0 success, 2 invalid input or configuration, 3 I/O
+failure, 4 chain cap exceeded, 5 broken curvature/Euler balance.
 
 All output is deterministic: identical input and configuration produce
 byte-identical reports.
@@ -18,20 +20,26 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 
+from . import hypernet
 from .complexes import SimplicialComplex, order_complex
 from .curvature import (
     TRIANGLE_TERM,
+    CurvatureReport,
     DirectedComplex,
     DirectedConfig,
     DirectionError,
+    FiltrationStep,
     curvature_filtration,
     forman_ricci_closed,
     gauss_bonnet,
     two_skeleton,
-    vertex_curvature,
+    vertex_curvature,  # noqa: F401  not called here; perfbench/tracing.py patches it
 )
 from .hypernet import (
     Hypernetwork,
@@ -45,6 +53,7 @@ from .poset import (
     ChainCapExceeded,
     NotRanked,
     Poset,
+    RankFunction,
     poset_from_hypernetwork,
 )
 
@@ -76,13 +85,15 @@ def _poset_from_json_obj(obj) -> Poset:
     elements = obj.get("elements")
     if not isinstance(elements, list):
         raise InputError("poset input requires an 'elements' array")
-    sets = []
+    sets: list[frozenset] = []
+    seen: set[frozenset] = set()
     for i, raw in enumerate(elements):
         if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
             raise InputError(f"elements[{i}] must be an array of strings")
         s = frozenset(raw)
-        if s in sets:
+        if s in seen:
             raise InputError(f"elements[{i}] duplicates an earlier element")
+        seen.add(s)
         sets.append(s)
     p = Poset.from_sets(sets)
     if "covers" in obj:
@@ -128,14 +139,24 @@ def load_input(path: Path, fmt: str) -> Loaded:
     return Loaded("hypernetwork", fmt, network=from_json_obj(obj))
 
 
-# -- shared pipeline ---------------------------------------------------------
+# -- the analysis ------------------------------------------------------------
 
 
-def resolve_chain_cap(args) -> int:
-    if args.chain_cap is not None:
-        return args.chain_cap
-    env = os.environ.get(CHAIN_CAP_ENV)
-    if env is not None:
+class Analysis:
+    """One run: the loaded input and the flags, with each pipeline stage
+    computed on first use and cached, so no stage runs twice."""
+
+    def __init__(self, args):
+        self.args = args
+        self.loaded = load_input(args.input, args.format)
+
+    @cached_property
+    def chain_cap(self) -> int:
+        if self.args.chain_cap is not None:
+            return self.args.chain_cap
+        env = os.environ.get(CHAIN_CAP_ENV)
+        if env is None:
+            return DEFAULT_CHAIN_CAP
         try:
             cap = int(env)
         except ValueError:
@@ -143,21 +164,77 @@ def resolve_chain_cap(args) -> int:
         if cap < 1:
             raise InputError(f"{CHAIN_CAP_ENV} must be positive")
         return cap
-    return DEFAULT_CHAIN_CAP
 
+    @cached_property
+    def poset(self) -> Poset:
+        if self.loaded.kind == "poset":
+            return self.loaded.poset
+        return poset_from_hypernetwork(
+            self.loaded.network, include_singletons=not self.args.no_singletons
+        )
 
-def get_poset(loaded: Loaded, args) -> Poset:
-    if loaded.kind == "poset":
-        return loaded.poset
-    return poset_from_hypernetwork(
-        loaded.network, include_singletons=not args.no_singletons
-    )
+    @cached_property
+    def rank(self) -> RankFunction | NotRanked:
+        return self.poset.rank_function()
 
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return order_complex(
+            self.poset, skeleton_dim=self.args.skeleton, chain_cap=self.chain_cap
+        )
 
-def get_complex(p: Poset, args) -> SimplicialComplex:
-    return order_complex(
-        p, skeleton_dim=args.skeleton, chain_cap=resolve_chain_cap(args)
-    )
+    @cached_property
+    def skeleton(self) -> SimplicialComplex:
+        return two_skeleton(self.complex)
+
+    @cached_property
+    def balance(self) -> CurvatureReport:
+        return gauss_bonnet(self.skeleton)
+
+    @cached_property
+    def edge_rows(self) -> list[tuple[str, int, int, int, int]]:
+        """(label, triangles, parallel, ric, closed form) per edge.
+
+        ``ric`` is the balance's definitional value, so the parallel
+        count is T + 2 - ric; the closed form is evaluated on its own and
+        stays an independent check.
+        """
+        k2 = self.skeleton
+        above = Counter(e for t in k2.triangles for e in combinations(t, 2))
+        rows = []
+        for e, ric in self.balance.ricci.items():
+            t = above[e]
+            closed = forman_ricci_closed(k2, e)
+            rows.append((k2.face_label(e), t, t + 2 - ric, ric, closed))
+        return rows
+
+    @cached_property
+    def filtration(self) -> list[FiltrationStep]:
+        return curvature_filtration(self.skeleton, self.balance.ricci)
+
+    @cached_property
+    def chi(self) -> dict:
+        """Euler characteristic by each requested method, with provenance."""
+        method = self.args.chi_method
+        methods = ["delta", "rank", "geometric"] if method == "all" else [method]
+        return {m: self._chi_by(m) for m in methods}
+
+    def _chi_by(self, method: str):
+        if method == "delta":
+            return self.complex.euler_characteristic()
+        if method == "rank":
+            if isinstance(self.rank, NotRanked):
+                return {"not_ranked": True, **self.rank_witness()}
+            return sum((-1) ** j * c for j, c in enumerate(self.rank.level_counts()))
+        if self.loaded.kind == "poset":
+            return None
+        return hypernet.geometric_euler_characteristic(self.loaded.network)
+
+    def rank_witness(self) -> dict:
+        return {
+            "witness": self.poset.element_label(self.rank.element_index),
+            "conflicting_ranks": list(self.rank.ranks),
+        }
 
 
 def directed_graph_complex(h: Hypernetwork) -> DirectedComplex:
@@ -181,59 +258,39 @@ def directed_graph_complex(h: Hypernetwork) -> DirectedComplex:
     return DirectedComplex.from_arcs(labels, arcs, fill_triangles=True)
 
 
-def emit(args, human_lines, json_obj, csv_header=None, csv_rows=None) -> None:
-    out = sys.stdout
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def emit(args, human_lines, json_obj, csv_header, csv_rows) -> None:
     if args.output == "json":
-        out.write(json.dumps(json_obj, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json_text(json_obj))
     elif args.output == "csv":
-        if csv_header is None:
-            raise InputError(f"'{args.command}' has no CSV form")
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow(row)
+        writer.writerows(csv_rows)
     else:
-        out.write("\n".join(human_lines) + "\n")
+        sys.stdout.write("\n".join(human_lines) + "\n")
 
 
-# -- chi helpers -------------------------------------------------------------
+# -- formatting helpers ------------------------------------------------------
 
 
-def chi_values(loaded: Loaded, args) -> dict:
-    """Euler characteristic by each requested method, with provenance."""
-    methods = (
-        ["delta", "rank", "geometric"]
-        if args.chi_method == "all"
-        else [args.chi_method]
-    )
-    p = get_poset(loaded, args)
-    out: dict[str, object] = {}
-    for m in methods:
-        if m == "delta":
-            out[m] = get_complex(p, args).euler_characteristic()
-        elif m == "rank":
-            rf = p.rank_function()
-            if isinstance(rf, NotRanked):
-                out[m] = {
-                    "not_ranked": True,
-                    "witness": p.element_label(rf.element_index),
-                    "conflicting_ranks": list(rf.ranks),
-                }
-            else:
-                out[m] = sum(
-                    (-1) ** j * c for j, c in enumerate(rf.level_counts())
-                )
-        elif m == "geometric":
-            if loaded.kind == "poset":
-                out[m] = None
-            else:
-                from .hypernet import geometric_euler_characteristic
-
-                out[m] = geometric_euler_characteristic(loaded.network)
-    return out
+def input_summary(loaded: Loaded) -> dict:
+    """Size counts of the input, as validate and report print them."""
+    if loaded.kind == "poset":
+        return {"kind": "poset", "elements": len(loaded.poset)}
+    h = loaded.network
+    return {
+        "kind": "hypernetwork",
+        "nodes": len(h.nodes),
+        "hypervertices": len(h.hypervertices),
+        "hyperedges": len(h.hyperedges),
+        "directed": h.directed,
+    }
 
 
-def chi_display(method: str, value) -> str:
+def chi_display(value) -> str:
     if value is None:
         return "n/a (requires hypernetwork input)"
     if isinstance(value, dict):
@@ -245,61 +302,74 @@ def chi_display(method: str, value) -> str:
     return str(value)
 
 
-# -- subcommands -------------------------------------------------------------
+def curvature_obj(a: Analysis) -> dict:
+    k2 = a.skeleton
+    return {
+        "edges": [
+            {
+                "edge": label,
+                "triangles": t,
+                "parallel": p,
+                "ric": r,
+                "ric_closed": c,
+                "match": r == c,
+            }
+            for label, t, p, r, c in a.edge_rows
+        ],
+        "vertices": [
+            {"vertex": k2.vertex_label(v), "term": term.json_value()}
+            for v, term in a.balance.vertex_terms.items()
+        ],
+        "triangles": [
+            {"triangle": k2.face_label(t), "term": TRIANGLE_TERM}
+            for t in k2.triangles
+        ],
+    }
 
 
-def cmd_validate(args) -> int:
-    loaded = load_input(args.input, args.format)
-    if loaded.kind == "poset":
-        p = loaded.poset
-        human = [f"{len(p)} elements, {len(p.covers)} cover pairs"]
-        obj = {"kind": "poset", "elements": len(p), "covers": len(p.covers)}
-        rows = [("elements", len(p)), ("covers", len(p.covers))]
-    else:
-        h = loaded.network
-        human = [h.summary()]
-        obj = {
-            "kind": "hypernetwork",
-            "nodes": len(h.nodes),
-            "hypervertices": len(h.hypervertices),
-            "hyperedges": len(h.hyperedges),
-            "directed": h.directed,
-        }
-        rows = [
-            ("nodes", len(h.nodes)),
-            ("hypervertices", len(h.hypervertices)),
-            ("hyperedges", len(h.hyperedges)),
-            ("directed", h.directed),
-        ]
-    emit(args, human, obj, ("field", "value"), rows)
+def filtration_obj(a: Analysis) -> list[dict]:
+    return [
+        {"threshold": s.threshold, "f_vector": list(s.f_vector), "chi": s.chi}
+        for s in a.filtration
+    ]
+
+
+def balance_status(report: CurvatureReport) -> int:
+    if report.residual != 0:
+        print("error: curvature does not balance the Euler characteristic",
+              file=sys.stderr)
+        return EXIT_GB
     return EXIT_OK
 
 
-def cmd_chi(args) -> int:
-    loaded = load_input(args.input, args.format)
-    values = chi_values(loaded, args)
-    human = [f"chi[{m}] = {chi_display(m, v)}" for m, v in values.items()]
+# -- subcommands -------------------------------------------------------------
+
+
+def cmd_validate(a: Analysis) -> int:
+    obj = input_summary(a.loaded)
+    if a.loaded.kind == "poset":
+        p = a.loaded.poset
+        obj["covers"] = len(p.covers)
+        human = [f"{len(p)} elements, {len(p.covers)} cover pairs"]
+    else:
+        human = [a.loaded.network.summary()]
+    rows = [(field, value) for field, value in obj.items() if field != "kind"]
+    emit(a.args, human, obj, ("field", "value"), rows)
+    return EXIT_OK
+
+
+def cmd_chi(a: Analysis) -> int:
+    human = [f"chi[{m}] = {chi_display(v)}" for m, v in a.chi.items()]
     rows = []
-    for m, v in values.items():
+    for m, v in a.chi.items():
         if v is None:
             rows.append((m, "n/a"))
         elif isinstance(v, dict):
             rows.append((m, "not-ranked"))
         else:
             rows.append((m, v))
-    emit(args, human, {"chi": values}, ("method", "value"), rows)
+    emit(a.args, human, {"chi": a.chi}, ("method", "value"), rows)
     return EXIT_OK
-
-
-def _edge_rows(k2: SimplicialComplex):
-    rows = []
-    for e in k2.edges:
-        t = len(k2.triangles_containing(e))
-        par = len(k2.parallel_edges(e))
-        ric = t - par + 2
-        closed = forman_ricci_closed(k2, e)
-        rows.append((k2.face_label(e), t, par, ric, closed))
-    return rows
 
 
 def _directed_section(h: Hypernetwork, cfg: DirectedConfig) -> tuple[list, dict, list]:
@@ -349,53 +419,27 @@ def _check_directed_flags(args, loaded: Loaded) -> None:
         raise InputError("--directed requires every hyperedge to be directed")
 
 
-def cmd_curvature(args) -> int:
-    loaded = load_input(args.input, args.format)
-    _check_directed_flags(args, loaded)
+def cmd_curvature(a: Analysis) -> int:
+    args = a.args
+    _check_directed_flags(args, a.loaded)
     if args.directed:
-        human, obj, rows = _directed_section(loaded.network, _directed_config(args))
+        human, obj, rows = _directed_section(a.loaded.network, _directed_config(args))
         emit(args, human, {"directed": obj}, ("metric", "key", "value"), rows)
         return EXIT_OK
 
-    k2 = two_skeleton(get_complex(get_poset(loaded, args), args))
-    rows = _edge_rows(k2)
+    k2 = a.skeleton
     human = [
         f"edge {label}: triangles={t} parallel={p} ric={r} closed={c} "
         + ("ok" if r == c else "MISMATCH")
-        for label, t, p, r, c in rows
+        for label, t, p, r, c in a.edge_rows
     ]
-    for v in range(k2.n_vertices):
-        human.append(
-            f"vertex {k2.vertex_label(v)}: {vertex_curvature(k2, v).decimal()}"
-        )
-    for t in k2.triangles:
-        human.append(f"triangle {k2.face_label(t)}: {TRIANGLE_TERM}")
-    obj = {
-        "edges": [
-            {
-                "edge": label,
-                "triangles": t,
-                "parallel": p,
-                "ric": r,
-                "ric_closed": c,
-                "match": r == c,
-            }
-            for label, t, p, r, c in rows
-        ],
-        "vertices": [
-            {
-                "vertex": k2.vertex_label(v),
-                "term": vertex_curvature(k2, v).json_value(),
-            }
-            for v in range(k2.n_vertices)
-        ],
-        "triangles": [
-            {"triangle": k2.face_label(t), "term": TRIANGLE_TERM}
-            for t in k2.triangles
-        ],
-    }
-    csv_rows = [(label, t, p, r) for label, t, p, r, _ in rows]
-    emit(args, human, obj, ("edge", "triangles", "parallel", "ric"), csv_rows)
+    human += [
+        f"vertex {k2.vertex_label(v)}: {term.decimal()}"
+        for v, term in a.balance.vertex_terms.items()
+    ]
+    human += [f"triangle {k2.face_label(t)}: {TRIANGLE_TERM}" for t in k2.triangles]
+    header = ("edge", "triangles", "parallel", "ric")
+    emit(args, human, curvature_obj(a), header, [row[:4] for row in a.edge_rows])
     return EXIT_OK
 
 
@@ -404,11 +448,9 @@ def _require_undirected(loaded: Loaded, what: str) -> None:
         raise InputError(f"{what} operates on undirected input")
 
 
-def cmd_gauss_bonnet(args) -> int:
-    loaded = load_input(args.input, args.format)
-    _require_undirected(loaded, "gauss-bonnet")
-    k2 = two_skeleton(get_complex(get_poset(loaded, args), args))
-    report = gauss_bonnet(k2)
+def cmd_gauss_bonnet(a: Analysis) -> int:
+    _require_undirected(a.loaded, "gauss-bonnet")
+    report = a.balance
     equation = (
         f"{report.vertex_sum.decimal()} - {report.ricci_sum} + "
         f"{report.triangle_sum} = {report.chi} = chi"
@@ -436,118 +478,53 @@ def cmd_gauss_bonnet(args) -> int:
         ("chi", report.chi),
         ("residual", str(report.residual)),
     ]
-    emit(args, human, obj, ("component", "value"), rows)
-    if report.residual != 0:
-        print("error: curvature does not balance the Euler characteristic",
-              file=sys.stderr)
-        return EXIT_GB
-    return EXIT_OK
+    emit(a.args, human, obj, ("component", "value"), rows)
+    return balance_status(report)
 
 
-def _filtration_rows(k2: SimplicialComplex):
-    return [
-        (s.threshold, *s.f_vector, s.chi) for s in curvature_filtration(k2)
-    ]
-
-
-def cmd_filtrate(args) -> int:
-    loaded = load_input(args.input, args.format)
-    _require_undirected(loaded, "filtrate")
-    k2 = two_skeleton(get_complex(get_poset(loaded, args), args))
-    rows = _filtration_rows(k2)
+def cmd_filtrate(a: Analysis) -> int:
+    _require_undirected(a.loaded, "filtrate")
+    rows = [(s.threshold, *s.f_vector, s.chi) for s in a.filtration]
     human = [
         f"threshold {t}: f=({f0},{f1},{f2}) chi={chi}" for t, f0, f1, f2, chi in rows
     ]
     if not rows:
         human = ["empty complex: no filtration steps"]
-    obj = {
-        "filtration": [
-            {"threshold": t, "f_vector": [f0, f1, f2], "chi": chi}
-            for t, f0, f1, f2, chi in rows
-        ]
-    }
-    emit(args, human, obj, ("threshold", "f0", "f1", "f2", "chi"), rows)
+    obj = {"filtration": filtration_obj(a)}
+    emit(a.args, human, obj, ("threshold", "f0", "f1", "f2", "chi"), rows)
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    loaded = load_input(args.input, args.format)
-    _check_directed_flags(args, loaded)
-    p = get_poset(loaded, args)
-    cx = get_complex(p, args)
-    k2 = two_skeleton(cx)
-    report = gauss_bonnet(k2)
-    rf = p.rank_function()
-
-    if loaded.kind == "poset":
-        input_obj: dict[str, object] = {
-            "kind": "poset",
-            "format": loaded.fmt,
-            "elements": len(p),
-        }
-    else:
-        h = loaded.network
-        input_obj = {
-            "kind": "hypernetwork",
-            "format": loaded.fmt,
-            "nodes": len(h.nodes),
-            "hypervertices": len(h.hypervertices),
-            "hyperedges": len(h.hyperedges),
-            "directed": h.directed,
-        }
-
-    if isinstance(rf, NotRanked):
-        rank_obj: dict[str, object] = {
-            "ranked": False,
-            "witness": p.element_label(rf.element_index),
-            "conflicting_ranks": list(rf.ranks),
-        }
-    else:
+def cmd_report(a: Analysis) -> int:
+    args = a.args
+    _check_directed_flags(args, a.loaded)
+    if isinstance(a.rank, RankFunction):
         rank_obj = {
             "ranked": True,
-            "ranks": list(rf.ranks),
-            "max_rank": rf.max_rank,
-            "level_counts": list(rf.level_counts()),
+            "ranks": list(a.rank.ranks),
+            "max_rank": a.rank.max_rank,
+            "level_counts": list(a.rank.level_counts()),
         }
-
+    else:
+        rank_obj = {"ranked": False, **a.rank_witness()}
+    report = a.balance
     obj = {
-        "input": input_obj,
+        "input": {**input_summary(a.loaded), "format": a.loaded.fmt},
         "config": {
             "singletons": not args.no_singletons,
             "skeleton": "full" if args.skeleton is None else args.skeleton,
-            "chain_cap": resolve_chain_cap(args),
+            "chain_cap": a.chain_cap,
         },
-        "poset": p.to_json_obj(),
+        "poset": a.poset.to_json_obj(),
         "rank": rank_obj,
-        "chi": chi_values(loaded, args),
+        "chi": a.chi,
         "complex": {
-            "f_vector": list(cx.f_vector()),
-            "dim": cx.dim,
-            "truncated_for_curvature": cx.dim > 2,
+            "f_vector": list(a.complex.f_vector()),
+            "dim": a.complex.dim,
+            "truncated_for_curvature": a.complex.dim > 2,
         },
         "curvature": {
-            "edges": [
-                {
-                    "edge": label,
-                    "triangles": t,
-                    "parallel": par,
-                    "ric": r,
-                    "ric_closed": c,
-                    "match": r == c,
-                }
-                for label, t, par, r, c in _edge_rows(k2)
-            ],
-            "vertices": [
-                {
-                    "vertex": k2.vertex_label(v),
-                    "term": report.vertex_terms[v].json_value(),
-                }
-                for v in range(k2.n_vertices)
-            ],
-            "triangles": [
-                {"triangle": k2.face_label(t), "term": TRIANGLE_TERM}
-                for t in k2.triangles
-            ],
+            **curvature_obj(a),
             "sums": {
                 "vertex": report.vertex_sum.json_value(),
                 "ricci": report.ricci_sum,
@@ -557,20 +534,14 @@ def cmd_report(args) -> int:
             "residual": report.residual.json_value(),
             "triangle_term": TRIANGLE_TERM,
         },
-        "filtration": [
-            {"threshold": t, "f_vector": [f0, f1, f2], "chi": chi}
-            for t, f0, f1, f2, chi in _filtration_rows(k2)
-        ],
+        "filtration": filtration_obj(a),
     }
     if args.directed:
-        _, directed_obj, _ = _directed_section(
-            loaded.network, _directed_config(args)
+        _, obj["directed"], _ = _directed_section(
+            a.loaded.network, _directed_config(args)
         )
-        obj["directed"] = directed_obj
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    if report.residual != 0:
-        return EXIT_GB
-    return EXIT_OK
+    sys.stdout.write(_json_text(obj))
+    return balance_status(report)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -598,7 +569,9 @@ def _cap_arg(s: str) -> int:
     return cap
 
 
-def _add_common(p: argparse.ArgumentParser, pipeline: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, pipeline: bool = True, output: bool = True
+) -> None:
     p.add_argument("input", type=Path, help="hypernetwork or poset file")
     p.add_argument(
         "--format",
@@ -606,12 +579,13 @@ def _add_common(p: argparse.ArgumentParser, pipeline: bool = True) -> None:
         default="auto",
         help="input format (auto: .json -> json, .hnet -> text)",
     )
-    p.add_argument(
-        "--output",
-        choices=["json", "csv", "human"],
-        default="human",
-        help="report format",
-    )
+    if output:
+        p.add_argument(
+            "--output",
+            choices=["json", "csv", "human"],
+            default="human",
+            help="report format",
+        )
     if pipeline:
         p.add_argument(
             "--no-singletons",
@@ -682,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_filtrate)
 
     p = sub.add_parser("report", help="all-in-one report (always JSON)")
-    _add_common(p)
+    _add_common(p, output=False)
     p.add_argument(
         "--chi-method",
         choices=["delta", "rank", "geometric", "all"],
@@ -697,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(Analysis(args))
     except ChainCapExceeded as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CAP

@@ -27,6 +27,7 @@ cyclic) play the role of the chosen triangle set.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Literal, Mapping
@@ -146,15 +147,21 @@ class FiltrationStep:
     chi: int
 
 
-def curvature_filtration(k: SimplicialComplex) -> list[FiltrationStep]:
-    """Sublevel filtration of the edge curvature.
+def curvature_filtration(
+    k: SimplicialComplex, ricci: Mapping[Simplex, int]
+) -> list[FiltrationStep]:
+    """Sublevel filtration of the edge curvature ``ricci`` (one value per
+    edge of k, as in :attr:`CurvatureReport.ricci`).
 
     Thresholds are the sorted distinct edge curvature values. The
     subcomplex at threshold t keeps every vertex, the edges with
     curvature <= t, and the triangles all of whose edges are kept, so
     successive steps are nested and the last one is the whole complex.
-    Steps always carry a fixed-width (f0, f1, f2) vector. An edgeless
-    nonempty complex yields the single step at threshold 0.
+    Each edge enters at its own curvature and each triangle at the
+    largest curvature of its three edges, so one pass and cumulative
+    counts give every step. Steps always carry a fixed-width (f0, f1, f2)
+    vector. An edgeless nonempty complex yields the single step at
+    threshold 0.
     """
     k = two_skeleton(k)
     n = k.n_vertices
@@ -162,19 +169,16 @@ def curvature_filtration(k: SimplicialComplex) -> list[FiltrationStep]:
         if n == 0:
             return []
         return [FiltrationStep(0, (n, 0, 0), n)]
-    ric = {e: forman_ricci(k, e) for e in k.edges}
+    edges_at = Counter(ricci[e] for e in k.edges)
+    triangles_at = Counter(
+        max(ricci[(u, v)], ricci[(u, w)], ricci[(v, w)]) for u, v, w in k.triangles
+    )
     steps = []
-    for threshold in sorted(set(ric.values())):
-        kept_edges = {e for e, r in ric.items() if r <= threshold}
-        kept_tris = [
-            t
-            for t in k.triangles
-            if all(pair in kept_edges for pair in combinations(t, 2))
-        ]
-        chi = n - len(kept_edges) + len(kept_tris)
-        steps.append(
-            FiltrationStep(threshold, (n, len(kept_edges), len(kept_tris)), chi)
-        )
+    f1 = f2 = 0
+    for threshold in sorted(edges_at):
+        f1 += edges_at[threshold]
+        f2 += triangles_at[threshold]
+        steps.append(FiltrationStep(threshold, (n, f1, f2), n - f1 + f2))
     return steps
 
 

@@ -122,6 +122,3 @@ class HalfInteger:
         if self.is_integer:
             return self.twice // 2
         return f"{self.twice}/2"
-
-
-ZERO = HalfInteger(0)

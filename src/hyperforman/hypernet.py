@@ -119,12 +119,6 @@ class Hypernetwork:
                 )
             seen_pairs[key] = e.id
 
-    def hypervertex(self, hv_id: str) -> Hypervertex:
-        for hv in self.hypervertices:
-            if hv.id == hv_id:
-                return hv
-        raise KeyError(hv_id)
-
     def summary(self) -> str:
         def count(n: int, singular: str, plural: str) -> str:
             return f"{n} {singular if n == 1 else plural}"

@@ -166,14 +166,8 @@ class Poset:
             above[i] = acc
         return tuple(tuple(sorted(s)) for s in above)
 
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self)) if not self._parents[i])
-
     def comparable_pair_count(self) -> int:
         return sum(len(s) for s in self._above)
-
-    def is_less(self, i: int, j: int) -> bool:
-        return self.elements[i] < self.elements[j]
 
     def rank_function(self) -> RankFunction | NotRanked:
         """The unique rank function, or a :class:`NotRanked` witness.
@@ -193,9 +187,6 @@ class Poset:
                 return NotRanked(i, self.elements[i], (vals[0], vals[-1]))
             ranks.append(vals[0])
         return RankFunction(tuple(ranks), max(ranks, default=0))
-
-    def is_ranked(self) -> bool:
-        return isinstance(self.rank_function(), RankFunction)
 
     def ranked_euler_characteristic(self) -> int:
         """Alternating sum of level counts over ranks.

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from hyperforman import SimplicialComplex
-from hyperforman.curvature import DirectedComplex, DirectedConfig
+from hyperforman.curvature import DirectedComplex, DirectedConfig, FiltrationStep
 
 
 def brute_less(elements) -> set[tuple[int, int]]:
@@ -89,6 +89,22 @@ def brute_parallel(k: SimplicialComplex, e) -> set[tuple[int, int]]:
 
 def brute_ricci(k: SimplicialComplex, e) -> int:
     return brute_triangles_above(k, e) - len(brute_parallel(k, e)) + 2
+
+
+def brute_filtration(k: SimplicialComplex, ricci) -> list[FiltrationStep]:
+    """Curvature sublevel filtration rebuilt threshold by threshold: at each
+    distinct edge curvature, rescan every triangle for all-kept edges."""
+    n = k.n_vertices
+    edges = k.faces(1)
+    if not edges:
+        return [] if n == 0 else [FiltrationStep(0, (n, 0, 0), n)]
+    steps = []
+    for threshold in sorted({ricci[e] for e in edges}):
+        kept = {e for e in edges if ricci[e] <= threshold}
+        tris = [t for t in k.faces(2) if all(p in kept for p in combinations(t, 2))]
+        f = (n, len(kept), len(tris))
+        steps.append(FiltrationStep(threshold, f, n - len(kept) + len(tris)))
+    return steps
 
 
 def brute_balance_residual(k: SimplicialComplex) -> Fraction:

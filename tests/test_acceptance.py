@@ -232,7 +232,7 @@ def test_criterion_7_rank_function_behaviour():
 def test_criterion_8_filtration(corpus):
     for name, k in corpus.items():
         k2 = two_skeleton(k)
-        steps = curvature_filtration(k2)
+        steps = curvature_filtration(k2, gauss_bonnet(k2).ricci)
         if k2.n_vertices == 0:
             continue
         assert steps, name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -374,30 +375,30 @@ class TestGaussBonnet:
         assert rc == 2
         assert "undirected" in err
 
-    def test_forged_violation_exits_five(self, capsys, corpus_dir, monkeypatch):
+    @pytest.mark.parametrize("command", ["gauss-bonnet", "report"])
+    def test_forged_violation_exits_five(
+        self, capsys, corpus_dir, monkeypatch, command
+    ):
         # the identity cannot fail on a real complex, so force a fake
         # report through the command to pin the exit path
         import hyperforman.cli as cli
         from hyperforman import HalfInteger
-        from hyperforman.curvature import CurvatureReport
 
-        fake = CurvatureReport(
-            ricci={},
-            vertex_terms={},
-            triangle_terms={},
-            vertex_sum=HalfInteger(0),
-            ricci_sum=0,
-            triangle_sum=0,
-            chi=1,
-            residual=HalfInteger(-2),
+        real = cli.gauss_bonnet
+        monkeypatch.setattr(
+            cli,
+            "gauss_bonnet",
+            lambda k: dataclasses.replace(real(k), residual=HalfInteger(-2)),
         )
-        monkeypatch.setattr(cli, "gauss_bonnet", lambda k: fake)
         rc, out, err = run(
-            capsys, "gauss-bonnet", corpus_path(corpus_dir, NET, "example.json")
+            capsys, command, corpus_path(corpus_dir, NET, "example.json")
         )
         assert rc == 5
-        assert "residual = -1.0" in out
-        assert "does not balance" in err
+        if command == "report":
+            assert json.loads(out)["curvature"]["residual"] == -1
+        else:
+            assert "residual = -1.0" in out
+        assert err == "error: curvature does not balance the Euler characteristic\n"
 
 
 class TestFiltrate:
@@ -494,6 +495,53 @@ class TestReport:
         assert obj["rank"]["ranked"] is False
         assert obj["rank"]["witness"] == "{a,b,c}"
         assert obj["chi"]["rank"]["not_ranked"] is True
+
+    def test_output_flag_rejected(self, capsys, corpus_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "report",
+                    str(corpus_path(corpus_dir, NET, "single_edge.json")),
+                    "--output",
+                    "csv",
+                ]
+            )
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--output" in captured.err
+
+    def test_each_stage_runs_once(self, capsys, corpus_dir, monkeypatch):
+        import hyperforman.cli as cli
+        from hyperforman import curvature
+
+        calls = {}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+            calls[name] = 0
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("poset_from_hypernetwork", "order_complex", "gauss_bonnet"):
+            counting(cli, name)
+        counting(curvature, "forman_ricci")
+        rc, out, _ = run(
+            capsys, "report", corpus_path(corpus_dir, NET, "example.json")
+        )
+        assert rc == 0
+        edges = len(json.loads(out)["curvature"]["edges"])
+        assert edges == 9
+        assert calls == {
+            "poset_from_hypernetwork": 1,
+            "order_complex": 1,
+            "gauss_bonnet": 1,
+            "forman_ricci": edges,
+        }
 
     def test_byte_identical_across_hash_seeds(self, corpus_dir):
         env = dict(os.environ)

@@ -21,7 +21,12 @@ from hyperforman import (
 from hyperforman.curvature import DirectedComplex, DirectedConfig, DirectionError
 
 from conftest import complexes
-from helpers import brute_balance_residual, brute_directed_formula, brute_ricci
+from helpers import (
+    brute_balance_residual,
+    brute_directed_formula,
+    brute_filtration,
+    brute_ricci,
+)
 
 
 class TestFormanRicci:
@@ -159,16 +164,20 @@ class TestGaussBonnet:
         assert gauss_bonnet(k).residual == 0
 
 
+def filtration(k):
+    return curvature_filtration(k, gauss_bonnet(k).ricci)
+
+
 class TestFiltration:
     def test_uniform_tetrahedron(self, corpus):
-        steps = curvature_filtration(corpus["tetrahedron"])
+        steps = filtration(corpus["tetrahedron"])
         assert len(steps) == 1
         assert steps[0].threshold == 4
         assert steps[0].f_vector == (4, 6, 4)
         assert steps[0].chi == 2
 
     def test_uniform_star(self, corpus):
-        steps = curvature_filtration(corpus["star_k13"])
+        steps = filtration(corpus["star_k13"])
         assert len(steps) == 1
         assert steps[0].threshold == 0
         assert steps[0].f_vector == (4, 3, 0)
@@ -179,7 +188,7 @@ class TestFiltration:
         k = corpus["pendant_triangle"]
         expected_ric = {e: brute_ricci(k, e) for e in k.edges}
         assert sorted(set(expected_ric.values())) == [0, 2, 3]
-        steps = curvature_filtration(k)
+        steps = curvature_filtration(k, expected_ric)
         assert [s.threshold for s in steps] == [0, 2, 3]
         assert [s.f_vector for s in steps] == [(4, 1, 0), (4, 3, 0), (4, 4, 1)]
         assert [s.chi for s in steps] == [3, 1, 1]
@@ -187,7 +196,7 @@ class TestFiltration:
     def test_final_step_reproduces_complex(self, corpus):
         for name, k in corpus.items():
             k2 = two_skeleton(k)
-            steps = curvature_filtration(k2)
+            steps = filtration(k2)
             if k2.n_vertices == 0:
                 assert steps == []
                 continue
@@ -197,7 +206,7 @@ class TestFiltration:
 
     def test_vertices_kept_at_every_threshold(self, corpus):
         for name, k in corpus.items():
-            for s in curvature_filtration(k):
+            for s in filtration(k):
                 assert s.f_vector[0] == k.n_vertices, name
 
     @given(complexes())
@@ -205,17 +214,34 @@ class TestFiltration:
     def test_monotone_f_vectors(self, k):
         if k.dim > 2:
             k = k.skeleton(2)
-        steps = curvature_filtration(k)
+        steps = filtration(k)
         for a, b in zip(steps, steps[1:]):
             assert all(x <= y for x, y in zip(a.f_vector, b.f_vector))
 
+    @given(complexes())
+    @settings(max_examples=80)
+    def test_matches_threshold_by_threshold_oracle(self, k):
+        k2 = k.skeleton(2)
+        ric = {e: brute_ricci(k2, e) for e in k2.edges}
+        assert curvature_filtration(k2, ric) == brute_filtration(k2, ric)
+
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_matches_oracle_on_random_order_complexes(self, singletons):
+        rng = random.Random(20261017 + singletons)
+        for _ in range(150):
+            h = random_hypernetwork(rng)
+            p = poset_from_hypernetwork(h, include_singletons=singletons)
+            k = order_complex(p, skeleton_dim=2)
+            ric = gauss_bonnet(k).ricci
+            assert curvature_filtration(k, ric) == brute_filtration(k, ric), h
+
     def test_empty_complex(self):
-        assert curvature_filtration(SimplicialComplex.from_faces([], [])) == []
+        assert filtration(SimplicialComplex.from_faces([], [])) == []
 
     def test_edgeless_complex_single_step(self, corpus):
         from hyperforman import FiltrationStep
 
-        steps = curvature_filtration(corpus["isolated_vertices"])
+        steps = filtration(corpus["isolated_vertices"])
         assert steps == [FiltrationStep(0, (3, 0, 0), 3)]
 
 
