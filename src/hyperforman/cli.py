@@ -3,11 +3,12 @@
 Subcommands: validate, chi, curvature, gauss-bonnet, filtrate, report.
 Inputs are hypernetwork files (JSON or text) or poset JSON files (an
 object with an ``elements`` key); the pipeline is input -> inclusion
-poset -> order complex -> 2-skeleton -> curvature. Each run builds one
-:class:`Analysis` that holds the loaded input and the flags and computes
-every stage lazily, at most once; the subcommands only format what it
-holds. Exit codes: 0 success, 2 invalid input or configuration, 3 I/O
-failure, 4 chain cap exceeded, 5 broken curvature/Euler balance.
+poset -> face counts of its order complex -> 2-skeleton -> curvature.
+Each run builds one :class:`Analysis` that holds the loaded input and
+the flags and computes every stage lazily, at most once; the
+subcommands only format what it holds. Exit codes: 0 success, 2 invalid
+input or configuration, 3 I/O failure, 4 chain cap exceeded, 5 broken
+curvature/Euler balance.
 
 All output is deterministic: identical input and configuration produce
 byte-identical reports.
@@ -38,7 +39,7 @@ from .curvature import (
     curvature_filtration,
     forman_ricci_closed,
     gauss_bonnet,
-    two_skeleton,
+    two_skeleton,  # noqa: F401  not called here; perfbench/tracing.py patches it
     vertex_curvature,  # noqa: F401  not called here; perfbench/tracing.py patches it
 )
 from .hypernet import (
@@ -134,6 +135,8 @@ def load_input(path: Path, fmt: str) -> Loaded:
         raise ParseError(
             f"invalid JSON: {ex.msg}", line=ex.lineno, col=ex.colno
         ) from ex
+    except RecursionError as ex:
+        raise ParseError("JSON nests too deeply") from ex
     if isinstance(obj, dict) and "elements" in obj and "hypervertices" not in obj:
         return Loaded("poset", fmt, poset=_poset_from_json_obj(obj))
     return Loaded("hypernetwork", fmt, network=from_json_obj(obj))
@@ -178,14 +181,34 @@ class Analysis:
         return self.poset.rank_function()
 
     @cached_property
-    def complex(self) -> SimplicialComplex:
-        return order_complex(
-            self.poset, skeleton_dim=self.args.skeleton, chain_cap=self.chain_cap
-        )
+    def f_vector(self) -> tuple[int, ...]:
+        """Face counts of the order complex at the requested skeleton,
+        counted without listing a chain. More faces than the chain cap
+        is an error, raised before any face is built."""
+        skeleton = self.args.skeleton
+        f = self.poset.chain_counts(None if skeleton is None else skeleton + 1)
+        if sum(f) > self.chain_cap:
+            raise ChainCapExceeded(self.chain_cap, count=sum(f), dim=len(f) - 1)
+        return f
 
     @cached_property
     def skeleton(self) -> SimplicialComplex:
-        return two_skeleton(self.complex)
+        """The complex curvature operates on: the order complex cut to
+        dimension 2 at most. No face above dimension 2 is built; a note
+        on stderr says when the complex has any."""
+        dim = len(self.f_vector) - 1
+        if dim > 2:
+            print(
+                f"note: complex has dimension {dim}; "
+                "curvature operates on its 2-skeleton",
+                file=sys.stderr,
+            )
+        skeleton = self.args.skeleton
+        return order_complex(
+            self.poset,
+            skeleton_dim=2 if skeleton is None else min(skeleton, 2),
+            chain_cap=self.chain_cap,
+        )
 
     @cached_property
     def balance(self) -> CurvatureReport:
@@ -221,7 +244,7 @@ class Analysis:
 
     def _chi_by(self, method: str):
         if method == "delta":
-            return self.complex.euler_characteristic()
+            return sum((-1) ** d * n for d, n in enumerate(self.f_vector))
         if method == "rank":
             if isinstance(self.rank, NotRanked):
                 return {"not_ranked": True, **self.rank_witness()}
@@ -519,9 +542,9 @@ def cmd_report(a: Analysis) -> int:
         "rank": rank_obj,
         "chi": a.chi,
         "complex": {
-            "f_vector": list(a.complex.f_vector()),
-            "dim": a.complex.dim,
-            "truncated_for_curvature": a.complex.dim > 2,
+            "f_vector": list(a.f_vector),
+            "dim": len(a.f_vector) - 1,
+            "truncated_for_curvature": len(a.f_vector) > 3,
         },
         "curvature": {
             **curvature_obj(a),
@@ -604,8 +627,8 @@ def _add_common(
             type=_cap_arg,
             default=None,
             metavar="N",
-            help=f"chain enumeration cap (default {DEFAULT_CHAIN_CAP}, "
-            f"or ${CHAIN_CAP_ENV})",
+            help=f"cap on the faces of the order complex at the requested "
+            f"skeleton (default {DEFAULT_CHAIN_CAP}, or ${CHAIN_CAP_ENV})",
         )
 
 

@@ -23,11 +23,24 @@ DEFAULT_CHAIN_CAP = 10_000_000
 
 
 class ChainCapExceeded(RuntimeError):
-    """Raised when a chain enumeration would emit more chains than allowed."""
+    """Raised when an order complex would have more faces than allowed.
 
-    def __init__(self, cap: int):
-        super().__init__(f"chain enumeration exceeded the cap of {cap} chains")
+    Chain enumeration raises it without a count, when it reaches the
+    cap; a caller that counted the faces first passes their number
+    ``count`` and the dimension ``dim`` they reach.
+    """
+
+    def __init__(self, cap: int, count: int | None = None, dim: int | None = None):
+        if count is None:
+            message = f"chain enumeration exceeded the cap of {cap} chains"
+        else:
+            message = (
+                f"order complex has {count} faces up to dimension {dim}, "
+                f"over the chain cap of {cap}"
+            )
+        super().__init__(message)
         self.cap = cap
+        self.count = count
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,27 @@ class Poset:
         if isinstance(rf, NotRanked):
             raise NotRankedError(rf)
         return sum((-1) ** j * c for j, c in enumerate(rf.level_counts()))
+
+    def chain_counts(self, max_length: int | None = None) -> tuple[int, ...]:
+        """Number of chains of each size 1..max_length, without listing any.
+
+        Entry k is the number of chains with k + 1 elements, so the
+        result is the f-vector of the order complex (its skeleton of
+        dimension max_length - 1), ending at its top dimension. One pass
+        per chain size over the comparability table: the chains of size
+        k + 1 starting at x are x followed by a chain of size k starting
+        at an element above x, so the work is O(comparable pairs x height).
+        """
+        if max_length is not None and max_length < 1:
+            return ()
+        level = [1] * len(self.elements)  # chains of the current size, by start
+        counts: list[int] = []
+        while any(level):
+            counts.append(sum(level))
+            if len(counts) == max_length:
+                break
+            level = [sum(map(level.__getitem__, up)) for up in self._above]
+        return tuple(counts)
 
     def chains(
         self,

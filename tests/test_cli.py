@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from hyperforman import Poset
 from hyperforman.cli import main
 
 NET = "networks"
@@ -53,6 +55,15 @@ class TestValidate:
         rc, _, err = run(capsys, "validate", tmp_path / "nope.json")
         assert rc == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["validate", "chi", "report"])
+    def test_deeply_nested_json_is_invalid_input(self, capsys, tmp_path, command):
+        f = tmp_path / "nested.json"
+        f.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out, err = run(capsys, command, f)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: JSON nests too deeply\n"
 
     def test_unknown_extension_needs_format(self, capsys, tmp_path):
         f = tmp_path / "net.data"
@@ -150,6 +161,32 @@ class TestChi:
         assert rc == 4
         assert "3" in err
 
+    def test_chain_cap_error_names_count_and_cap(self, capsys, corpus_dir):
+        rc, _, err = run(
+            capsys,
+            "chi",
+            corpus_path(corpus_dir, NET, "example.json"),
+            "--chain-cap",
+            "3",
+        )
+        assert rc == 4
+        assert err == (
+            "error: order complex has 19 faces up to dimension 2, "
+            "over the chain cap of 3\n"
+        )
+
+    def test_counts_without_listing_chains(self, capsys, corpus_dir, monkeypatch):
+        def listing(*args, **kwargs):
+            raise AssertionError("Poset.chains was called")
+
+        monkeypatch.setattr(Poset, "chains", listing)
+        example = corpus_path(corpus_dir, NET, "example.json")
+        rc, out, _ = run(capsys, "chi", "--chi-method", "delta", example)
+        assert rc == 0
+        assert out == "chi[delta] = 1\n"
+        rc, _, _ = run(capsys, "curvature", example, "--chain-cap", "3")
+        assert rc == 4
+
     def test_chain_cap_env_override(self, capsys, corpus_dir, monkeypatch):
         monkeypatch.setenv("HYPERFORMAN_CHAIN_CAP", "3")
         rc, _, err = run(capsys, "chi", corpus_path(corpus_dir, NET, "example.json"))
@@ -215,6 +252,44 @@ class TestCurvature:
         edge_lines = [l for l in out.splitlines() if l.startswith("edge ")]
         assert len(edge_lines) == 3
         assert all("ric=0" in l for l in edge_lines)
+
+    def test_truncation_note_replaces_warning(self, capsys, corpus_dir):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, _, err = run(
+                capsys, "curvature", corpus_path(corpus_dir, SCAF, "chain4.json")
+            )
+        assert rc == 0
+        assert err == (
+            "note: complex has dimension 3; curvature operates on its 2-skeleton\n"
+        )
+        assert caught == []
+
+    def test_deep_tower_reaches_its_2_skeleton(self, capsys, tmp_path):
+        # V_k = {n_1..n_k}: without singletons the poset is a 26-chain,
+        # whose order complex has 2^26 - 1 faces
+        nodes = [f"n{i}" for i in range(1, 27)]
+        hvs = [{"id": f"V{k}", "nodes": nodes[:k]} for k in range(1, 27)]
+        f = tmp_path / "tower.json"
+        f.write_text(
+            json.dumps({"nodes": nodes, "hypervertices": hvs, "hyperedges": []})
+        )
+        flags = ("--no-singletons", "--skeleton", "2")
+        rc, out, _ = run(capsys, "curvature", f, *flags, "--output", "json")
+        assert rc == 0
+        obj = json.loads(out)
+        f_vector = tuple(len(obj[key]) for key in ("vertices", "edges", "triangles"))
+        assert f_vector == (26, 325, 2600)
+        assert all(e["match"] for e in obj["edges"])
+        rc, out, _ = run(capsys, "gauss-bonnet", f, *flags)
+        assert rc == 0
+        assert "residual = 0.0" in out
+        rc, _, err = run(capsys, "curvature", f, "--no-singletons")
+        assert rc == 4
+        assert err == (
+            "error: order complex has 67108863 faces up to dimension 25, "
+            "over the chain cap of 10000000\n"
+        )
 
     def test_csv_columns(self, capsys, corpus_dir):
         rc, out, _ = run(
@@ -360,7 +435,6 @@ class TestGaussBonnet:
         assert rc == 0
         assert "3.0 - 2 + 0 = 1 = chi" in out
 
-    @pytest.mark.filterwarnings("ignore:complex has dimension")
     def test_zero_residual_on_all_corpus_files(self, capsys, corpus_dir):
         for tier in (NET, SCAF):
             for path in sorted((corpus_dir / tier).iterdir()):
@@ -486,7 +560,6 @@ class TestReport:
         obj = json.loads(out)
         assert obj["directed"]["chi_formula"] == "31/2"
 
-    @pytest.mark.filterwarnings("ignore:complex has dimension")
     def test_not_ranked_section(self, capsys, corpus_dir):
         rc, out, _ = run(
             capsys, "report", corpus_path(corpus_dir, SCAF, "chain4.json")

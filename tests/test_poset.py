@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,9 @@ from hyperforman import (
     RankFunction,
     SimplicialComplex,
     face_poset,
+    order_complex,
     poset_from_hypernetwork,
+    random_hypernetwork,
 )
 
 from helpers import brute_chains, brute_covers, brute_rank_candidates
@@ -220,6 +225,41 @@ class TestChains:
     def test_bounded_chains_match_brute_force(self, fam):
         p = Poset.from_sets(fam)
         assert set(p.chains(max_length=3)) == brute_chains(p.elements, 3)
+
+
+def assert_counts_match_oracles(p):
+    """chain_counts at each bound equals the size histogram of the brute
+    chains and the f-vector of the enumerated order complex."""
+    for m in (None, 1, 2, 3):
+        sizes = Counter(len(c) for c in brute_chains(p.elements, m))
+        histogram = tuple(sizes[k] for k in range(1, len(sizes) + 1))
+        listed = order_complex(p, skeleton_dim=None if m is None else m - 1)
+        assert p.chain_counts(m) == histogram == listed.f_vector(), m
+
+
+class TestChainCounts:
+    def test_chain_is_binomial(self):
+        p = chain_poset("a", "ab", "abc", "abcd")
+        assert p.chain_counts() == (4, 6, 4, 1)
+        assert p.chain_counts(2) == (4, 6)
+
+    def test_empty_and_nonpositive_bound(self, example_net):
+        assert Poset.from_sets([]).chain_counts() == ()
+        assert poset_from_hypernetwork(example_net).chain_counts(0) == ()
+
+    @given(set_families(max_universe=5, max_sets=7))
+    @settings(max_examples=80)
+    def test_match_oracles(self, fam):
+        assert_counts_match_oracles(Poset.from_sets(fam))
+
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_match_oracles_on_random_networks(self, singletons):
+        rng = random.Random(3 + singletons)
+        for _ in range(40):
+            h = random_hypernetwork(rng, max_nodes=6, max_hypervertices=4)
+            assert_counts_match_oracles(
+                poset_from_hypernetwork(h, include_singletons=singletons)
+            )
 
 
 class TestSerialization:
