@@ -17,7 +17,6 @@ from .curvature import (
     two_skeleton,
     vertex_curvature,
 )
-from .halfint import HalfInteger
 from .hypernet import (
     Hyperedge,
     Hypernetwork,
@@ -52,7 +51,6 @@ __all__ = [
     "DirectedConfig",
     "DirectionError",
     "FiltrationStep",
-    "HalfInteger",
     "Hyperedge",
     "Hypernetwork",
     "HypernetworkError",

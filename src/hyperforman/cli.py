@@ -23,6 +23,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -299,6 +300,16 @@ def emit(args, human_lines, json_obj, csv_header, csv_rows) -> None:
 # -- formatting helpers ------------------------------------------------------
 
 
+def _decimal(x: Fraction) -> str:
+    """An exact half-integer with one fractional digit: ``-3.5``, ``2.0``."""
+    return f"{float(x):.1f}"
+
+
+def _exact(x: Fraction) -> int | str:
+    """Exact JSON form: an int when whole, else a string such as ``"7/2"``."""
+    return x.numerator if x.denominator == 1 else str(x)
+
+
 def input_summary(loaded: Loaded) -> dict:
     """Size counts of the input, as validate and report print them."""
     if loaded.kind == "poset":
@@ -340,7 +351,7 @@ def curvature_obj(a: Analysis) -> dict:
             for label, t, p, r, c in a.edge_rows
         ],
         "vertices": [
-            {"vertex": k2.vertex_label(v), "term": term.json_value()}
+            {"vertex": k2.vertex_label(v), "term": _exact(term)}
             for v, term in a.balance.vertex_terms.items()
         ],
         "triangles": [
@@ -407,14 +418,14 @@ def _directed_section(h: Hypernetwork, cfg: DirectedConfig) -> tuple[list, dict,
         for v in range(len(labels))
     ]
     human.append(f"triangles[{cfg.triangle_mode}] = {len(chosen)}")
-    human.append(f"chi_directed[formula] = {formula.decimal()}")
+    human.append(f"chi_directed[formula] = {_decimal(formula)}")
     human.append(f"chi_directed[count] = {count}")
     obj = {
         "degree_mode": cfg.degree_mode,
         "triangle_mode": cfg.triangle_mode,
         "degrees": {labels[v]: degs[v] for v in range(len(labels))},
         "chosen_triangles": [dc.complex.face_label(t) for t in chosen],
-        "chi_formula": formula.json_value(),
+        "chi_formula": _exact(formula),
         "chi_count": count,
     }
     rows = [("degree", labels[v], degs[v]) for v in range(len(labels))]
@@ -457,7 +468,7 @@ def cmd_curvature(a: Analysis) -> int:
         for label, t, p, r, c in a.edge_rows
     ]
     human += [
-        f"vertex {k2.vertex_label(v)}: {term.decimal()}"
+        f"vertex {k2.vertex_label(v)}: {_decimal(term)}"
         for v, term in a.balance.vertex_terms.items()
     ]
     human += [f"triangle {k2.face_label(t)}: {TRIANGLE_TERM}" for t in k2.triangles]
@@ -475,23 +486,23 @@ def cmd_gauss_bonnet(a: Analysis) -> int:
     _require_undirected(a.loaded, "gauss-bonnet")
     report = a.balance
     equation = (
-        f"{report.vertex_sum.decimal()} - {report.ricci_sum} + "
+        f"{_decimal(report.vertex_sum)} - {report.ricci_sum} + "
         f"{report.triangle_sum} = {report.chi} = chi"
     )
     human = [
-        f"sum vertex terms = {report.vertex_sum.decimal()}",
+        f"sum vertex terms = {_decimal(report.vertex_sum)}",
         f"sum ricci = {report.ricci_sum}",
         f"sum triangle terms = {report.triangle_sum}",
         f"chi = {report.chi}",
-        f"residual = {report.residual.decimal()}",
+        f"residual = {_decimal(report.residual)}",
         equation,
     ]
     obj = {
-        "vertex_sum": report.vertex_sum.json_value(),
+        "vertex_sum": _exact(report.vertex_sum),
         "ricci_sum": report.ricci_sum,
         "triangle_sum": report.triangle_sum,
         "chi": report.chi,
-        "residual": report.residual.json_value(),
+        "residual": _exact(report.residual),
         "triangle_term": TRIANGLE_TERM,
     }
     rows = [
@@ -549,12 +560,12 @@ def cmd_report(a: Analysis) -> int:
         "curvature": {
             **curvature_obj(a),
             "sums": {
-                "vertex": report.vertex_sum.json_value(),
+                "vertex": _exact(report.vertex_sum),
                 "ricci": report.ricci_sum,
                 "triangle": report.triangle_sum,
             },
             "chi": report.chi,
-            "residual": report.residual.json_value(),
+            "residual": _exact(report.residual),
             "triangle_term": TRIANGLE_TERM,
         },
         "filtration": filtration_obj(a),

@@ -29,11 +29,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Literal, Mapping
 
 from .complexes import Simplex, SimplicialComplex
-from .halfint import HalfInteger
 
 TRIANGLE_TERM = 10  # 1 + 6*3 - 3^2; forced by exactness on a single triangle
 
@@ -71,10 +71,10 @@ def forman_ricci_closed(k: SimplicialComplex, e: Iterable[int]) -> int:
     return 3 * t + 4 - k.degree(u) - k.degree(v)
 
 
-def vertex_curvature(k: SimplicialComplex, v: int) -> HalfInteger:
+def vertex_curvature(k: SimplicialComplex, v: int) -> Fraction:
     """Vertex term 1 + (3/2) deg(v) - deg(v)^2, exactly."""
     d = k.degree(v)
-    return HalfInteger(2 + 3 * d - 2 * d * d)
+    return Fraction(2 + 3 * d - 2 * d * d, 2)
 
 
 def triangle_curvature(k: SimplicialComplex, t: Iterable[int]) -> int:
@@ -94,16 +94,16 @@ class CurvatureReport:
     """
 
     ricci: dict[Simplex, int]
-    vertex_terms: dict[int, HalfInteger]
+    vertex_terms: dict[int, Fraction]
     triangle_terms: dict[Simplex, int]
-    vertex_sum: HalfInteger
+    vertex_sum: Fraction
     ricci_sum: int
     triangle_sum: int
     chi: int
-    residual: HalfInteger
+    residual: Fraction
 
     def verify_sums(self) -> None:
-        assert self.vertex_sum == sum(self.vertex_terms.values(), HalfInteger(0))
+        assert self.vertex_sum == sum(self.vertex_terms.values(), Fraction(0))
         assert self.ricci_sum == sum(self.ricci.values())
         assert self.triangle_sum == sum(self.triangle_terms.values())
         assert self.residual == (
@@ -123,7 +123,7 @@ def gauss_bonnet(k: SimplicialComplex) -> CurvatureReport:
     ricci = {e: forman_ricci(k, e) for e in k.edges}
     vertex_terms = {v: vertex_curvature(k, v) for v in range(k.n_vertices)}
     triangle_terms = {t: TRIANGLE_TERM for t in k.triangles}
-    vertex_sum = sum(vertex_terms.values(), HalfInteger(0))
+    vertex_sum = sum(vertex_terms.values(), Fraction(0))
     ricci_sum = sum(ricci.values())
     triangle_sum = sum(triangle_terms.values())
     chi = k.euler_characteristic()
@@ -297,7 +297,7 @@ class DirectedComplex:
             )
         return [t for t in self.complex.triangles if self._orientation(t) == mode]
 
-    def directed_euler_formula(self, cfg: DirectedConfig) -> HalfInteger:
+    def directed_euler_formula(self, cfg: DirectedConfig) -> Fraction:
         """Directed vertex/edge/triangle combination, evaluated verbatim.
 
         Vertex terms use the configured one-sided degrees, edge terms
@@ -310,10 +310,10 @@ class DirectedComplex:
         for t in chosen:
             for e in combinations(t, 2):
                 above[e] += 1
-        total = HalfInteger(0)
+        total = Fraction(0)
         for v in range(self.complex.n_vertices):
             d = degs[v]
-            total += HalfInteger(2 + 3 * d - 2 * d * d)
+            total += Fraction(2 + 3 * d - 2 * d * d, 2)
         for e in self.complex.edges:
             u, v = e
             total -= 4 + 3 * above[e] - (degs[u] + degs[v])

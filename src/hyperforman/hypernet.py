@@ -160,8 +160,10 @@ def from_json_obj(obj) -> Hypernetwork:
     directed = obj.get("directed", False)
     _expect(isinstance(directed, bool), "'directed' must be a boolean")
 
+    raw_hvs = obj.get("hypervertices", [])
+    _expect(isinstance(raw_hvs, list), "'hypervertices' must be an array")
     hvs = []
-    for i, raw in enumerate(obj.get("hypervertices", [])):
+    for i, raw in enumerate(raw_hvs):
         _expect(isinstance(raw, dict), f"hypervertices[{i}] must be an object")
         _expect(
             isinstance(raw.get("id"), str), f"hypervertices[{i}].id must be a string"
@@ -173,8 +175,10 @@ def from_json_obj(obj) -> Hypernetwork:
         )
         hvs.append(Hypervertex(raw["id"], frozenset(members)))
 
+    raw_edges = obj.get("hyperedges", [])
+    _expect(isinstance(raw_edges, list), "'hyperedges' must be an array")
     edges = []
-    for i, raw in enumerate(obj.get("hyperedges", [])):
+    for i, raw in enumerate(raw_edges):
         _expect(isinstance(raw, dict), f"hyperedges[{i}] must be an object")
         for banned in ("nodes", "members", "hypervertices"):
             _expect(

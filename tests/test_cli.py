@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,20 @@ class TestValidate:
         assert rc == 2
         assert out == ""
         assert err == "error: JSON nests too deeply\n"
+
+    @pytest.mark.parametrize("value", [5, None, {}])
+    @pytest.mark.parametrize("key", ["hypervertices", "hyperedges"])
+    @pytest.mark.parametrize("command", ["validate", "chi", "report"])
+    def test_non_array_member_list_is_invalid_input(
+        self, capsys, tmp_path, command, key, value
+    ):
+        f = tmp_path / "net.json"
+        f.write_text(json.dumps({"nodes": ["a"], key: value}))
+        rc, out, err = run(capsys, command, f)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: '{key}' must be an array\n"
+        assert "Traceback" not in err
 
     def test_unknown_extension_needs_format(self, capsys, tmp_path):
         f = tmp_path / "net.data"
@@ -252,6 +267,29 @@ class TestCurvature:
         edge_lines = [l for l in out.splitlines() if l.startswith("edge ")]
         assert len(edge_lines) == 3
         assert all("ric=0" in l for l in edge_lines)
+
+    def test_star_vertex_terms_print_exactly(self, capsys, corpus_dir):
+        star = corpus_path(corpus_dir, NET, "star.json")
+        rc, out, _ = run(capsys, "curvature", star)
+        assert rc == 0
+        lines = out.splitlines()
+        assert "vertex {a}: 1.5" in lines
+        assert "vertex {x}: -3.5" in lines
+
+        rc, out, _ = run(capsys, "curvature", star, "--output", "json")
+        vertices = json.loads(out)["vertices"]
+        terms = {row["vertex"]: row["term"] for row in vertices}
+        assert terms["{a}"] == "3/2"
+        assert terms["{x}"] == "-7/2"
+        assert terms["{a,x}"] == 0
+
+        rc, out, _ = run(capsys, "report", star)
+        assert json.loads(out)["curvature"]["vertices"] == vertices
+
+        rc, out, _ = run(capsys, "gauss-bonnet", star, "--output", "csv")
+        lines = out.splitlines()
+        assert "vertex_sum,1" in lines
+        assert "residual,0" in lines
 
     def test_truncation_note_replaces_warning(self, capsys, corpus_dir):
         with warnings.catch_warnings(record=True) as caught:
@@ -456,13 +494,12 @@ class TestGaussBonnet:
         # the identity cannot fail on a real complex, so force a fake
         # report through the command to pin the exit path
         import hyperforman.cli as cli
-        from hyperforman import HalfInteger
 
         real = cli.gauss_bonnet
         monkeypatch.setattr(
             cli,
             "gauss_bonnet",
-            lambda k: dataclasses.replace(real(k), residual=HalfInteger(-2)),
+            lambda k: dataclasses.replace(real(k), residual=Fraction(-2, 2)),
         )
         rc, out, err = run(
             capsys, command, corpus_path(corpus_dir, NET, "example.json")
