@@ -47,6 +47,7 @@ from .hypernet import (
     Hypernetwork,
     HypernetworkError,
     ParseError,
+    decode_json,
     from_json_obj,
     parse,
 )
@@ -99,13 +100,14 @@ def _poset_from_json_obj(obj) -> Poset:
         sets.append(s)
     p = Poset.from_sets(sets)
     if "covers" in obj:
-        provided = obj["covers"]
         try:
-            translated = {
-                (p.index_of(sets[q]), p.index_of(sets[r])) for q, r in provided
-            }
-        except (TypeError, ValueError, IndexError, KeyError) as ex:
+            pairs = [(q, r) for q, r in obj["covers"]]
+        except (TypeError, ValueError) as ex:
             raise InputError(f"malformed 'covers' array: {ex}") from ex
+        for i in (i for pair in pairs for i in pair):
+            if type(i) is not int or not 0 <= i < len(sets):
+                raise InputError(f"malformed 'covers' array: {i!r} is not an index")
+        translated = {(p.index_of(sets[q]), p.index_of(sets[r])) for q, r in pairs}
         if translated != set(p.covers):
             raise InputError("'covers' does not match the inclusion order")
     return p
@@ -128,16 +130,7 @@ def load_input(path: Path, fmt: str) -> Loaded:
     data = path.read_bytes()
     if fmt == "text":
         return Loaded("hypernetwork", fmt, network=parse(data, "text"))
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as ex:
-        raise ParseError(f"input is not valid UTF-8: {ex}") from ex
-    except json.JSONDecodeError as ex:
-        raise ParseError(
-            f"invalid JSON: {ex.msg}", line=ex.lineno, col=ex.colno
-        ) from ex
-    except RecursionError as ex:
-        raise ParseError("JSON nests too deeply") from ex
+    obj = decode_json(data)
     if isinstance(obj, dict) and "elements" in obj and "hypervertices" not in obj:
         return Loaded("poset", fmt, poset=_poset_from_json_obj(obj))
     return Loaded("hypernetwork", fmt, network=from_json_obj(obj))

@@ -52,9 +52,11 @@ def two_skeleton(k: SimplicialComplex) -> SimplicialComplex:
 
 
 def forman_ricci(k: SimplicialComplex, e: Iterable[int]) -> int:
-    """Edge curvature by its definition: triangles minus parallels plus 2."""
-    if k.dim > 2:
-        k = two_skeleton(k)
+    """Edge curvature by its definition: triangles minus parallels plus 2.
+
+    Only edges and triangles enter, so faces above dimension 2 are
+    ignored without building the 2-skeleton.
+    """
     return len(k.triangles_containing(e)) - len(k.parallel_edges(e)) + 2
 
 
@@ -62,10 +64,9 @@ def forman_ricci_closed(k: SimplicialComplex, e: Iterable[int]) -> int:
     """Edge curvature in closed form: 3T + 4 - deg(u) - deg(v).
 
     Must agree with :func:`forman_ricci` on every edge of every valid
-    2-complex; the test suite enforces this.
+    complex; the test suite enforces this. Like it, it reads only edges
+    and triangles.
     """
-    if k.dim > 2:
-        k = two_skeleton(k)
     u, v = tuple(sorted(e))
     t = len(k.triangles_containing((u, v)))
     return 3 * t + 4 - k.degree(u) - k.degree(v)

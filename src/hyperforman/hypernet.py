@@ -119,6 +119,13 @@ class Hypernetwork:
                 )
             seen_pairs[key] = e.id
 
+    def generator_sets(self) -> list[frozenset[str]]:
+        """Hypervertex node sets, then hyperedge endpoint unions."""
+        by_id = {hv.id: hv.nodes for hv in self.hypervertices}
+        gens = [hv.nodes for hv in self.hypervertices]
+        gens.extend(by_id[e.tail] | by_id[e.head] for e in self.hyperedges)
+        return gens
+
     def summary(self) -> str:
         def count(n: int, singular: str, plural: str) -> str:
             return f"{n} {singular if n == 1 else plural}"
@@ -157,6 +164,10 @@ def from_json_obj(obj) -> Hypernetwork:
         isinstance(nodes, list) and all(isinstance(n, str) for n in nodes),
         "'nodes' must be an array of strings",
     )
+    seen: set[str] = set()
+    for n in nodes:
+        _expect(n not in seen, f"duplicate node '{n}'")
+        seen.add(n)
     directed = obj.get("directed", False)
     _expect(isinstance(directed, bool), "'directed' must be a boolean")
 
@@ -293,23 +304,31 @@ def to_text(h: Hypernetwork) -> str:
 # -- entry points ----------------------------------------------------------
 
 
+def _decode(data: bytes | str) -> str:
+    try:
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as ex:
+        raise ParseError(f"input is not valid UTF-8: {ex}") from ex
+
+
+def decode_json(data: bytes | str):
+    """The JSON value in ``data``; every way of failing is a ParseError."""
+    try:
+        return json.loads(_decode(data))
+    except json.JSONDecodeError as ex:
+        raise ParseError(
+            f"invalid JSON: {ex.msg}", line=ex.lineno, col=ex.colno
+        ) from ex
+    except RecursionError as ex:
+        raise ParseError("JSON nests too deeply") from ex
+
+
 def parse(data: bytes | str, fmt: str) -> Hypernetwork:
     """Parse a hypernetwork from ``data`` in format ``json`` or ``text``."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as ex:
-            raise ParseError(f"input is not valid UTF-8: {ex}") from ex
     if fmt == "json":
-        try:
-            obj = json.loads(data)
-        except json.JSONDecodeError as ex:
-            raise ParseError(
-                f"invalid JSON: {ex.msg}", line=ex.lineno, col=ex.colno
-            ) from ex
-        return from_json_obj(obj)
+        return from_json_obj(decode_json(data))
     if fmt == "text":
-        return _from_text(data)
+        return _from_text(_decode(data))
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -322,13 +341,6 @@ def serialize(h: Hypernetwork, fmt: str) -> str:
 
 
 # -- geometric views -------------------------------------------------------
-
-
-def _generator_sets(h: Hypernetwork) -> list[frozenset[str]]:
-    by_id = {hv.id: hv.nodes for hv in h.hypervertices}
-    gens = [hv.nodes for hv in h.hypervertices]
-    gens.extend(by_id[e.tail] | by_id[e.head] for e in h.hyperedges)
-    return gens
 
 
 def clique_expansion(h: Hypernetwork) -> SimplicialComplex:
@@ -359,7 +371,7 @@ def geometric_complex(h: Hypernetwork) -> SimplicialComplex:
     labels = sorted(h.nodes)
     idx = {n: i for i, n in enumerate(labels)}
     faces: set[tuple[int, ...]] = set()
-    for gen in _generator_sets(h):
+    for gen in h.generator_sets():
         members = sorted(idx[n] for n in gen)
         for size in range(1, min(3, len(members)) + 1):
             faces.update(combinations(members, size))
@@ -369,30 +381,26 @@ def geometric_complex(h: Hypernetwork) -> SimplicialComplex:
 def geometric_euler_characteristic(h: Hypernetwork) -> int:
     """Euler characteristic of the full-dimensional simplex view.
 
-    Counts by inclusion-exclusion over the maximal generator simplices:
-    a subfamily with nonempty common intersection contributes +-1 by the
-    parity of its size, because a nonempty full simplex is contractible.
-    Branches with empty intersections are pruned, so nothing like the
-    full face set is ever materialized.
+    By the nerve theorem for the cover by generator simplices (node
+    singletons included), chi counts the generator families with a
+    common node, +1 for each odd family and -1 for each even one.
+    ``signed[x]`` holds that count over the families whose intersection
+    is exactly x, so the work is at most generators times distinct
+    intersections, and every intersection is a face of the view.
     """
-    gens = _generator_sets(h)
-    gens.extend(frozenset({n}) for n in h.nodes)
-    ordered = sorted(set(gens), key=lambda s: (-len(s), tuple(sorted(s))))
-    maximal: list[frozenset[str]] = []
-    for g in ordered:
-        if not any(g <= m for m in maximal):
-            maximal.append(g)
-
-    total = 0
-
-    def walk(start: int, inter: frozenset[str], sign: int):
-        nonlocal total
-        total += sign
-        for i in range(start, len(maximal)):
-            nxt = inter & maximal[i]
-            if nxt:
-                walk(i + 1, nxt, -sign)
-
-    for i, g in enumerate(maximal):
-        walk(i + 1, g, 1)
-    return total
+    gens = {*h.generator_sets(), *(frozenset({n}) for n in h.nodes)}
+    signed: dict[frozenset[str], int] = {}
+    for g in sorted(gens, key=lambda s: (len(s), sorted(s))):
+        # g alone, and g joined to every earlier family it meets
+        delta = {g: 1}
+        for x, count in signed.items():
+            meet = x & g
+            if meet:
+                delta[meet] = delta.get(meet, 0) - count
+        for x, count in delta.items():
+            count += signed.get(x, 0)
+            if count:
+                signed[x] = count
+            else:
+                signed.pop(x, None)
+    return sum(signed.values())

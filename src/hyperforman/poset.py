@@ -281,13 +281,9 @@ def poset_from_hypernetwork(
     sets, and the union of endpoints for every hyperedge, deduplicated
     and ordered by inclusion.
     """
-    sets: list[frozenset] = []
+    sets = h.generator_sets()
     if include_singletons:
         sets.extend(frozenset({v}) for v in h.nodes)
-    by_id = {hv.id: hv.nodes for hv in h.hypervertices}
-    sets.extend(hv.nodes for hv in h.hypervertices)
-    for e in h.hyperedges:
-        sets.append(by_id[e.tail] | by_id[e.head])
     return Poset.from_sets(sets)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -105,6 +106,34 @@ def example_network() -> Hypernetwork:
 @pytest.fixture
 def example_net() -> Hypernetwork:
     return example_network()
+
+
+def hub_star(n: int) -> Hypernetwork:
+    """n hypervertices {hub, p_i} that meet only in the hub."""
+    leaves = [f"p{i}" for i in range(n)]
+    return Hypernetwork(
+        frozenset(["hub", *leaves]),
+        tuple(
+            Hypervertex(f"V{i}", frozenset({"hub", p})) for i, p in enumerate(leaves)
+        ),
+    )
+
+
+def overlap_network(seed: int) -> Hypernetwork:
+    """35 nodes, 72 hypervertices of 1-6 nodes and 192 hyperedges: about
+    6 * 10^16 families of maximal generators have a common node."""
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(35)]
+    hvs = tuple(
+        Hypervertex(f"V{i:02d}", frozenset(rng.sample(nodes, rng.randint(1, 6))))
+        for i in range(72)
+    )
+    pairs = rng.sample(list(combinations(range(72), 2)), 192)
+    edges = tuple(
+        _edge(f"E{k}", f"V{a:02d}", f"V{b:02d}", False)
+        for k, (a, b) in enumerate(pairs)
+    )
+    return Hypernetwork(frozenset(nodes), hvs, edges)
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from hyperforman import Poset
+from hyperforman import Poset, serialize
 from hyperforman.cli import main
+
+from conftest import hub_star
 
 NET = "networks"
 SCAF = "scaffolds"
@@ -65,6 +67,27 @@ class TestValidate:
         assert rc == 2
         assert out == ""
         assert err == "error: JSON nests too deeply\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"elements": [["a"], ["a", "b"]], "covers": [[-2, -1]]},
+            {"elements": [["a"], ["a", "b"]], "covers": [[False, True]]},
+            {"nodes": ["a", "a"]},
+        ],
+        ids=["negative-cover-index", "boolean-cover-index", "repeated-node"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "chi", "report"])
+    def test_bad_indices_and_repeated_nodes_are_invalid_input(
+        self, capsys, tmp_path, command, obj
+    ):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, command, f)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [5, None, {}])
     @pytest.mark.parametrize("key", ["hypervertices", "hyperedges"])
@@ -122,6 +145,12 @@ class TestChi:
             "chi[rank] = 2",
             "chi[geometric] = 1",
         ]
+
+    def test_geometric_on_hub_star(self, capsys, tmp_path):
+        f = tmp_path / "star.json"
+        f.write_text(serialize(hub_star(1200), "json"))
+        rc, out, err = run(capsys, "chi", "--chi-method", "geometric", f)
+        assert (rc, out, err) == (0, "chi[geometric] = 1\n", "")
 
     def test_single_method(self, capsys, corpus_dir):
         rc, out, _ = run(

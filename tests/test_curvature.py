@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from hyperforman import (
+    Poset,
     SimplicialComplex,
     curvature_filtration,
     forman_ricci,
@@ -59,6 +61,27 @@ class TestFormanRicci:
                 definitional = forman_ricci(k, e)
                 assert definitional == forman_ricci_closed(k, e), (name, e)
                 assert definitional == brute_ricci(k, e), (name, e)
+
+    def test_high_dimensional_complex_needs_no_skeleton(self, monkeypatch):
+        # the order complex of the nonempty subsets of a 4-set: the
+        # barycentric subdivision of a solid tetrahedron, dimension 3
+        p = Poset.from_sets(
+            frozenset(c) for r in range(1, 5) for c in combinations("abcd", r)
+        )
+        k = order_complex(p)
+        assert k.dim == 3
+        k2 = k.skeleton(2)
+        expected = {
+            e: (forman_ricci(k2, e), forman_ricci_closed(k2, e)) for e in k2.edges
+        }
+
+        def refuse(self, d):
+            raise AssertionError("edge curvature must not build a skeleton")
+
+        monkeypatch.setattr(SimplicialComplex, "skeleton", refuse)
+        assert {
+            e: (forman_ricci(k, e), forman_ricci_closed(k, e)) for e in k.edges
+        } == expected
 
     @given(complexes())
     def test_definitional_equals_closed_form(self, k):

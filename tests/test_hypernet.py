@@ -1,4 +1,6 @@
 import json
+import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,12 @@ from hyperforman import (
     geometric_complex,
     geometric_euler_characteristic,
     parse,
+    random_hypernetwork,
     serialize,
 )
 from hyperforman.hypernet import _edge
 
-from conftest import example_network, hypernetworks
+from conftest import example_network, hub_star, hypernetworks, overlap_network
 from helpers import brute_geometric_chi, brute_geometric_faces
 
 EXAMPLE_JSON = json.dumps(
@@ -102,6 +105,10 @@ class TestParsing:
         bad["hyperedges"].append({"id": "E21", "tail": "V2", "head": "V1"})
         with pytest.raises(HypernetworkError, match="same hypervertex pair"):
             parse(json.dumps(bad), "json")
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ParseError, match="JSON nests too deeply"):
+            parse("[" * 100_000 + "]" * 100_000, "json")
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -270,6 +277,30 @@ class TestGeometricChi:
 
     def test_empty_network(self):
         assert geometric_euler_characteristic(Hypernetwork()) == 0
+
+    def test_matches_materialized_face_count_on_random_networks(self):
+        rng = random.Random(0)
+        for i in range(250):
+            h = random_hypernetwork(rng)
+            assert geometric_euler_characteristic(h) == brute_geometric_chi(h), i
+
+    def test_hub_star_is_contractible(self):
+        assert geometric_euler_characteristic(hub_star(1200)) == 1
+
+    def test_heavily_overlapping_network_finishes(self):
+        h = overlap_network(0)
+
+        def give_up(signum, frame):
+            raise TimeoutError("geometric chi took more than 10 s")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(10)
+        try:
+            chi = geometric_euler_characteristic(h)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert chi == brute_geometric_chi(h)
 
 
 class TestModelIndependence:
