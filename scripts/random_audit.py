@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Randomized audit: draw random hypernetworks and verify, for each one,
-that the counted chains of its poset match the f-vector of the listed
-order complex, that the curvature balance closes exactly, and that the
-two edge-curvature routes agree on every edge of the order complex's
-2-skeleton. The first failure is printed with its network and the
-script exits 1."""
+that its poset's covers are the transitive reduction of inclusion found
+by testing every pair, that the counted chains of the poset match the
+f-vector of the listed order complex, that the curvature balance closes
+exactly, and that the two edge-curvature routes agree on every edge of
+the order complex's 2-skeleton. The first failure is printed with its
+network and the script exits 1."""
 
 from __future__ import annotations
 
@@ -30,6 +31,18 @@ def fail(message: str, h) -> int:
     return 1
 
 
+def brute_covers(elements) -> set[tuple[int, int]]:
+    """Transitive reduction of strict inclusion: the pairs i < j with no
+    element strictly between them."""
+    below = [{i for i, a in enumerate(elements) if a < b} for b in elements]
+    return {
+        (i, j)
+        for j, under in enumerate(below)
+        for i in under
+        if not any(i in below[k] for k in under)
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=1000)
@@ -49,6 +62,13 @@ def main() -> int:
         )
         include_singletons = i % 4 != 3
         p = poset_from_hypernetwork(h, include_singletons=include_singletons)
+        expected = brute_covers(p.elements)
+        if p.covers != expected:
+            return fail(
+                f"network {i}: covers {sorted(p.covers)} but the transitive "
+                f"reduction is {sorted(expected)}",
+                h,
+            )
         full = order_complex(p)
         if p.chain_counts() != full.f_vector():
             return fail(
@@ -72,8 +92,8 @@ def main() -> int:
     dt = time.perf_counter() - t0
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
-        f"chain counts match, all balances exact, both curvature routes agree "
-        f"({dt:.2f}s)"
+        f"covers and chain counts match, all balances exact, both curvature "
+        f"routes agree ({dt:.2f}s)"
     )
     return 0
 

@@ -50,6 +50,7 @@ from .hypernet import (
     decode_json,
     from_json_obj,
     parse,
+    repeated,
 )
 from .poset import (
     DEFAULT_CHAIN_CAP,
@@ -93,6 +94,9 @@ def _poset_from_json_obj(obj) -> Poset:
     for i, raw in enumerate(elements):
         if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
             raise InputError(f"elements[{i}] must be an array of strings")
+        dup = repeated(raw)
+        if dup is not None:
+            raise InputError(f"elements[{i}] repeats member '{dup}'")
         s = frozenset(raw)
         if s in seen:
             raise InputError(f"elements[{i}] duplicates an earlier element")
@@ -178,12 +182,12 @@ class Analysis:
     def f_vector(self) -> tuple[int, ...]:
         """Face counts of the order complex at the requested skeleton,
         counted without listing a chain. More faces than the chain cap
-        is an error, raised before any face is built."""
+        is an error, raised at the dimension where the count passes it
+        and before any face is built."""
         skeleton = self.args.skeleton
-        f = self.poset.chain_counts(None if skeleton is None else skeleton + 1)
-        if sum(f) > self.chain_cap:
-            raise ChainCapExceeded(self.chain_cap, count=sum(f), dim=len(f) - 1)
-        return f
+        return self.poset.chain_counts(
+            None if skeleton is None else skeleton + 1, cap=self.chain_cap
+        )
 
     @cached_property
     def skeleton(self) -> SimplicialComplex:

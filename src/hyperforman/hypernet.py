@@ -23,6 +23,7 @@ cannot express isolated nodes; JSON is the lossless format.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -156,6 +157,16 @@ def _expect(cond: bool, msg: str):
         raise ParseError(msg)
 
 
+def repeated(items) -> object | None:
+    """The first item that occurs a second time, or None."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
+
+
 def from_json_obj(obj) -> Hypernetwork:
     _expect(isinstance(obj, dict), "top level must be a JSON object")
     _expect("nodes" in obj, "missing required key 'nodes'")
@@ -164,10 +175,8 @@ def from_json_obj(obj) -> Hypernetwork:
         isinstance(nodes, list) and all(isinstance(n, str) for n in nodes),
         "'nodes' must be an array of strings",
     )
-    seen: set[str] = set()
-    for n in nodes:
-        _expect(n not in seen, f"duplicate node '{n}'")
-        seen.add(n)
+    dup = repeated(nodes)
+    _expect(dup is None, f"duplicate node '{dup}'")
     directed = obj.get("directed", False)
     _expect(isinstance(directed, bool), "'directed' must be a boolean")
 
@@ -184,6 +193,8 @@ def from_json_obj(obj) -> Hypernetwork:
             isinstance(members, list) and all(isinstance(n, str) for n in members),
             f"hypervertices[{i}].nodes must be an array of strings",
         )
+        dup = repeated(members)
+        _expect(dup is None, f"hypervertices[{i}].nodes repeats node '{dup}'")
         hvs.append(Hypervertex(raw["id"], frozenset(members)))
 
     raw_edges = obj.get("hyperedges", [])
@@ -257,6 +268,11 @@ def _from_text(text: str) -> Hypernetwork:
         members = rest.split()
         if not members:
             raise ParseError(f"empty hypervertex '{hv_id}'", line=lineno)
+        dup = repeated(members)
+        if dup is not None:
+            raise ParseError(
+                f"hypervertex '{hv_id}' repeats node '{dup}'", line=lineno
+            )
         hvs.append(Hypervertex(hv_id, frozenset(members)))
 
     nodes = frozenset(n for hv in hvs for n in hv.nodes)
@@ -313,11 +329,19 @@ def _decode(data: bytes | str) -> str:
 
 def decode_json(data: bytes | str):
     """The JSON value in ``data``; every way of failing is a ParseError."""
+    text = _decode(data)
     try:
-        return json.loads(_decode(data))
+        return json.loads(text)
     except json.JSONDecodeError as ex:
         raise ParseError(
             f"invalid JSON: {ex.msg}", line=ex.lineno, col=ex.colno
+        ) from ex
+    except ValueError as ex:
+        # the only other ValueError: an integer past the int-string limit,
+        # which Python words differently from version to version
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"invalid JSON: an integer has more than {limit} digits"
         ) from ex
     except RecursionError as ex:
         raise ParseError("JSON nests too deeply") from ex

@@ -26,8 +26,8 @@ class ChainCapExceeded(RuntimeError):
     """Raised when an order complex would have more faces than allowed.
 
     Chain enumeration raises it without a count, when it reaches the
-    cap; a caller that counted the faces first passes their number
-    ``count`` and the dimension ``dim`` they reach.
+    cap; chain counting passes the number ``count`` of faces counted
+    when the cap was passed and the dimension ``dim`` they reach.
     """
 
     def __init__(self, cap: int, count: int | None = None, dim: int | None = None):
@@ -118,24 +118,34 @@ class Poset:
     def from_sets(cls, sets: Iterable[Iterable]) -> "Poset":
         """Build the poset of the given sets (deduplicated) under inclusion.
 
-        Covers come from pairwise subset tests followed by removal of
-        pairs that admit an intermediate element.
+        Elements are taken from the largest index down. The supersets of
+        an element are among the elements holding its rarest member (all
+        of them for the empty set), read from a node -> indices posting
+        list in ascending order: the first superset met is a cover, and
+        so is every later one not already above an earlier cover, since
+        a superset that is not a cover contains a cover of smaller
+        index. So subset tests run only on such unblocked candidates.
         """
         uniq = {frozenset(s) for s in sets}
         elements = tuple(sorted(uniq, key=_canonical_key))
         n = len(elements)
-        up: list[set[int]] = [set() for _ in range(n)]
-        dn: list[set[int]] = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                # canonical order sorts by size, so only j can contain i
-                if len(elements[i]) < len(elements[j]) and elements[i] < elements[j]:
-                    up[i].add(j)
-                    dn[j].add(i)
-        covers = frozenset(
-            (i, j) for i in range(n) for j in up[i] if not (up[i] & dn[j])
-        )
-        return cls(elements, covers)
+        postings: dict[object, list[int]] = {}
+        for i, e in enumerate(elements):
+            for x in e:
+                postings.setdefault(x, []).append(i)
+        above: list[set[int]] = [set() for _ in range(n)]
+        covers: list[tuple[int, int]] = []
+        for i in reversed(range(n)):
+            e, up = elements[i], above[i]
+            candidates = min((postings[x] for x in e), key=len) if e else range(n)
+            for j in candidates:
+                if j <= i or j in up:
+                    continue
+                if e < elements[j]:
+                    covers.append((i, j))
+                    up.add(j)
+                    up |= above[j]
+        return cls(elements, frozenset(covers))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -212,7 +222,9 @@ class Poset:
             raise NotRankedError(rf)
         return sum((-1) ** j * c for j, c in enumerate(rf.level_counts()))
 
-    def chain_counts(self, max_length: int | None = None) -> tuple[int, ...]:
+    def chain_counts(
+        self, max_length: int | None = None, cap: int | None = None
+    ) -> tuple[int, ...]:
         """Number of chains of each size 1..max_length, without listing any.
 
         Entry k is the number of chains with k + 1 elements, so the
@@ -221,13 +233,19 @@ class Poset:
         per chain size over the comparability table: the chains of size
         k + 1 starting at x are x followed by a chain of size k starting
         at an element above x, so the work is O(comparable pairs x height).
+        Counting stops with :class:`ChainCapExceeded`, carrying the faces
+        counted so far, as soon as their total passes ``cap``.
         """
         if max_length is not None and max_length < 1:
             return ()
         level = [1] * len(self.elements)  # chains of the current size, by start
         counts: list[int] = []
+        total = 0
         while any(level):
             counts.append(sum(level))
+            total += counts[-1]
+            if cap is not None and total > cap:
+                raise ChainCapExceeded(cap, count=total, dim=len(counts) - 1)
             if len(counts) == max_length:
                 break
             level = [sum(map(level.__getitem__, up)) for up in self._above]

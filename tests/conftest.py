@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -134,6 +137,30 @@ def overlap_network(seed: int) -> Hypernetwork:
         for k, (a, b) in enumerate(pairs)
     )
     return Hypernetwork(frozenset(nodes), hvs, edges)
+
+
+def tower_poset_json(n: int) -> str:
+    """Poset input whose elements are the nested sets {n0}, {n0, n1}, ...
+    up to n members: an n-chain with n(n - 1)/2 comparable pairs."""
+    nodes = [f"n{i}" for i in range(n)]
+    return json.dumps({"elements": [nodes[:k] for k in range(1, n + 1)]})
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail the test, instead of hanging, if the block runs longer. The
+    failure is not an exception that the CLI would catch and map."""
+
+    def give_up(signum, frame):
+        pytest.fail(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from hyperforman import SimplicialComplex
+from hyperforman import Poset, SimplicialComplex
 from hyperforman.curvature import DirectedComplex, DirectedConfig, FiltrationStep
 
 
@@ -32,6 +32,27 @@ def brute_covers(elements) -> set[tuple[int, int]]:
         for (i, j) in less
         if not any((i, k) in less and (k, j) in less for k in range(len(elements)))
     }
+
+
+def pairwise_poset(sets) -> Poset:
+    """The inclusion poset by testing every pair of elements for subset,
+    then dropping each comparable pair that admits an intermediate
+    element; elements are in the library's canonical order."""
+    elements = tuple(
+        sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
+    )
+    n = len(elements)
+    up: list[set[int]] = [set() for _ in range(n)]
+    dn: list[set[int]] = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if elements[i] < elements[j]:
+                up[i].add(j)
+                dn[j].add(i)
+    covers = frozenset(
+        (i, j) for i in range(n) for j in up[i] if not (up[i] & dn[j])
+    )
+    return Poset(elements, covers)
 
 
 def brute_chains(elements, max_length=None) -> set[tuple[int, ...]]:

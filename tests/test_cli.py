@@ -11,7 +11,7 @@ import pytest
 from hyperforman import Poset, serialize
 from hyperforman.cli import main
 
-from conftest import hub_star
+from conftest import hub_star, time_limit, tower_poset_json
 
 NET = "networks"
 SCAF = "scaffolds"
@@ -88,6 +88,50 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            (
+                "net.json",
+                json.dumps(
+                    {
+                        "nodes": ["a", "b"],
+                        "hypervertices": [{"id": "V", "nodes": ["a", "a", "b"]}],
+                    }
+                ),
+                "hypervertices[0].nodes repeats node 'a'",
+            ),
+            (
+                "poset.json",
+                json.dumps({"elements": [["a", "a"], ["a", "b"]]}),
+                "elements[0] repeats member 'a'",
+            ),
+            ("net.hnet", "V: a a b\n", "line 1: hypervertex 'V' repeats node 'a'"),
+        ],
+        ids=["json-hypervertex", "poset-element", "hnet-line"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "chi", "report"])
+    def test_repeated_member_is_invalid_input(
+        self, capsys, tmp_path, command, name, text, message
+    ):
+        f = tmp_path / name
+        f.write_text(text)
+        rc, out, err = run(capsys, command, f)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "chi", "report"])
+    def test_oversized_integer_is_invalid_input(self, capsys, tmp_path, command):
+        f = tmp_path / "big.json"
+        f.write_text('{"nodes": [], "x": ' + "1" * 5000 + "}")
+        rc, out, err = run(capsys, command, f)
+        assert rc == 2
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: invalid JSON: an integer has more than {limit} digits\n"
 
     @pytest.mark.parametrize("value", [5, None, {}])
     @pytest.mark.parametrize("key", ["hypervertices", "hyperedges"])
@@ -213,9 +257,10 @@ class TestChi:
             "--chain-cap",
             "3",
         )
+        # f = (6, 9, 4): the 6 vertices alone pass the cap
         assert rc == 4
         assert err == (
-            "error: order complex has 19 faces up to dimension 2, "
+            "error: order complex has 6 faces up to dimension 0, "
             "over the chain cap of 3\n"
         )
 
@@ -351,10 +396,12 @@ class TestCurvature:
         rc, out, _ = run(capsys, "gauss-bonnet", f, *flags)
         assert rc == 0
         assert "residual = 0.0" in out
+        # counting stops at dimension 9, where C(26, 1) + ... + C(26, 10)
+        # first passes the cap
         rc, _, err = run(capsys, "curvature", f, "--no-singletons")
         assert rc == 4
         assert err == (
-            "error: order complex has 67108863 faces up to dimension 25, "
+            "error: order complex has 10970271 faces up to dimension 9, "
             "over the chain cap of 10000000\n"
         )
 
@@ -730,6 +777,30 @@ class TestPosetInput:
         rc, _, err = run(capsys, "validate", f)
         assert rc == 2
         assert "duplicate" in err
+
+    def test_thousand_element_tower(self, capsys, tmp_path):
+        # the pairwise build intersected an up set and a down set per
+        # comparable pair: cubic, over 10 s here
+        f = tmp_path / "tower.json"
+        f.write_text(tower_poset_json(1000))
+        with time_limit(10):
+            rc, out, _ = run(capsys, "validate", f)
+        assert rc == 0
+        assert out == "1000 elements, 999 cover pairs\n"
+
+    def test_thousand_element_tower_stops_counting_at_the_cap(self, capsys, tmp_path):
+        # 2^1000 - 1 chains: counting stops at dimension 2, where the
+        # running total first passes the default cap
+        f = tmp_path / "tower.json"
+        f.write_text(tower_poset_json(1000))
+        with time_limit(10):
+            rc, out, err = run(capsys, "chi", "--chi-method", "delta", f)
+        assert rc == 4
+        assert out == ""
+        assert err == (
+            "error: order complex has 166667500 faces up to dimension 2, "
+            "over the chain cap of 10000000\n"
+        )
 
     def test_gauss_bonnet_on_poset_input(self, capsys, corpus_dir):
         rc, out, _ = run(

@@ -110,6 +110,20 @@ class TestParsing:
         with pytest.raises(ParseError, match="JSON nests too deeply"):
             parse("[" * 100_000 + "]" * 100_000, "json")
 
+    def test_oversized_integer_rejected(self):
+        # past Python's int-string digit limit json.loads raises a bare
+        # ValueError, not JSONDecodeError
+        with pytest.raises(ParseError, match="^invalid JSON: an integer has more than"):
+            parse('{"nodes": [], "x": ' + "1" * 5000 + "}", "json")
+
+    def test_repeated_member_rejected(self):
+        bad = json.loads(EXAMPLE_JSON)
+        bad["hypervertices"][0]["nodes"] = ["a", "b", "a"]
+        with pytest.raises(ParseError, match=r"\[0\]\.nodes repeats node 'a'"):
+            parse(json.dumps(bad), "json")
+        with pytest.raises(ParseError, match="line 2: hypervertex 'V2' repeats node"):
+            parse("V1: a b\nV2: b c b\n", "text")
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
             parse("{invalid", "json")

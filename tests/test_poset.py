@@ -18,7 +18,7 @@ from hyperforman import (
     random_hypernetwork,
 )
 
-from helpers import brute_chains, brute_covers, brute_rank_candidates
+from helpers import brute_chains, brute_covers, brute_rank_candidates, pairwise_poset
 
 F = frozenset
 
@@ -28,11 +28,11 @@ def chain_poset(*sets):
 
 
 @st.composite
-def set_families(draw, max_universe=6, max_sets=8):
+def set_families(draw, max_universe=6, max_sets=8, min_set_size=1):
     universe = list(range(draw(st.integers(1, max_universe))))
     fam = draw(
         st.lists(
-            st.frozensets(st.sampled_from(universe), min_size=1),
+            st.frozensets(st.sampled_from(universe), min_size=min_set_size),
             min_size=1,
             max_size=max_sets,
         )
@@ -69,6 +69,37 @@ class TestConstruction:
     def test_covers_match_brute_force(self, fam):
         p = Poset.from_sets(fam)
         assert set(p.covers) == brute_covers(p.elements)
+
+    @given(set_families(min_set_size=0))
+    def test_matches_pairwise_oracle(self, fam):
+        p = Poset.from_sets(fam)
+        q = pairwise_poset(fam)
+        assert p.elements == q.elements
+        assert p.covers == q.covers
+
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_matches_pairwise_oracle_on_random_networks(self, singletons):
+        rng = random.Random(7 + singletons)
+        for i in range(150):
+            h = random_hypernetwork(
+                rng, max_nodes=16, max_hypervertices=10, edge_probability=0.5
+            )
+            p = poset_from_hypernetwork(h, include_singletons=singletons)
+            sets = h.generator_sets()
+            if singletons:
+                sets.extend(F({v}) for v in h.nodes)
+            q = pairwise_poset(sets)
+            assert (p.elements, p.covers) == (q.elements, q.covers), i
+
+    def test_deep_tower(self):
+        # nested sets 0..300 (the empty set included) in scrambled order
+        sets = [F(range(k)) for k in range(301)]
+        random.Random(0).shuffle(sets)
+        p = Poset.from_sets(sets)
+        assert p.elements == tuple(F(range(k)) for k in range(301))
+        assert p.covers == frozenset((k, k + 1) for k in range(300))
+        assert p == pairwise_poset(sets)
+        assert p.comparable_pair_count() == 301 * 300 // 2
 
     @given(set_families())
     def test_reachability_equals_comparability(self, fam):
@@ -242,6 +273,19 @@ class TestChainCounts:
         p = chain_poset("a", "ab", "abc", "abcd")
         assert p.chain_counts() == (4, 6, 4, 1)
         assert p.chain_counts(2) == (4, 6)
+
+    def test_cap_stops_at_the_dimension_that_passes_it(self):
+        p = chain_poset("a", "ab", "abc", "abcd")  # f = (4, 6, 4, 1)
+        for cap, count, dim in ((3, 4, 0), (10, 14, 2), (14, 15, 3)):
+            with pytest.raises(ChainCapExceeded) as caught:
+                p.chain_counts(cap=cap)
+            assert (caught.value.count, caught.value.cap) == (count, cap)
+            assert str(caught.value) == (
+                f"order complex has {count} faces up to dimension {dim}, "
+                f"over the chain cap of {cap}"
+            )
+        assert p.chain_counts(cap=15) == (4, 6, 4, 1)
+        assert p.chain_counts(2, cap=10) == (4, 6)
 
     def test_empty_and_nonpositive_bound(self, example_net):
         assert Poset.from_sets([]).chain_counts() == ()
