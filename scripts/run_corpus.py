@@ -5,7 +5,6 @@ summary row per input. Exits nonzero if any curvature balance breaks."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -14,10 +13,9 @@ from hyperforman import (
     gauss_bonnet,
     geometric_euler_characteristic,
     order_complex,
-    parse,
     poset_from_hypernetwork,
 )
-from hyperforman.cli import _poset_from_json_obj
+from hyperforman.cli import load_input
 
 
 def euler_characteristic(p) -> int:
@@ -64,15 +62,11 @@ def main() -> int:
         if path.suffix not in (".json", ".hnet"):
             continue
         name = str(path.relative_to(args.corpus_dir))
-        data = path.read_bytes()
-        if path.suffix == ".hnet":
-            ok &= analyse_network(name, parse(data, "text"))
-            continue
-        obj = json.loads(data)
-        if "elements" in obj and "hypervertices" not in obj:
-            ok &= analyse_poset(name, _poset_from_json_obj(obj))
+        loaded = load_input(path, "auto")
+        if loaded.kind == "poset":
+            ok &= analyse_poset(name, loaded.poset)
         else:
-            ok &= analyse_network(name, parse(data, "json"))
+            ok &= analyse_network(name, loaded.network)
     if not ok:
         print("curvature balance FAILED on at least one input", file=sys.stderr)
         return 1

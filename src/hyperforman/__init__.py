@@ -13,7 +13,6 @@ from .curvature import (
     forman_ricci,
     forman_ricci_closed,
     gauss_bonnet,
-    triangle_curvature,
     two_skeleton,
     vertex_curvature,
 )
@@ -23,7 +22,6 @@ from .hypernet import (
     HypernetworkError,
     Hypervertex,
     ParseError,
-    clique_expansion,
     geometric_complex,
     geometric_euler_characteristic,
     parse,
@@ -62,7 +60,6 @@ __all__ = [
     "RankFunction",
     "SimplicialComplex",
     "TRIANGLE_TERM",
-    "clique_expansion",
     "curvature_filtration",
     "face_poset",
     "forman_ricci",
@@ -75,7 +72,6 @@ __all__ = [
     "poset_from_hypernetwork",
     "random_hypernetwork",
     "serialize",
-    "triangle_curvature",
     "two_skeleton",
     "vertex_curvature",
 ]

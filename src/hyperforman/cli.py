@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -66,8 +65,6 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_CAP = 4
 EXIT_GB = 5
-
-CHAIN_CAP_ENV = "HYPERFORMAN_CHAIN_CAP"
 
 
 class InputError(ValueError):
@@ -152,21 +149,6 @@ class Analysis:
         self.loaded = load_input(args.input, args.format)
 
     @cached_property
-    def chain_cap(self) -> int:
-        if self.args.chain_cap is not None:
-            return self.args.chain_cap
-        env = os.environ.get(CHAIN_CAP_ENV)
-        if env is None:
-            return DEFAULT_CHAIN_CAP
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InputError(f"{CHAIN_CAP_ENV} must be an integer, not {env!r}")
-        if cap < 1:
-            raise InputError(f"{CHAIN_CAP_ENV} must be positive")
-        return cap
-
-    @cached_property
     def poset(self) -> Poset:
         if self.loaded.kind == "poset":
             return self.loaded.poset
@@ -186,7 +168,7 @@ class Analysis:
         and before any face is built."""
         skeleton = self.args.skeleton
         return self.poset.chain_counts(
-            None if skeleton is None else skeleton + 1, cap=self.chain_cap
+            None if skeleton is None else skeleton + 1, cap=self.args.chain_cap
         )
 
     @cached_property
@@ -205,7 +187,7 @@ class Analysis:
         return order_complex(
             self.poset,
             skeleton_dim=2 if skeleton is None else min(skeleton, 2),
-            chain_cap=self.chain_cap,
+            chain_cap=self.args.chain_cap,
         )
 
     @cached_property
@@ -544,7 +526,7 @@ def cmd_report(a: Analysis) -> int:
         "config": {
             "singletons": not args.no_singletons,
             "skeleton": "full" if args.skeleton is None else args.skeleton,
-            "chain_cap": a.chain_cap,
+            "chain_cap": args.chain_cap,
         },
         "poset": a.poset.to_json_obj(),
         "rank": rank_obj,
@@ -633,10 +615,10 @@ def _add_common(
         p.add_argument(
             "--chain-cap",
             type=_cap_arg,
-            default=None,
+            default=DEFAULT_CHAIN_CAP,
             metavar="N",
-            help=f"cap on the faces of the order complex at the requested "
-            f"skeleton (default {DEFAULT_CHAIN_CAP}, or ${CHAIN_CAP_ENV})",
+            help="cap on the faces of the order complex at the requested "
+            "skeleton, counted before any face is built (default: %(default)s)",
         )
 
 

@@ -3,8 +3,8 @@ curvature needs.
 
 Faces are sorted tuples of vertex indices, bucketed by dimension in
 hash sets, so membership tests and the edge-to-triangle index are O(1)
-lookups. Complexes are immutable once built and every constructor
-enforces downward closure.
+lookups. Complexes are immutable once built and every construction
+checks downward closure.
 """
 
 from __future__ import annotations
@@ -27,24 +27,32 @@ class SimplicialComplex:
     """Faces stratified by dimension, downward closed.
 
     Every index 0..len(labels)-1 is a vertex of the complex; labels are
-    only used for reporting. Use :meth:`from_faces` instead of the raw
-    constructor.
+    only used for reporting. The raw constructor takes faces that are
+    already sorted, in range and downward closed, and checks closure;
+    :meth:`from_faces` accepts arbitrary faces and closes them.
     """
 
     labels: tuple[str, ...]
     faces_by_dim: tuple[frozenset[Simplex], ...]
 
+    def __post_init__(self):
+        # codimension-1 closure implies full closure by induction
+        for d in range(1, len(self.faces_by_dim)):
+            below = self.faces_by_dim[d - 1]
+            for f in self.faces_by_dim[d]:
+                for sub in combinations(f, d):
+                    if sub not in below:
+                        raise ValueError(
+                            f"complex is not downward closed: {f} lacks {sub}"
+                        )
+
     @classmethod
     def from_faces(
-        cls,
-        labels: Iterable[str],
-        faces: Iterable[Iterable[int]],
-        closed: bool = False,
+        cls, labels: Iterable[str], faces: Iterable[Iterable[int]]
     ) -> "SimplicialComplex":
-        """Build a complex from arbitrary faces.
+        """Build a complex from arbitrary faces and all their subfaces.
 
-        Unless ``closed`` promises the input is already downward closed,
-        all subfaces are added. All labels become vertices either way.
+        All labels become vertices.
         """
         labels = tuple(labels)
         n = len(labels)
@@ -58,10 +66,9 @@ class SimplicialComplex:
             if t[0] < 0 or t[-1] >= n:
                 raise ValueError(f"face {t} references a vertex out of range")
             norm.add(t)
-        if not closed:
-            for f in list(norm):
-                for m in range(1, len(f)):
-                    norm.update(combinations(f, m))
+        for f in list(norm):
+            for m in range(1, len(f)):
+                norm.update(combinations(f, m))
         norm.update((i,) for i in range(n))
         if not norm:
             return cls(labels, ())
@@ -69,20 +76,7 @@ class SimplicialComplex:
         buckets: list[set[Simplex]] = [set() for _ in range(max_dim + 1)]
         for f in norm:
             buckets[len(f) - 1].add(f)
-        cx = cls(labels, tuple(frozenset(b) for b in buckets))
-        cx._check_closed()
-        return cx
-
-    def _check_closed(self) -> None:
-        # codimension-1 closure implies full closure by induction
-        for d in range(1, len(self.faces_by_dim)):
-            below = self.faces_by_dim[d - 1]
-            for f in self.faces_by_dim[d]:
-                for sub in combinations(f, d):
-                    if sub not in below:
-                        raise ValueError(
-                            f"complex is not downward closed: {f} lacks {sub}"
-                        )
+        return cls(labels, tuple(frozenset(b) for b in buckets))
 
     @property
     def dim(self) -> int:
@@ -188,10 +182,18 @@ def order_complex(
     """The chain complex of a poset: one m-simplex per (m+1)-chain.
 
     ``skeleton_dim`` bounds the dimension (None means unbounded). The
-    result is downward closed by construction since subchains of chains
-    are chains; isolated poset elements still appear as vertices.
+    faces are counted first, so more than ``chain_cap`` of them raises
+    :class:`ChainCapExceeded` before any chain is listed. Chains come
+    sorted, distinct and downward closed (subchains of chains are
+    chains), so each goes straight into its dimension's bucket; every
+    poset element is a vertex.
     """
+    if skeleton_dim is not None and skeleton_dim < 0:
+        raise ValueError("skeleton dimension must be >= 0")
     max_len = None if skeleton_dim is None else skeleton_dim + 1
-    faces = [c for c in p.chains(max_length=max_len, cap=chain_cap)]
+    counts = p.chain_counts(max_len, chain_cap)
+    buckets: list[list[Simplex]] = [[] for _ in counts]
+    for chain in p.chains(max_len):
+        buckets[len(chain) - 1].append(chain)
     labels = tuple(p.element_label(i) for i in range(len(p)))
-    return SimplicialComplex.from_faces(labels, faces, closed=True)
+    return SimplicialComplex(labels, tuple(frozenset(b) for b in buckets))

@@ -78,17 +78,10 @@ def vertex_curvature(k: SimplicialComplex, v: int) -> Fraction:
     return Fraction(2 + 3 * d - 2 * d * d, 2)
 
 
-def triangle_curvature(k: SimplicialComplex, t: Iterable[int]) -> int:
-    """Triangle term; the constant 10 for every triangle of a complex."""
-    face = tuple(sorted(t))
-    if len(face) != 3 or not k.has_face(face):
-        raise ValueError(f"triangle {face} is not a face of the complex")
-    return TRIANGLE_TERM
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Per-face curvature terms and their exact balance against chi.
+    """Per-edge and per-vertex curvature terms and their exact balance
+    against chi; every triangle carries :data:`TRIANGLE_TERM`.
 
     ``residual = vertex_sum - ricci_sum + triangle_sum - chi`` and is
     exactly zero for every valid 2-complex.
@@ -96,20 +89,11 @@ class CurvatureReport:
 
     ricci: dict[Simplex, int]
     vertex_terms: dict[int, Fraction]
-    triangle_terms: dict[Simplex, int]
     vertex_sum: Fraction
     ricci_sum: int
     triangle_sum: int
     chi: int
     residual: Fraction
-
-    def verify_sums(self) -> None:
-        assert self.vertex_sum == sum(self.vertex_terms.values(), Fraction(0))
-        assert self.ricci_sum == sum(self.ricci.values())
-        assert self.triangle_sum == sum(self.triangle_terms.values())
-        assert self.residual == (
-            self.vertex_sum - self.ricci_sum + self.triangle_sum - self.chi
-        )
 
 
 def gauss_bonnet(k: SimplicialComplex) -> CurvatureReport:
@@ -123,16 +107,14 @@ def gauss_bonnet(k: SimplicialComplex) -> CurvatureReport:
     k = two_skeleton(k)
     ricci = {e: forman_ricci(k, e) for e in k.edges}
     vertex_terms = {v: vertex_curvature(k, v) for v in range(k.n_vertices)}
-    triangle_terms = {t: TRIANGLE_TERM for t in k.triangles}
     vertex_sum = sum(vertex_terms.values(), Fraction(0))
     ricci_sum = sum(ricci.values())
-    triangle_sum = sum(triangle_terms.values())
+    triangle_sum = TRIANGLE_TERM * len(k.triangles)
     chi = k.euler_characteristic()
     residual = vertex_sum - ricci_sum + triangle_sum - chi
     return CurvatureReport(
         ricci=ricci,
         vertex_terms=vertex_terms,
-        triangle_terms=triangle_terms,
         vertex_sum=vertex_sum,
         ricci_sum=ricci_sum,
         triangle_sum=triangle_sum,
@@ -270,11 +252,8 @@ class DirectedComplex:
         cx = SimplicialComplex.from_faces(labels, faces)
         return cls(cx, directions)
 
-    def io_degree(self, v: int, mode: DegreeMode) -> int:
-        """Number of edges entering (``in``) or leaving (``out``) v."""
-        return self.io_degrees(mode)[v]
-
     def io_degrees(self, mode: DegreeMode) -> dict[int, int]:
+        """Number of edges entering (``in``) or leaving (``out``) each vertex."""
         if mode not in ("in", "out"):
             raise ValueError(f"degree mode must be 'in' or 'out', not {mode!r}")
         degs = {v: 0 for v in range(self.complex.n_vertices)}

@@ -367,24 +367,6 @@ def serialize(h: Hypernetwork, fmt: str) -> str:
 # -- geometric views -------------------------------------------------------
 
 
-def clique_expansion(h: Hypernetwork) -> SimplicialComplex:
-    """Graph view: every hypervertex becomes a clique on its nodes, and
-    every hyperedge adds all pairs between the two sides' private nodes."""
-    labels = sorted(h.nodes)
-    idx = {n: i for i, n in enumerate(labels)}
-    by_id = {hv.id: hv.nodes for hv in h.hypervertices}
-    edges: set[tuple[int, int]] = set()
-    for hv in h.hypervertices:
-        edges.update(combinations(sorted(idx[n] for n in hv.nodes), 2))
-    for e in h.hyperedges:
-        vi, vj = by_id[e.tail], by_id[e.head]
-        for u in vi - vj:
-            for w in vj - vi:
-                a, b = sorted((idx[u], idx[w]))
-                edges.add((a, b))
-    return SimplicialComplex.from_faces(labels, edges)
-
-
 def geometric_complex(h: Hypernetwork) -> SimplicialComplex:
     """Simplex view, truncated to dimension 2.
 
@@ -399,7 +381,7 @@ def geometric_complex(h: Hypernetwork) -> SimplicialComplex:
         members = sorted(idx[n] for n in gen)
         for size in range(1, min(3, len(members)) + 1):
             faces.update(combinations(members, size))
-    return SimplicialComplex.from_faces(labels, faces, closed=False)
+    return SimplicialComplex.from_faces(labels, faces)
 
 
 def geometric_euler_characteristic(h: Hypernetwork) -> int:

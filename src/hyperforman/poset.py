@@ -25,20 +25,15 @@ DEFAULT_CHAIN_CAP = 10_000_000
 class ChainCapExceeded(RuntimeError):
     """Raised when an order complex would have more faces than allowed.
 
-    Chain enumeration raises it without a count, when it reaches the
-    cap; chain counting passes the number ``count`` of faces counted
-    when the cap was passed and the dimension ``dim`` they reach.
+    ``count`` is the number of faces counted up to dimension ``dim``,
+    the first dimension at which the running total passed ``cap``.
     """
 
-    def __init__(self, cap: int, count: int | None = None, dim: int | None = None):
-        if count is None:
-            message = f"chain enumeration exceeded the cap of {cap} chains"
-        else:
-            message = (
-                f"order complex has {count} faces up to dimension {dim}, "
-                f"over the chain cap of {cap}"
-            )
-        super().__init__(message)
+    def __init__(self, cap: int, count: int, dim: int):
+        super().__init__(
+            f"order complex has {count} faces up to dimension {dim}, "
+            f"over the chain cap of {cap}"
+        )
         self.cap = cap
         self.count = count
 
@@ -124,7 +119,8 @@ class Poset:
         list in ascending order: the first superset met is a cover, and
         so is every later one not already above an earlier cover, since
         a superset that is not a cover contains a cover of smaller
-        index. So subset tests run only on such unblocked candidates.
+        index. So subset tests run only on such unblocked candidates,
+        and the up sets merged on the way are the ``_above`` table.
         """
         uniq = {frozenset(s) for s in sets}
         elements = tuple(sorted(uniq, key=_canonical_key))
@@ -145,7 +141,10 @@ class Poset:
                     covers.append((i, j))
                     up.add(j)
                     up |= above[j]
-        return cls(elements, frozenset(covers))
+        p = cls(elements, frozenset(covers))
+        # the up sets are complete, so they seed the _above cache
+        p.__dict__["_above"] = tuple(tuple(sorted(s)) for s in above)
+        return p
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -177,7 +176,8 @@ class Poset:
 
     @cached_property
     def _above(self) -> tuple[tuple[int, ...], ...]:
-        """All strict successors under inclusion, from the cover digraph."""
+        """All strict successors under inclusion, from the cover digraph
+        (:meth:`from_sets` fills it in while finding the covers)."""
         n = len(self.elements)
         above: list[set[int]] = [set() for _ in range(n)]
         # canonical order is a topological order: subsets sort earlier
@@ -245,38 +245,29 @@ class Poset:
             counts.append(sum(level))
             total += counts[-1]
             if cap is not None and total > cap:
-                raise ChainCapExceeded(cap, count=total, dim=len(counts) - 1)
+                raise ChainCapExceeded(cap, total, len(counts) - 1)
             if len(counts) == max_length:
                 break
             level = [sum(map(level.__getitem__, up)) for up in self._above]
         return tuple(counts)
 
-    def chains(
-        self,
-        max_length: int | None = None,
-        cap: int = DEFAULT_CHAIN_CAP,
-    ) -> Iterator[tuple[int, ...]]:
+    def chains(self, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
         """Yield every chain (totally ordered subset) of size 1..max_length.
 
         Chains are emitted as strictly increasing index tuples, in
         lexicographic order, each exactly once. Comparability is full
-        inclusion, not just covers. Raises :class:`ChainCapExceeded`
-        rather than silently truncating when more than ``cap`` chains
-        would be emitted.
+        inclusion, not just covers. Nothing here bounds the output:
+        callers check :meth:`chain_counts` against their cap first.
         """
         if max_length is not None and max_length < 1:
             return
         above = self._above
-        emitted = 0
         # size-ordered indices make every comparable pair point upward,
         # so extending by a successor of the last element is enough
         for start in range(len(self.elements)):
             work = [(start,)]
             while work:
                 chain = work.pop()
-                emitted += 1
-                if emitted > cap:
-                    raise ChainCapExceeded(cap)
                 yield chain
                 if max_length is None or len(chain) < max_length:
                     for j in reversed(above[chain[-1]]):

@@ -167,6 +167,18 @@ def time_limit(seconds: int):
 
 
 @st.composite
+def set_families(draw, max_universe=6, max_sets=8, min_set_size=1):
+    universe = list(range(draw(st.integers(1, max_universe))))
+    return draw(
+        st.lists(
+            st.frozensets(st.sampled_from(universe), min_size=min_set_size),
+            min_size=1,
+            max_size=max_sets,
+        )
+    )
+
+
+@st.composite
 def hypernetworks(draw, max_nodes=7, max_hypervertices=4, covered_only=False):
     n = draw(st.integers(1, max_nodes))
     nodes = [f"n{i}" for i in range(n)]

@@ -199,4 +199,22 @@ def disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComp
         faces.extend(a.faces(d))
     for d in range(b.dim + 1):
         faces.extend(tuple(v + shift for v in f) for f in b.faces(d))
-    return SimplicialComplex.from_faces(labels, faces, closed=True)
+    return SimplicialComplex.from_faces(labels, faces)
+
+
+def clique_expansion(h) -> SimplicialComplex:
+    """Graph view: every hypervertex becomes a clique on its nodes, and
+    every hyperedge adds all pairs between the two sides' private nodes."""
+    labels = sorted(h.nodes)
+    idx = {n: i for i, n in enumerate(labels)}
+    by_id = {hv.id: hv.nodes for hv in h.hypervertices}
+    edges: set[tuple[int, int]] = set()
+    for hv in h.hypervertices:
+        edges.update(combinations(sorted(idx[n] for n in hv.nodes), 2))
+    for e in h.hyperedges:
+        vi, vj = by_id[e.tail], by_id[e.head]
+        for u in vi - vj:
+            for w in vj - vi:
+                a, b = sorted((idx[u], idx[w]))
+                edges.add((a, b))
+    return SimplicialComplex.from_faces(labels, edges)

@@ -276,24 +276,15 @@ class TestChi:
         rc, _, _ = run(capsys, "curvature", example, "--chain-cap", "3")
         assert rc == 4
 
-    def test_chain_cap_env_override(self, capsys, corpus_dir, monkeypatch):
+    def test_chain_cap_env_is_ignored(self, capsys, corpus_dir, monkeypatch):
+        # only --chain-cap sets the cap; 3 would stop example.json
         monkeypatch.setenv("HYPERFORMAN_CHAIN_CAP", "3")
-        rc, _, err = run(capsys, "chi", corpus_path(corpus_dir, NET, "example.json"))
+        example = corpus_path(corpus_dir, NET, "example.json")
+        rc, out, err = run(capsys, "chi", example)
+        assert (rc, err) == (0, "")
+        assert out.startswith("chi[delta] = 1\n")
+        rc, _, _ = run(capsys, "chi", example, "--chain-cap", "3")
         assert rc == 4
-        monkeypatch.setenv("HYPERFORMAN_CHAIN_CAP", "1000")
-        rc, _, _ = run(capsys, "chi", corpus_path(corpus_dir, NET, "example.json"))
-        assert rc == 0
-
-    def test_flag_beats_env(self, capsys, corpus_dir, monkeypatch):
-        monkeypatch.setenv("HYPERFORMAN_CHAIN_CAP", "3")
-        rc, _, _ = run(
-            capsys,
-            "chi",
-            corpus_path(corpus_dir, NET, "example.json"),
-            "--chain-cap",
-            "1000",
-        )
-        assert rc == 0
 
     def test_json_output(self, capsys, corpus_dir):
         rc, out, _ = run(

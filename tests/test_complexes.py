@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from hyperforman import (
+    ChainCapExceeded,
     Poset,
     SimplicialComplex,
     order_complex,
     poset_from_hypernetwork,
+    random_hypernetwork,
 )
 
-from conftest import complexes, hypernetworks
+from conftest import complexes, hypernetworks, set_families
 from helpers import brute_chains, brute_parallel
 
 F = frozenset
@@ -32,8 +36,12 @@ class TestConstruction:
             SimplicialComplex.from_faces(["a", "b"], [(0, 0)])
 
     def test_rejects_unclosed_claim(self):
+        # the raw constructor trusts the buckets but still checks closure
+        vertices = F({(0,), (1,), (2,)})
         with pytest.raises(ValueError, match="not downward closed"):
-            SimplicialComplex.from_faces(["a", "b", "c"], [(0, 1, 2)], closed=True)
+            SimplicialComplex(("a", "b", "c"), (vertices, F(), F({(0, 1, 2)})))
+        with pytest.raises(ValueError, match=r"\(0, 1\) lacks \(1,\)"):
+            SimplicialComplex(("a", "b"), (F({(0,)}), F({(0, 1)})))
 
     def test_empty_complex(self):
         k = SimplicialComplex.from_faces([], [])
@@ -49,6 +57,13 @@ class TestConstruction:
             for f in k.faces(d):
                 for sub in combinations(f, d):
                     assert k.has_face(sub)
+
+
+def assert_order_complex_matches_brute_chains(p):
+    labels = [p.element_label(i) for i in range(len(p))]
+    for d in (None, 0, 1, 2):
+        chains = brute_chains(p.elements, None if d is None else d + 1)
+        assert order_complex(p, d) == SimplicialComplex.from_faces(labels, chains), d
 
 
 class TestOrderComplex:
@@ -79,6 +94,8 @@ class TestOrderComplex:
         p = poset_from_hypernetwork(example_net)
         cx = order_complex(p, skeleton_dim=1)
         assert cx.f_vector() == (6, 9)
+        with pytest.raises(ValueError, match="skeleton dimension"):
+            order_complex(p, skeleton_dim=-1)
 
     @given(hypernetworks(max_nodes=6, max_hypervertices=3))
     @settings(max_examples=50)
@@ -90,6 +107,34 @@ class TestOrderComplex:
             by_size[len(c)] = by_size.get(len(c), 0) + 1
         assert cx.f_vector() == tuple(
             by_size.get(m, 0) for m in range(1, max(by_size, default=1) + 1)
+        )
+
+    @given(set_families(max_universe=5, max_sets=7))
+    @settings(max_examples=60)
+    def test_matches_brute_chains(self, fam):
+        assert_order_complex_matches_brute_chains(Poset.from_sets(fam))
+
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_matches_brute_chains_on_random_networks(self, singletons):
+        rng = random.Random(11 + singletons)
+        for _ in range(40):
+            h = random_hypernetwork(rng, max_nodes=6, max_hypervertices=4)
+            assert_order_complex_matches_brute_chains(
+                poset_from_hypernetwork(h, include_singletons=singletons)
+            )
+
+    def test_cap_is_counted_before_listing(self, example_net, monkeypatch):
+        def listing(*args, **kwargs):
+            raise AssertionError("Poset.chains was called")
+
+        p = poset_from_hypernetwork(example_net)  # f = (6, 9, 4)
+        monkeypatch.setattr(Poset, "chains", listing)
+        with pytest.raises(ChainCapExceeded) as caught:
+            order_complex(p, chain_cap=10)
+        assert (caught.value.count, caught.value.cap) == (15, 10)
+        assert str(caught.value) == (
+            "order complex has 15 faces up to dimension 1, "
+            "over the chain cap of 10"
         )
 
     @given(hypernetworks(max_nodes=6, max_hypervertices=3))

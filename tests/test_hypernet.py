@@ -10,7 +10,6 @@ from hyperforman import (
     HypernetworkError,
     Hypervertex,
     ParseError,
-    clique_expansion,
     geometric_complex,
     geometric_euler_characteristic,
     parse,
@@ -20,7 +19,7 @@ from hyperforman import (
 from hyperforman.hypernet import _edge
 
 from conftest import example_network, hub_star, hypernetworks, overlap_network
-from helpers import brute_geometric_chi, brute_geometric_faces
+from helpers import brute_geometric_chi, brute_geometric_faces, clique_expansion
 
 EXAMPLE_JSON = json.dumps(
     {
@@ -204,6 +203,9 @@ class TestRoundTrip:
 
 
 class TestCliqueExpansion:
+    """The graph-view oracle of ``test_clique_expansion_is_one_skeleton``,
+    pinned on hand-checked networks."""
+
     def test_example(self, example_net):
         cx = clique_expansion(example_net)
         assert cx.labels == ("a", "b", "c")

@@ -3,7 +3,6 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hyperforman import (
     ChainCapExceeded,
@@ -18,6 +17,7 @@ from hyperforman import (
     random_hypernetwork,
 )
 
+from conftest import set_families
 from helpers import brute_chains, brute_covers, brute_rank_candidates, pairwise_poset
 
 F = frozenset
@@ -25,19 +25,6 @@ F = frozenset
 
 def chain_poset(*sets):
     return Poset.from_sets([F(s) for s in sets])
-
-
-@st.composite
-def set_families(draw, max_universe=6, max_sets=8, min_set_size=1):
-    universe = list(range(draw(st.integers(1, max_universe))))
-    fam = draw(
-        st.lists(
-            st.frozensets(st.sampled_from(universe), min_size=min_set_size),
-            min_size=1,
-            max_size=max_sets,
-        )
-    )
-    return [F(s) for s in fam]
 
 
 class TestConstruction:
@@ -90,6 +77,21 @@ class TestConstruction:
                 sets.extend(F({v}) for v in h.nodes)
             q = pairwise_poset(sets)
             assert (p.elements, p.covers) == (q.elements, q.covers), i
+
+    @given(set_families(min_set_size=0))
+    def test_seeded_up_sets_match_covers(self, fam):
+        p = Poset.from_sets(fam)
+        assert "_above" in p.__dict__
+        assert p._above == Poset(p.elements, p.covers)._above
+
+    def test_seeded_up_sets_match_covers_on_random_networks(self):
+        rng = random.Random(5)
+        for i in range(100):
+            h = random_hypernetwork(
+                rng, max_nodes=16, max_hypervertices=10, edge_probability=0.5
+            )
+            p = poset_from_hypernetwork(h)
+            assert p._above == Poset(p.elements, p.covers)._above, i
 
     def test_deep_tower(self):
         # nested sets 0..300 (the empty set included) in scrambled order
@@ -235,15 +237,10 @@ class TestChains:
         assert len(set(chains)) == len(chains)
 
     def test_cap_is_an_error_not_truncation(self, example_net):
-        p = poset_from_hypernetwork(example_net)
-        with pytest.raises(ChainCapExceeded, match="10"):
-            list(p.chains(cap=10))
-        assert len(list(p.chains(cap=19))) == 19
-
-    def test_cap_not_hit_when_consumer_stops_early(self, example_net):
-        p = poset_from_hypernetwork(example_net)
-        gen = p.chains(cap=3)
-        assert [next(gen) for _ in range(3)] == [(0,), (0, 3), (0, 3, 5)]
+        p = poset_from_hypernetwork(example_net)  # f = (6, 9, 4)
+        with pytest.raises(ChainCapExceeded, match="15 faces up to dimension 1"):
+            order_complex(p, chain_cap=10)
+        assert order_complex(p, chain_cap=19).f_vector() == (6, 9, 4)
 
     @given(set_families())
     def test_pair_chains_count_comparable_pairs(self, fam):
