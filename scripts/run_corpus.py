@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the full pipeline over every bundled corpus file and print one
+"""Run the CLI's analysis over every bundled corpus file and print one
 summary row per input. Exits nonzero if any curvature balance breaks."""
 
 from __future__ import annotations
@@ -8,44 +8,21 @@ import argparse
 import sys
 from pathlib import Path
 
-from hyperforman import (
-    NotRanked,
-    gauss_bonnet,
-    geometric_euler_characteristic,
-    order_complex,
-    poset_from_hypernetwork,
-)
-from hyperforman.cli import load_input
+from hyperforman import NotRanked
+from hyperforman.cli import Analysis, build_parser
 
 
-def euler_characteristic(p) -> int:
-    """Alternating sum of the counted f-vector; no chain is listed."""
-    return sum((-1) ** i * f for i, f in enumerate(p.chain_counts()))
-
-
-def analyse_poset(name: str, p) -> bool:
-    report = gauss_bonnet(order_complex(p, skeleton_dim=2))
-    rf = p.rank_function()
-    ranked = "not-ranked" if isinstance(rf, NotRanked) else "ranked"
-    print(
-        f"{name:32s} {len(p):3d} elements  {ranked:10s} "
-        f"chi={euler_characteristic(p):3d}  residual={report.residual}"
-    )
-    return report.residual == 0
-
-
-def analyse_network(name: str, h) -> bool:
-    p = poset_from_hypernetwork(h)
-    report = gauss_bonnet(order_complex(p, skeleton_dim=2))
-    rf = p.rank_function()
-    ranked = "not-ranked" if isinstance(rf, NotRanked) else "ranked"
-    geo = geometric_euler_characteristic(h)
-    print(
-        f"{name:32s} {len(p):3d} elements  {ranked:10s} "
-        f"chi={euler_characteristic(p):3d}  geometric={geo:3d}  "
-        f"residual={report.residual}"
-    )
-    return report.residual == 0
+def analyse(name: str, path: Path) -> bool:
+    """One row from the stages of ``hyperforman report <path>``."""
+    a = Analysis(build_parser().parse_args(["report", str(path)]))
+    ranked = "not-ranked" if isinstance(a.rank, NotRanked) else "ranked"
+    chi = a.chi["delta"]
+    row = f"{name:32s} {len(a.poset):3d} elements  {ranked:10s} chi={chi:3d}  "
+    if a.loaded.kind == "hypernetwork":
+        row += f"geometric={a.chi['geometric']:3d}  "
+    residual = a.balance.residual
+    print(f"{row}residual={residual}")
+    return residual == 0
 
 
 def main() -> int:
@@ -59,14 +36,8 @@ def main() -> int:
 
     ok = True
     for path in sorted(args.corpus_dir.rglob("*")):
-        if path.suffix not in (".json", ".hnet"):
-            continue
-        name = str(path.relative_to(args.corpus_dir))
-        loaded = load_input(path, "auto")
-        if loaded.kind == "poset":
-            ok &= analyse_poset(name, loaded.poset)
-        else:
-            ok &= analyse_network(name, loaded.network)
+        if path.suffix in (".json", ".hnet"):
+            ok &= analyse(str(path.relative_to(args.corpus_dir)), path)
     if not ok:
         print("curvature balance FAILED on at least one input", file=sys.stderr)
         return 1

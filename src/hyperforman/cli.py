@@ -242,23 +242,19 @@ class Analysis:
 
 def directed_graph_complex(h: Hypernetwork) -> DirectedComplex:
     """Directed-graph reading of a hypernetwork: single-node hypervertices
-    joined by directed hyperedges, with every 3-clique a triangle face."""
+    joined by directed hyperedges, with every 3-clique a triangle face.
+    The caller has already checked that every hyperedge is directed."""
     for hv in h.hypervertices:
         if len(hv.nodes) > 1:
             raise InputError(
                 f"undirected edge encountered: hypervertex '{hv.id}' has "
                 f"{len(hv.nodes)} nodes and its internal edges carry no direction"
             )
-    for e in h.hyperedges:
-        if not e.directed:
-            raise InputError(
-                f"undirected edge encountered: hyperedge '{e.id}' has no direction"
-            )
     labels = sorted(h.nodes)
     idx = {n: i for i, n in enumerate(labels)}
     node_of = {hv.id: next(iter(hv.nodes)) for hv in h.hypervertices}
     arcs = [(idx[node_of[e.tail]], idx[node_of[e.head]]) for e in h.hyperedges]
-    return DirectedComplex.from_arcs(labels, arcs, fill_triangles=True)
+    return DirectedComplex.from_arcs(labels, arcs)
 
 
 def _json_text(obj) -> str:
@@ -303,15 +299,11 @@ def input_summary(loaded: Loaded) -> dict:
     }
 
 
-def chi_display(value) -> str:
+def chi_display(a: Analysis, value) -> str:
     if value is None:
         return "n/a (requires hypernetwork input)"
     if isinstance(value, dict):
-        lo, hi = value["conflicting_ranks"]
-        return (
-            f"not ranked (element {value['witness']} would need rank {lo} "
-            f"and rank {hi})"
-        )
+        return f"not ranked ({a.rank.describe()})"
     return str(value)
 
 
@@ -372,7 +364,7 @@ def cmd_validate(a: Analysis) -> int:
 
 
 def cmd_chi(a: Analysis) -> int:
-    human = [f"chi[{m}] = {chi_display(v)}" for m, v in a.chi.items()]
+    human = [f"chi[{m}] = {chi_display(a, v)}" for m, v in a.chi.items()]
     rows = []
     for m, v in a.chi.items():
         if v is None:

@@ -69,13 +69,20 @@ def forman_ricci_closed(k: SimplicialComplex, e: Iterable[int]) -> int:
     """
     u, v = tuple(sorted(e))
     t = len(k.triangles_containing((u, v)))
-    return 3 * t + 4 - k.degree(u) - k.degree(v)
+    return _edge_term(t, k.degree(u), k.degree(v))
 
 
 def vertex_curvature(k: SimplicialComplex, v: int) -> Fraction:
     """Vertex term 1 + (3/2) deg(v) - deg(v)^2, exactly."""
-    d = k.degree(v)
-    return Fraction(2 + 3 * d - 2 * d * d, 2)
+    return _vertex_term(k.degree(v))
+
+
+def _edge_term(triangles: int, deg_u: int, deg_v: int) -> int:
+    return 3 * triangles + 4 - deg_u - deg_v
+
+
+def _vertex_term(degree: int) -> Fraction:
+    return Fraction(2 + 3 * degree - 2 * degree * degree, 2)
 
 
 @dataclass(frozen=True)
@@ -144,9 +151,9 @@ def curvature_filtration(
     largest curvature of its three edges, so one pass and cumulative
     counts give every step. Steps always carry a fixed-width (f0, f1, f2)
     vector. An edgeless nonempty complex yields the single step at
-    threshold 0.
+    threshold 0. Only vertices, edges and triangles are read, so faces
+    above dimension 2 are ignored without building the 2-skeleton.
     """
-    k = two_skeleton(k)
     n = k.n_vertices
     if not k.edges:
         if n == 0:
@@ -217,38 +224,34 @@ class DirectedComplex:
         cls,
         labels: Iterable[str],
         arcs: Iterable[tuple[int, int]],
-        fill_triangles: bool = False,
     ) -> "DirectedComplex":
-        """Build from directed vertex pairs.
-
-        With ``fill_triangles``, every 3-clique of the arc graph becomes
-        a 2-face. Antiparallel arc pairs are rejected: a single edge
-        cannot carry two directions.
+        """Build from directed vertex pairs; every 3-clique of the arc
+        graph becomes a 2-face. Loops and antiparallel arc pairs are
+        rejected, since a single edge cannot carry two directions; the
+        error names the vertices by label.
         """
         labels = tuple(labels)
         directions: dict[Simplex, tuple[int, int]] = {}
         for tail, head in arcs:
             if tail == head:
-                raise DirectionError(f"loop arc at vertex {tail}")
+                raise DirectionError(f"loop arc at node '{labels[tail]}'")
             e = tuple(sorted((tail, head)))
             if e in directions:
                 if directions[e] != (tail, head):
+                    (u, v), (t, h) = e, directions[e]
                     raise DirectionError(
-                        f"conflicting directions for edge {e}: "
-                        f"{directions[e]} and {(tail, head)}"
+                        f"conflicting directions for edge {labels[u]}|{labels[v]}: "
+                        f"{labels[t]}->{labels[h]} and {labels[tail]}->{labels[head]}"
                     )
                 continue
             directions[e] = (tail, head)
         faces: set[tuple[int, ...]] = set(directions)
-        if fill_triangles:
-            neighbours: dict[int, set[int]] = {i: set() for i in range(len(labels))}
-            for u, v in directions:
-                neighbours[u].add(v)
-                neighbours[v].add(u)
-            for u, v in sorted(directions):
-                for w in sorted(neighbours[u] & neighbours[v]):
-                    if w > v:
-                        faces.add((u, v, w))
+        neighbours: dict[int, set[int]] = {i: set() for i in range(len(labels))}
+        for u, v in directions:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+        for u, v in directions:
+            faces.update((u, v, w) for w in neighbours[u] & neighbours[v] if w > v)
         cx = SimplicialComplex.from_faces(labels, faces)
         return cls(cx, directions)
 
@@ -290,15 +293,9 @@ class DirectedComplex:
         for t in chosen:
             for e in combinations(t, 2):
                 above[e] += 1
-        total = Fraction(0)
-        for v in range(self.complex.n_vertices):
-            d = degs[v]
-            total += Fraction(2 + 3 * d - 2 * d * d, 2)
-        for e in self.complex.edges:
-            u, v = e
-            total -= 4 + 3 * above[e] - (degs[u] + degs[v])
-        total += 28 * len(chosen)
-        return total
+        vertex_sum = sum(map(_vertex_term, degs.values()), Fraction(0))
+        edge_sum = sum(_edge_term(above[(u, v)], degs[u], degs[v]) for u, v in above)
+        return vertex_sum - edge_sum + 28 * len(chosen)
 
     def directed_euler_count(self, cfg: DirectedConfig) -> int:
         """Face count form: vertices - edges + chosen triangles."""

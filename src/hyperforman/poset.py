@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -94,7 +93,7 @@ class Poset:
     members) so indices are stable regardless of construction order.
     ``covers`` holds index pairs ``(q, p)`` with p covering q; it is the
     transitive reduction of inclusion and is normally computed by
-    :meth:`from_sets` or :func:`face_poset`, not passed by hand.
+    :meth:`from_sets`, not passed by hand.
     """
 
     elements: tuple[frozenset, ...]
@@ -299,22 +298,7 @@ def poset_from_hypernetwork(
 def face_poset(k: "SimplicialComplex") -> Poset:
     """Faces of a complex ordered by inclusion.
 
-    Covers are the codimension-1 containments, which coincide with the
-    transitive reduction because the complex is downward closed. The
-    result is always ranked, with rank equal to dimension.
+    The complex is downward closed, so every cover is a codimension-1
+    containment and the result is ranked, with rank equal to dimension.
     """
-    faces: list[tuple[int, ...]] = []
-    for dim_faces in k.faces_by_dim:
-        faces.extend(dim_faces)
-    elements = tuple(
-        sorted((frozenset(f) for f in faces), key=_canonical_key)
-    )
-    index = {e: i for i, e in enumerate(elements)}
-    covers = set()
-    for f in faces:
-        if len(f) < 2:
-            continue
-        p = index[frozenset(f)]
-        for sub in combinations(f, len(f) - 1):
-            covers.add((index[frozenset(sub)], p))
-    return Poset(elements, frozenset(covers))
+    return Poset.from_sets(f for faces in k.faces_by_dim for f in faces)

@@ -55,6 +55,24 @@ def pairwise_poset(sets) -> Poset:
     return Poset(elements, covers)
 
 
+def codim1_face_poset(k: SimplicialComplex) -> Poset:
+    """Face poset of a complex with the codimension-1 containments as
+    covers, which are the transitive reduction because the complex is
+    downward closed; no subset test is made."""
+    faces = [f for dim_faces in k.faces_by_dim for f in dim_faces]
+    elements = tuple(
+        sorted((frozenset(f) for f in faces), key=lambda s: (len(s), sorted(s)))
+    )
+    index = {e: i for i, e in enumerate(elements)}
+    covers = {
+        (index[frozenset(sub)], index[frozenset(f)])
+        for f in faces
+        if len(f) > 1
+        for sub in combinations(f, len(f) - 1)
+    }
+    return Poset(elements, frozenset(covers))
+
+
 def brute_chains(elements, max_length=None) -> set[tuple[int, ...]]:
     """Every subset of pairwise comparable elements, as index tuples."""
     n = len(elements)

@@ -168,9 +168,7 @@ def test_criterion_5_non_coincidence_witness():
 
 
 def test_criterion_6_directed_fidelity():
-    dc = DirectedComplex.from_arcs(
-        ["a", "b", "c"], [(0, 1), (1, 2), (0, 2)], fill_triangles=True
-    )
+    dc = DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
     cfg = DirectedConfig(degree_mode="out", triangle_mode="transitive")
 
     # independent substitution, term by term, in Fraction arithmetic:
@@ -189,9 +187,7 @@ def test_criterion_6_directed_fidelity():
     assert value == Fraction(31, 2)
     assert dc.directed_euler_count(cfg) == 1
 
-    cycle = DirectedComplex.from_arcs(
-        ["a", "b", "c"], [(0, 1), (1, 2), (2, 0)], fill_triangles=True
-    )
+    cycle = DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
     assert cycle.directed_euler_count(DirectedConfig(triangle_mode="transitive")) == 0
     assert cycle.directed_euler_count(DirectedConfig(triangle_mode="cyclic")) == 1
     print(

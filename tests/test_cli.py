@@ -519,6 +519,26 @@ class TestCurvature:
         assert rc == 2
         assert "conflicting" in err
 
+    @pytest.mark.parametrize("command", ["curvature", "report"])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                ["V: a", "W: b", "E>: V W", "E>: W V"],
+                "conflicting directions for edge a|b: a->b and b->a",
+            ),
+            (["V: a", "W: a", "E>: V W"], "loop arc at node 'a'"),
+        ],
+        ids=["antiparallel", "loop"],
+    )
+    def test_directed_errors_name_nodes(
+        self, capsys, tmp_path, command, lines, message
+    ):
+        f = tmp_path / "arcs.hnet"
+        f.write_text("\n".join(lines) + "\n")
+        rc, out, err = run(capsys, command, f, "--directed")
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestGaussBonnet:
     def test_tetrahedron_equation(self, capsys, corpus_dir):

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,6 +28,21 @@ from helpers import (
     brute_filtration,
     brute_ricci,
 )
+
+
+def subdivided_tetrahedron() -> SimplicialComplex:
+    """The order complex of the nonempty subsets of a 4-set: the
+    barycentric subdivision of a solid tetrahedron, dimension 3."""
+    p = Poset.from_sets(
+        frozenset(c) for r in range(1, 5) for c in combinations("abcd", r)
+    )
+    k = order_complex(p)
+    assert k.dim == 3
+    return k
+
+
+def refuse_skeleton(self, d):
+    raise AssertionError("only edges and triangles may be read; no skeleton")
 
 
 class TestFormanRicci:
@@ -62,22 +78,12 @@ class TestFormanRicci:
                 assert definitional == brute_ricci(k, e), (name, e)
 
     def test_high_dimensional_complex_needs_no_skeleton(self, monkeypatch):
-        # the order complex of the nonempty subsets of a 4-set: the
-        # barycentric subdivision of a solid tetrahedron, dimension 3
-        p = Poset.from_sets(
-            frozenset(c) for r in range(1, 5) for c in combinations("abcd", r)
-        )
-        k = order_complex(p)
-        assert k.dim == 3
+        k = subdivided_tetrahedron()
         k2 = k.skeleton(2)
         expected = {
             e: (forman_ricci(k2, e), forman_ricci_closed(k2, e)) for e in k2.edges
         }
-
-        def refuse(self, d):
-            raise AssertionError("edge curvature must not build a skeleton")
-
-        monkeypatch.setattr(SimplicialComplex, "skeleton", refuse)
+        monkeypatch.setattr(SimplicialComplex, "skeleton", refuse_skeleton)
         assert {
             e: (forman_ricci(k, e), forman_ricci_closed(k, e)) for e in k.edges
         } == expected
@@ -264,6 +270,16 @@ class TestFiltration:
     def test_empty_complex(self):
         assert filtration(SimplicialComplex.from_faces([], [])) == []
 
+    def test_high_dimensional_complex_needs_no_skeleton(self, monkeypatch):
+        k = subdivided_tetrahedron()
+        k2 = k.skeleton(2)
+        ric = gauss_bonnet(k2).ricci
+        expected = curvature_filtration(k2, ric)
+        monkeypatch.setattr(SimplicialComplex, "skeleton", refuse_skeleton)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert curvature_filtration(k, ric) == expected
+
     def test_edgeless_complex_single_step(self, corpus):
         from hyperforman import FiltrationStep
 
@@ -273,22 +289,19 @@ class TestFiltration:
 
 def dag_fixture() -> DirectedComplex:
     # a->b, b->c, a->c with the triangle filled
-    return DirectedComplex.from_arcs(
-        ["a", "b", "c"], [(0, 1), (1, 2), (0, 2)], fill_triangles=True
-    )
+    return DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
 
 
 def cycle_fixture() -> DirectedComplex:
-    return DirectedComplex.from_arcs(
-        ["a", "b", "c"], [(0, 1), (1, 2), (2, 0)], fill_triangles=True
-    )
+    return DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
 
 
 def square_chord_fixture() -> DirectedComplex:
-    # 1-dimensional by construction: no triangle faces at all
-    return DirectedComplex.from_arcs(
-        ["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-    )
+    # 1-dimensional by construction: the raw constructor fills no
+    # triangle, though the chord closes two 3-cliques
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    cx = SimplicialComplex.from_faces(["a", "b", "c", "d"], arcs)
+    return DirectedComplex(cx, {tuple(sorted(a)): a for a in arcs})
 
 
 class TestDirected:
@@ -354,9 +367,7 @@ class TestDirected:
                 for v in range(u + 1, n):
                     if rng.random() < 0.6:
                         arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-            dc = DirectedComplex.from_arcs(
-                [f"x{i}" for i in range(n)], arcs, fill_triangles=True
-            )
+            dc = DirectedComplex.from_arcs([f"x{i}" for i in range(n)], arcs)
             for degree_mode in ("in", "out"):
                 for triangle_mode in ("transitive", "cyclic"):
                     cfg = DirectedConfig(degree_mode, triangle_mode)
@@ -370,11 +381,11 @@ class TestDirected:
         assert sorted(both) == list(dc.complex.triangles)
 
     def test_conflicting_directions_rejected(self):
-        with pytest.raises(DirectionError, match="conflicting"):
+        with pytest.raises(DirectionError, match=r"conflicting .* a\|b: a->b and b->a"):
             DirectedComplex.from_arcs(["a", "b"], [(0, 1), (1, 0)])
 
     def test_loop_arc_rejected(self):
-        with pytest.raises(DirectionError, match="loop"):
+        with pytest.raises(DirectionError, match="loop arc at node 'a'"):
             DirectedComplex.from_arcs(["a"], [(0, 0)])
 
     def test_missing_direction_rejected(self):

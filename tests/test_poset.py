@@ -17,8 +17,14 @@ from hyperforman import (
     random_hypernetwork,
 )
 
-from conftest import set_families
-from helpers import brute_chains, brute_covers, brute_rank_candidates, pairwise_poset
+from conftest import complexes, set_families
+from helpers import (
+    brute_chains,
+    brute_covers,
+    brute_rank_candidates,
+    codim1_face_poset,
+    pairwise_poset,
+)
 
 F = frozenset
 
@@ -205,12 +211,22 @@ class TestFacePoset:
                 assert rf.ranks[i] == len(e) - 1, name
 
     def test_covers_agree_with_generic_reduction(self, corpus):
-        # the codimension-1 fast path must match the subset-test route
-        for name in ("triangle", "tetrahedron", "example_order"):
-            k = corpus[name]
-            p = face_poset(k)
-            q = Poset.from_sets(p.elements)
-            assert p == q, name
+        # the reduction from_sets finds must be the codimension-1 covers
+        for name, k in corpus.items():
+            assert face_poset(k) == codim1_face_poset(k), name
+
+    @given(complexes())
+    @settings(max_examples=80)
+    def test_matches_codim1_oracle(self, k):
+        assert face_poset(k) == codim1_face_poset(k)
+
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_matches_codim1_oracle_on_order_complexes(self, singletons):
+        rng = random.Random(20261018 + singletons)
+        for _ in range(100):
+            h = random_hypernetwork(rng)
+            k = order_complex(poset_from_hypernetwork(h, include_singletons=singletons))
+            assert face_poset(k) == codim1_face_poset(k), h
 
 
 class TestChains:
