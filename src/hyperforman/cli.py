@@ -20,11 +20,9 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from pathlib import Path
 
 from . import hypernet
@@ -203,10 +201,9 @@ class Analysis:
         stays an independent check.
         """
         k2 = self.skeleton
-        above = Counter(e for t in k2.triangles for e in combinations(t, 2))
         rows = []
         for e, ric in self.balance.ricci.items():
-            t = above[e]
+            t = len(k2.triangles_containing(e))
             closed = forman_ricci_closed(k2, e)
             rows.append((k2.face_label(e), t, t + 2 - ric, ric, closed))
         return rows

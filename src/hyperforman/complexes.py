@@ -28,8 +28,9 @@ class SimplicialComplex:
 
     Every index 0..len(labels)-1 is a vertex of the complex; labels are
     only used for reporting. The raw constructor takes faces that are
-    already sorted, in range and downward closed, and checks closure;
-    :meth:`from_faces` accepts arbitrary faces and closes them.
+    already sorted, in range and downward closed, and checks closure and
+    that its vertices are exactly the label indices; :meth:`from_faces`
+    accepts arbitrary faces and closes them.
     """
 
     labels: tuple[str, ...]
@@ -45,6 +46,12 @@ class SimplicialComplex:
                         raise ValueError(
                             f"complex is not downward closed: {f} lacks {sub}"
                         )
+        # with closure, this keeps every face in range
+        vertices = self.faces_by_dim[0] if self.faces_by_dim else frozenset()
+        if vertices != {(i,) for i in range(len(self.labels))}:
+            raise ValueError(
+                f"complex vertices do not match its {len(self.labels)} labels"
+            )
 
     @classmethod
     def from_faces(
@@ -135,8 +142,9 @@ class SimplicialComplex:
         return {e: tuple(ts) for e, ts in idx.items()}
 
     def _require_edge(self, e: Iterable[int]) -> Simplex:
+        # the index's keys are exactly the edges
         t = tuple(sorted(e))
-        if len(t) != 2 or not self.has_face(t):
+        if t not in self._edge_triangles:
             raise ValueError(f"edge {t} is not a face of the complex")
         return t
 
@@ -147,12 +155,14 @@ class SimplicialComplex:
         return len(self._incident_edges[v])
 
     def triangles_containing(self, e: Iterable[int]) -> list[Simplex]:
-        """All 2-faces having edge e as a face."""
+        """All 2-faces having edge e as a face, in sorted order (the index
+        is filled by walking the sorted :attr:`triangles`)."""
         t = self._require_edge(e)
-        return sorted(self._edge_triangles[t])
+        return list(self._edge_triangles[t])
 
-    def parallel_edges(self, e: Iterable[int]) -> list[Simplex]:
-        """Edges parallel to e: sharing a vertex XOR sharing a triangle.
+    def parallel_edges(self, e: Iterable[int]) -> set[Simplex]:
+        """The set of edges parallel to e: sharing a vertex XOR sharing a
+        triangle.
 
         Two distinct edges in a common triangle necessarily share a
         vertex, so this reduces to edges meeting e in exactly one vertex
@@ -165,7 +175,7 @@ class SimplicialComplex:
         for tri in self._edge_triangles[t]:
             for other in combinations(tri, 2):
                 cand.discard(other)
-        return sorted(cand)
+        return cand
 
     def vertex_label(self, v: int) -> str:
         return self.labels[v]

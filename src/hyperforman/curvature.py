@@ -228,11 +228,14 @@ class DirectedComplex:
         """Build from directed vertex pairs; every 3-clique of the arc
         graph becomes a 2-face. Loops and antiparallel arc pairs are
         rejected, since a single edge cannot carry two directions; the
-        error names the vertices by label.
+        error names the vertices by label. An arc naming a vertex outside
+        ``labels`` raises :class:`ValueError`.
         """
         labels = tuple(labels)
         directions: dict[Simplex, tuple[int, int]] = {}
         for tail, head in arcs:
+            if not (0 <= tail < len(labels) and 0 <= head < len(labels)):
+                raise ValueError(f"arc {(tail, head)} references a node out of range")
             if tail == head:
                 raise DirectionError(f"loop arc at node '{labels[tail]}'")
             e = tuple(sorted((tail, head)))

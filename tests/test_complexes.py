@@ -43,11 +43,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"\(0, 1\) lacks \(1,\)"):
             SimplicialComplex(("a", "b"), (F({(0,)}), F({(0, 1)})))
 
+    @pytest.mark.parametrize(
+        "labels, faces",
+        [
+            (("a", "b"), (F({(0,)}),)),
+            (("a",), (F({(0,), (1,)}), F({(0, 1)}))),
+            (("a",), ()),
+        ],
+        ids=["missing-vertex", "vertex-past-labels", "no-faces"],
+    )
+    def test_rejects_vertices_that_disagree_with_labels(self, labels, faces):
+        with pytest.raises(ValueError, match="vertices do not match"):
+            SimplicialComplex(labels, faces)
+
     def test_empty_complex(self):
         k = SimplicialComplex.from_faces([], [])
         assert k.dim == -1
         assert k.f_vector() == ()
         assert k.euler_characteristic() == 0
+        assert SimplicialComplex((), ()) == k
 
     @given(complexes())
     def test_always_downward_closed(self, k):
@@ -198,6 +212,12 @@ class TestSkeleton:
             assert k.skeleton(d).euler_characteristic() == expected
 
 
+# on path3 (vertices 0, 1, 2; edges 01 and 12): a triangle, a vertex, a
+# loop, a pair past the labels, and a vertex pair that is not an edge
+ABSENT_EDGES = [(0, 1, 2), (0,), (0, 0), (1, 3), (0, 2)]
+ABSENT_EDGE_IDS = ["triangle", "vertex", "loop", "out-of-range", "non-edge"]
+
+
 class TestTrianglesContaining:
     def test_tetrahedron_every_edge_in_two(self, corpus):
         k = corpus["tetrahedron"]
@@ -210,27 +230,36 @@ class TestTrianglesContaining:
     def test_path_edge_has_none(self, corpus):
         assert corpus["path3"].triangles_containing((0, 1)) == []
 
-    def test_absent_edge_raises(self, corpus):
+    @pytest.mark.parametrize("e", ABSENT_EDGES, ids=ABSENT_EDGE_IDS)
+    def test_absent_edge_raises(self, corpus, e):
         with pytest.raises(ValueError, match="not a face"):
-            corpus["path3"].triangles_containing((0, 2))
+            corpus["path3"].triangles_containing(e)
+
+    @given(complexes())
+    def test_sorted_like_brute_force(self, k):
+        for e in k.edges:
+            assert k.triangles_containing(e) == sorted(
+                t for t in k.triangles if set(e) <= set(t)
+            )
 
 
 class TestParallelEdges:
     def test_path_neighbour_is_parallel(self, corpus):
-        assert corpus["path3"].parallel_edges((0, 1)) == [(1, 2)]
+        assert corpus["path3"].parallel_edges((0, 1)) == {(1, 2)}
 
     def test_triangle_has_none(self, corpus):
         # the other two edges share both a vertex and the triangle
-        assert corpus["triangle"].parallel_edges((0, 1)) == []
+        assert corpus["triangle"].parallel_edges((0, 1)) == set()
 
     def test_tetrahedron_has_none(self, corpus):
         k = corpus["tetrahedron"]
         for e in k.edges:
-            assert k.parallel_edges(e) == []
+            assert k.parallel_edges(e) == set()
 
-    def test_absent_edge_raises(self, corpus):
+    @pytest.mark.parametrize("e", ABSENT_EDGES, ids=ABSENT_EDGE_IDS)
+    def test_absent_edge_raises(self, corpus, e):
         with pytest.raises(ValueError, match="not a face"):
-            corpus["triangle"].parallel_edges((0, 3))
+            corpus["path3"].parallel_edges(e)
 
     @given(complexes())
     def test_matches_brute_force(self, k):

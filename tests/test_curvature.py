@@ -388,6 +388,12 @@ class TestDirected:
         with pytest.raises(DirectionError, match="loop arc at node 'a'"):
             DirectedComplex.from_arcs(["a"], [(0, 0)])
 
+    @pytest.mark.parametrize("arc", [(0, 5), (5, 0), (-1, 0), (0, -1), (5, 5)])
+    def test_out_of_range_arc_rejected(self, arc):
+        message = rf"arc \({arc[0]}, {arc[1]}\) .*out of range"
+        with pytest.raises(ValueError, match=message):
+            DirectedComplex.from_arcs(["a", "b"], [(0, 1), arc])
+
     def test_missing_direction_rejected(self):
         cx = SimplicialComplex.from_faces(["a", "b"], [(0, 1)])
         with pytest.raises(DirectionError, match="undirected edge"):
