@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import hypernet
@@ -228,7 +228,10 @@ class Analysis:
             return sum((-1) ** j * c for j, c in enumerate(self.rank.level_counts()))
         if self.loaded.kind == "poset":
             return None
-        return hypernet.geometric_euler_characteristic(self.loaded.network)
+        # called through the module, where perfbench/tracing.py patches it
+        return hypernet.geometric_euler_characteristic(
+            self.loaded.network, cap=self.args.chain_cap
+        )
 
     def rank_witness(self) -> dict:
         return {
@@ -255,7 +258,59 @@ def directed_graph_complex(h: Hypernetwork) -> DirectedComplex:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
+    plus a newline, byte for byte.
+
+    CPython runs its C encoder only when ``indent`` is None, so the stdlib
+    pretty-prints in pure Python; this writer is shorter work for the same
+    bytes. It takes what the reports hold: dicts with ``str`` keys, lists,
+    tuples, strings, ints, booleans and None. Anything else, floats
+    included, is a TypeError.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+
+    def write(value, indent: str) -> None:
+        if isinstance(value, str):
+            append(_quote(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be str, not {key!r}")
+                append(sep + _quote(key) + ": ")
+                write(value[key], inner)
+                sep = ",\n" + inner
+            append("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for item in value:
+                append(sep)
+                write(item, inner)
+                sep = ",\n" + inner
+            append("\n" + indent + "]")
+        else:
+            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+    write(obj, "")
+    append("\n")
+    return "".join(chunks)
 
 
 def emit(args, human_lines, json_obj, csv_header, csv_rows) -> None:
@@ -607,7 +662,8 @@ def _add_common(
             default=DEFAULT_CHAIN_CAP,
             metavar="N",
             help="cap on the faces of the order complex at the requested "
-            "skeleton, counted before any face is built (default: %(default)s)",
+            "skeleton, counted before any face is built, and on the "
+            "intersections geometric chi visits (default: %(default)s)",
         )
 
 

@@ -23,11 +23,13 @@ cannot express isolated nodes; JSON is the lossless format.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import SimplicialComplex
+from .poset import ChainCapExceeded
 
 
 class HypernetworkError(ValueError):
@@ -327,11 +329,38 @@ def _decode(data: bytes | str) -> str:
         raise ParseError(f"input is not valid UTF-8: {ex}") from ex
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _lone_surrogate(value) -> str | None:
+    """The first unpaired surrogate in any string, key or value, of a
+    decoded JSON value, or None. ``json.loads`` joins each paired escape
+    into one character, so every surrogate left is unpaired."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, str):
+            found = _SURROGATE.search(v)
+            if found:
+                return found.group()
+        elif isinstance(v, dict):
+            stack.extend(v)
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+    return None
+
+
 def decode_json(data: bytes | str):
-    """The JSON value in ``data``; every way of failing is a ParseError."""
+    """The JSON value in ``data``; every way of failing is a ParseError.
+
+    A string holding an unpaired surrogate escape such as ``"\\ud800"``
+    is invalid too: it cannot be written as UTF-8, so no output could
+    print it.
+    """
     text = _decode(data)
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as ex:
         raise ParseError(
             f"invalid JSON: {ex.msg}", line=ex.lineno, col=ex.colno
@@ -345,6 +374,15 @@ def decode_json(data: bytes | str):
         ) from ex
     except RecursionError as ex:
         raise ParseError("JSON nests too deeply") from ex
+    # only an escape can put a surrogate into valid UTF-8 text
+    if "\\ud" in text or "\\uD" in text:
+        lone = _lone_surrogate(value)
+        if lone is not None:
+            raise ParseError(
+                f"invalid JSON: unpaired surrogate escape \\u{ord(lone):04x} "
+                "in a string"
+            )
+    return value
 
 
 def parse(data: bytes | str, fmt: str) -> Hypernetwork:
@@ -384,7 +422,7 @@ def geometric_complex(h: Hypernetwork) -> SimplicialComplex:
     return SimplicialComplex.from_faces(labels, faces)
 
 
-def geometric_euler_characteristic(h: Hypernetwork) -> int:
+def geometric_euler_characteristic(h: Hypernetwork, cap: int | None = None) -> int:
     """Euler characteristic of the full-dimensional simplex view.
 
     By the nerve theorem for the cover by generator simplices (node
@@ -393,10 +431,20 @@ def geometric_euler_characteristic(h: Hypernetwork) -> int:
     ``signed[x]`` holds that count over the families whose intersection
     is exactly x, so the work is at most generators times distinct
     intersections, and every intersection is a face of the view.
+
+    The work is counted as the (generator, live intersection) pairs
+    visited. Once that count passes ``cap`` (unbounded by default), the
+    walk stops with :class:`ChainCapExceeded`.
     """
     gens = {*h.generator_sets(), *(frozenset({n}) for n in h.nodes)}
     signed: dict[frozenset[str], int] = {}
+    visited = 0
     for g in sorted(gens, key=lambda s: (len(s), sorted(s))):
+        visited += len(signed)
+        if cap is not None and visited > cap:
+            raise ChainCapExceeded(
+                f"geometric chi visited {visited} intersections", visited, cap
+            )
         # g alone, and g joined to every earlier family it meets
         delta = {g: 1}
         for x, count in signed.items():

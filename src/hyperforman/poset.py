@@ -22,17 +22,15 @@ DEFAULT_CHAIN_CAP = 10_000_000
 
 
 class ChainCapExceeded(RuntimeError):
-    """Raised when an order complex would have more faces than allowed.
+    """Raised when a stage's work count passes the chain cap.
 
-    ``count`` is the number of faces counted up to dimension ``dim``,
-    the first dimension at which the running total passed ``cap``.
+    ``work`` names the stage and its ``count``, the running total at the
+    step where it first passed ``cap``: the faces of an order complex up
+    to some dimension, or the intersections geometric chi visited.
     """
 
-    def __init__(self, cap: int, count: int, dim: int):
-        super().__init__(
-            f"order complex has {count} faces up to dimension {dim}, "
-            f"over the chain cap of {cap}"
-        )
+    def __init__(self, work: str, count: int, cap: int):
+        super().__init__(f"{work}, over the chain cap of {cap}")
         self.cap = cap
         self.count = count
 
@@ -244,7 +242,12 @@ class Poset:
             counts.append(sum(level))
             total += counts[-1]
             if cap is not None and total > cap:
-                raise ChainCapExceeded(cap, total, len(counts) - 1)
+                raise ChainCapExceeded(
+                    f"order complex has {total} faces up to dimension "
+                    f"{len(counts) - 1}",
+                    total,
+                    cap,
+                )
             if len(counts) == max_length:
                 break
             level = [sum(map(level.__getitem__, up)) for up in self._above]

@@ -122,6 +122,19 @@ def hub_star(n: int) -> Hypernetwork:
     )
 
 
+def coatoms(n: int) -> Hypernetwork:
+    """n hypervertices, each of all n nodes but one: every family of them
+    has a common node, so geometric chi's intersections number 2^n."""
+    nodes = [f"n{i}" for i in range(n)]
+    return Hypernetwork(
+        frozenset(nodes),
+        tuple(
+            Hypervertex(f"V{i}", frozenset(nodes[:i] + nodes[i + 1:]))
+            for i in range(n)
+        ),
+    )
+
+
 def overlap_network(seed: int) -> Hypernetwork:
     """35 nodes, 72 hypervertices of 1-6 nodes and 192 hyperedges: about
     6 * 10^16 families of maximal generators have a common node."""

@@ -1,17 +1,22 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from hyperforman import Poset, serialize
-from hyperforman.cli import main
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import hub_star, time_limit, tower_poset_json
+from hyperforman import Poset, serialize
+from hyperforman.cli import _json_text, main
+
+from conftest import coatoms, hub_star, time_limit, tower_poset_json
 
 NET = "networks"
 SCAF = "scaffolds"
@@ -26,6 +31,19 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 def corpus_path(corpus_dir, tier, name):
     return corpus_dir / tier / name
+
+
+def utf8_stdout() -> io.TextIOWrapper:
+    """A stdout that, like a real UTF-8 terminal or pipe, cannot take a
+    string that does not encode."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+
+
+LONE_SURROGATE_INPUTS = {
+    "network": '{"nodes": ["a", "\\ud800"], "hypervertices": '
+    '[{"id": "V1", "nodes": ["a", "\\ud800"]}], "hyperedges": []}',
+    "poset": '{"elements": [["a"], ["\\ud800"], ["a", "\\ud800"]]}',
+}
 
 
 class TestValidate:
@@ -147,6 +165,41 @@ class TestValidate:
         assert err == f"error: '{key}' must be an array\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("output", ["human", "csv", "json"])
+    @pytest.mark.parametrize("kind", sorted(LONE_SURROGATE_INPUTS))
+    def test_unpaired_surrogate_escape_is_invalid_input(
+        self, capsys, tmp_path, kind, output
+    ):
+        f = tmp_path / "lone.json"
+        f.write_text(LONE_SURROGATE_INPUTS[kind])
+        stdout = utf8_stdout()
+        with redirect_stdout(stdout):
+            rc = main(["curvature", str(f), "--output", output])
+            stdout.flush()
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert stdout.buffer.getvalue() == b""
+        assert err == (
+            "error: invalid JSON: unpaired surrogate escape \\ud800 in a string\n"
+        )
+
+    def test_paired_surrogate_escape_loads(self, capsys, tmp_path):
+        f = tmp_path / "pair.json"
+        f.write_text(
+            '{"nodes": ["a", "\\ud83d\\ude00"], "hypervertices": '
+            '[{"id": "V1", "nodes": ["a", "\\ud83d\\ude00"]}], "hyperedges": []}'
+        )
+        stdout = utf8_stdout()
+        with redirect_stdout(stdout):
+            rc = main(["curvature", str(f), "--output", "csv"])
+            stdout.flush()
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert stdout.buffer.getvalue().decode() == (
+            "edge,triangles,parallel,ric\n"
+            '"{a}|{a,\U0001f600}",0,1,1\n'
+            '"{\U0001f600}|{a,\U0001f600}",0,1,1\n'
+        )
+
     def test_unknown_extension_needs_format(self, capsys, tmp_path):
         f = tmp_path / "net.data"
         f.write_text("V1: a\n")
@@ -195,6 +248,26 @@ class TestChi:
         f.write_text(serialize(hub_star(1200), "json"))
         rc, out, err = run(capsys, "chi", "--chi-method", "geometric", f)
         assert (rc, out, err) == (0, "chi[geometric] = 1\n", "")
+
+    @pytest.mark.parametrize("command", ["chi", "report"])
+    def test_geometric_chi_stops_at_the_chain_cap(self, capsys, tmp_path, command):
+        # the 2^24 intersections of the coatom family would take minutes;
+        # its order complex is small, so only geometric chi passes the cap
+        f = tmp_path / "coatoms.json"
+        f.write_text(serialize(coatoms(24), "json"))
+        with time_limit(1):
+            rc, out, err = run(capsys, command, f, "--chain-cap", "100000")
+        assert (rc, out) == (4, "")
+        assert err == (
+            "error: geometric chi visited 131355 intersections, "
+            "over the chain cap of 100000\n"
+        )
+
+    def test_geometric_chi_under_the_default_cap(self, capsys, tmp_path):
+        f = tmp_path / "coatoms.json"
+        f.write_text(serialize(coatoms(16), "json"))
+        rc, out, err = run(capsys, "chi", "--chi-method", "geometric", f)
+        assert (rc, out, err) == (0, "chi[geometric] = 2\n", "")
 
     def test_single_method(self, capsys, corpus_dir):
         rc, out, _ = run(
@@ -819,3 +892,40 @@ class TestPosetInput:
         )
         assert rc == 0
         assert "residual = 0.0" in out
+
+
+# characters the encoder escapes, plus lone surrogates, which
+# st.characters() never draws
+JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800\udfff'),
+        st.characters(),
+    )
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @example({"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "": ()})
+    @given(JSON_VALUES)
+    def test_matches_the_stdlib_pretty_printer(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, {"a": {1, 2}}, {1: "a"}],
+        ids=["float", "set", "int-key"],
+    )
+    def test_other_types_are_type_errors(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)

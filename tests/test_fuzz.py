@@ -1,9 +1,10 @@
 """Random and mutated inputs through every subcommand and flag set.
 
 Whatever the input, the CLI must answer with a documented exit code
-(0, 2, 3, 4 or 5), print no traceback, and finish in bounded time. The
-explicit examples are shapes that earlier fixes closed and the two
-directed errors.
+(0, 2, 3, 4 or 5), print no traceback, and finish in bounded time.
+Stdout is a strict UTF-8 stream, as a real terminal or pipe is, so
+output that cannot be encoded fails too. The explicit examples are
+shapes that earlier fixes closed and the two directed errors.
 """
 
 import copy
@@ -204,6 +205,13 @@ ANTIPARALLEL = json.dumps({
 @example(case=(".json", ANTIPARALLEL), flags=["curvature", "--directed"])
 @example(case=(".hnet", b"V: a\nW: a\nE>: V W\n"), flags=["report", "--directed"])
 @example(case=(".json", None), flags=["filtrate"])
+@example(
+    case=(".json", b'{"nodes": ["a", "\\ud800"], "hypervertices": '
+          b'[{"id": "V1", "nodes": ["a", "\\ud800"]}], "hyperedges": []}'),
+    flags=["curvature", "--output", "csv"],
+)
+@example(case=(".json", b'{"elements": [["a"], ["\\ud800"], ["a", "\\ud800"]]}'),
+         flags=["curvature"])
 @given(case=inputs(), flags=flag_sets())
 @settings(
     max_examples=500,
@@ -215,12 +223,14 @@ def test_every_input_gets_a_documented_exit_code(workdir, case, flags):
     path = workdir / f"{'input' if data is not None else 'absent'}{suffix}"
     if data is not None:
         path.write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
     # an exception that escapes main is a traceback, and fails the test
     with time_limit(5), redirect_stdout(out), redirect_stderr(err):
         try:
             code = main([flags[0], str(path), *flags[1:]])
         except SystemExit as ex:  # argparse rejecting a flag
             code = ex.code
+        out.flush()
     assert code in EXIT_CODES, (code, err.getvalue())
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert "Traceback" not in out.buffer.getvalue().decode() + err.getvalue()
