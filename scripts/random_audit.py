@@ -3,9 +3,10 @@
 that its poset's covers are the transitive reduction of inclusion found
 by testing every pair, that the counted chains of the poset match the
 f-vector of the listed order complex, that the curvature balance closes
-exactly, and that the two edge-curvature routes agree on every edge of
-the order complex's 2-skeleton. The first failure is printed with its
-network and the script exits 1."""
+exactly, and that on every edge of the order complex's 2-skeleton the
+balance's curvature equals both the closed form and a brute count made
+here from the edges and triangles alone. The first failure is printed
+with its network and the script exits 1."""
 
 from __future__ import annotations
 
@@ -40,6 +41,19 @@ def brute_covers(elements) -> set[tuple[int, int]]:
         for i in under
         if not any(i in below[k] for k in under)
     }
+
+
+def brute_ricci(k, e) -> int:
+    """Triangles on e minus its parallels plus 2, by scanning every edge:
+    a parallel meets e in exactly one vertex and lies in no triangle
+    with it."""
+    on_e = [set(t) for t in k.triangles if set(e) <= set(t)]
+    parallels = sum(
+        1
+        for f in k.edges
+        if len(set(e) & set(f)) == 1 and not any(set(f) <= t for t in on_e)
+    )
+    return len(on_e) - parallels + 2
 
 
 def main() -> int:
@@ -80,11 +94,12 @@ def main() -> int:
         if report.residual != 0:
             return fail(f"network {i}: residual {report.residual}", h)
         for e in k.edges:
-            ric, closed = report.ricci[e], forman_ricci_closed(k, e)
-            if ric != closed:
+            ric = report.ricci[e]
+            closed, brute = forman_ricci_closed(k, e), brute_ricci(k, e)
+            if not ric == closed == brute:
                 return fail(
                     f"network {i}, edge {k.face_label(e)}: definitional "
-                    f"curvature {ric} but closed form {closed}",
+                    f"curvature {ric}, closed form {closed}, brute count {brute}",
                     h,
                 )
             edges_checked += 1
@@ -92,7 +107,7 @@ def main() -> int:
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
         f"covers and chain counts match, all balances exact, both curvature "
-        f"routes agree ({dt:.2f}s)"
+        f"routes agree with the brute count ({dt:.2f}s)"
     )
     return 0
 

@@ -22,7 +22,6 @@ from .hypernet import (
     HypernetworkError,
     Hypervertex,
     ParseError,
-    geometric_complex,
     geometric_euler_characteristic,
     parse,
     serialize,
@@ -65,7 +64,6 @@ __all__ = [
     "forman_ricci",
     "forman_ricci_closed",
     "gauss_bonnet",
-    "geometric_complex",
     "geometric_euler_characteristic",
     "order_complex",
     "parse",

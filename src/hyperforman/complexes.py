@@ -126,12 +126,12 @@ class SimplicialComplex:
         return tuple(self.faces(2))
 
     @cached_property
-    def _incident_edges(self) -> dict[int, tuple[Simplex, ...]]:
-        inc: dict[int, list[Simplex]] = {i: [] for i in range(self.n_vertices)}
-        for e in self.edges:
-            inc[e[0]].append(e)
-            inc[e[1]].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
+    def _degrees(self) -> tuple[int, ...]:
+        degs = [0] * self.n_vertices
+        for u, v in self.edges:
+            degs[u] += 1
+            degs[v] += 1
+        return tuple(degs)
 
     @cached_property
     def _edge_triangles(self) -> dict[Simplex, tuple[Simplex, ...]]:
@@ -152,30 +152,13 @@ class SimplicialComplex:
         """Number of edges containing v."""
         if not (0 <= v < self.n_vertices):
             raise ValueError(f"vertex {v} is not in the complex")
-        return len(self._incident_edges[v])
+        return self._degrees[v]
 
     def triangles_containing(self, e: Iterable[int]) -> list[Simplex]:
         """All 2-faces having edge e as a face, in sorted order (the index
         is filled by walking the sorted :attr:`triangles`)."""
         t = self._require_edge(e)
         return list(self._edge_triangles[t])
-
-    def parallel_edges(self, e: Iterable[int]) -> set[Simplex]:
-        """The set of edges parallel to e: sharing a vertex XOR sharing a
-        triangle.
-
-        Two distinct edges in a common triangle necessarily share a
-        vertex, so this reduces to edges meeting e in exactly one vertex
-        while lying in no common triangle with it.
-        """
-        t = self._require_edge(e)
-        u, v = t
-        cand = set(self._incident_edges[u]) | set(self._incident_edges[v])
-        cand.discard(t)
-        for tri in self._edge_triangles[t]:
-            for other in combinations(tri, 2):
-                cand.discard(other)
-        return cand
 
     def vertex_label(self, v: int) -> str:
         return self.labels[v]

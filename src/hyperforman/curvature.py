@@ -5,9 +5,11 @@ The edge curvature of e is
 
     ric(e) = #{triangles above e} - #{edges parallel to e} + 2
 
-with parallelism as in :meth:`SimplicialComplex.parallel_edges`. Since a
-parallel edge is exactly a vertex-sharing edge outside every common
-triangle, the same number has the closed form
+where an edge is parallel to e when it shares a vertex with e or lies
+in a common triangle with it, but not both. Two distinct edges of one
+triangle always share a vertex, so the parallels are the edges meeting
+e in exactly one vertex that lie in no triangle on e, and the same
+number has the closed form
 
     ric(e) = 3 * #{triangles above e} + 4 - deg(u) - deg(v)
 
@@ -54,10 +56,18 @@ def two_skeleton(k: SimplicialComplex) -> SimplicialComplex:
 def forman_ricci(k: SimplicialComplex, e: Iterable[int]) -> int:
     """Edge curvature by its definition: triangles minus parallels plus 2.
 
-    Only edges and triangles enter, so faces above dimension 2 are
-    ignored without building the 2-skeleton.
+    The edges meeting e = (u, v) in one vertex number
+    (deg u - 1) + (deg v - 1); the parallels are those left after taking
+    out the other edges of the triangles on e. Only those triangles and
+    two degrees are read, so each edge costs O(#triangles on e + 1) and
+    faces above dimension 2 are ignored without building the 2-skeleton.
     """
-    return len(k.triangles_containing(e)) - len(k.parallel_edges(e)) + 2
+    e = tuple(sorted(e))
+    triangles = k.triangles_containing(e)
+    u, v = e
+    shared = {f for t in triangles for f in combinations(t, 2)} - {e}
+    parallels = k.degree(u) - 1 + k.degree(v) - 1 - len(shared)
+    return len(triangles) - parallels + 2
 
 
 def forman_ricci_closed(k: SimplicialComplex, e: Iterable[int]) -> int:
@@ -67,8 +77,9 @@ def forman_ricci_closed(k: SimplicialComplex, e: Iterable[int]) -> int:
     complex; the test suite enforces this. Like it, it reads only edges
     and triangles.
     """
-    u, v = tuple(sorted(e))
-    t = len(k.triangles_containing((u, v)))
+    e = tuple(sorted(e))
+    t = len(k.triangles_containing(e))
+    u, v = e
     return _edge_term(t, k.degree(u), k.degree(v))
 
 

@@ -1,5 +1,6 @@
 """Hypernetworks: node groups (hypervertices) joined pairwise by
-hyperedges, plus parsing, validation, and the two non-poset views.
+hyperedges, plus parsing, validation, and the Euler characteristic of
+the simplex view.
 
 Two interchange formats are supported. JSON:
 
@@ -26,9 +27,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .complexes import SimplicialComplex
 from .poset import ChainCapExceeded
 
 
@@ -322,14 +321,23 @@ def to_text(h: Hypernetwork) -> str:
 # -- entry points ----------------------------------------------------------
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _decode(data: bytes | str) -> str:
+    """The text of ``data``. Bytes must be UTF-8; a string must hold no
+    surrogate code point, which no UTF-8 text can carry."""
+    if isinstance(data, str):
+        found = _SURROGATE.search(data)
+        if found:
+            raise ParseError(
+                f"input holds the surrogate code point \\u{ord(found.group()):04x}"
+            )
+        return data
     try:
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        return data.decode("utf-8")
     except UnicodeDecodeError as ex:
         raise ParseError(f"input is not valid UTF-8: {ex}") from ex
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _lone_surrogate(value) -> str | None:
@@ -402,24 +410,7 @@ def serialize(h: Hypernetwork, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-# -- geometric views -------------------------------------------------------
-
-
-def geometric_complex(h: Hypernetwork) -> SimplicialComplex:
-    """Simplex view, truncated to dimension 2.
-
-    Each hypervertex spans a full simplex on its nodes and each
-    hyperedge a full simplex on the union of its endpoints; the result
-    is the 2-skeleton of the union. All nodes appear as vertices.
-    """
-    labels = sorted(h.nodes)
-    idx = {n: i for i, n in enumerate(labels)}
-    faces: set[tuple[int, ...]] = set()
-    for gen in h.generator_sets():
-        members = sorted(idx[n] for n in gen)
-        for size in range(1, min(3, len(members)) + 1):
-            faces.update(combinations(members, size))
-    return SimplicialComplex.from_faces(labels, faces)
+# -- geometric view --------------------------------------------------------
 
 
 def geometric_euler_characteristic(h: Hypernetwork, cap: int | None = None) -> int:

@@ -90,6 +90,12 @@ def corpus_complexes() -> dict[str, SimplicialComplex]:
     }
 
 
+# on path3 (vertices 0, 1, 2; edges 01 and 12): a triangle, a vertex, a
+# loop, a pair past the labels, and a vertex pair that is not an edge
+ABSENT_EDGES = [(0, 1, 2), (0,), (0, 0), (1, 3), (0, 2)]
+ABSENT_EDGE_IDS = ["triangle", "vertex", "loop", "out-of-range", "non-edge"]
+
+
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, SimplicialComplex]:
     return corpus_complexes()

@@ -174,6 +174,23 @@ def brute_geometric_faces(h) -> set[frozenset]:
     return faces
 
 
+def geometric_complex(h) -> SimplicialComplex:
+    """Simplex view, truncated to dimension 2.
+
+    Each hypervertex spans a full simplex on its nodes and each
+    hyperedge a full simplex on the union of its endpoints; the result
+    is the 2-skeleton of the union. All nodes appear as vertices.
+    """
+    labels = sorted(h.nodes)
+    idx = {n: i for i, n in enumerate(labels)}
+    faces: set[tuple[int, ...]] = set()
+    for gen in h.generator_sets():
+        members = sorted(idx[n] for n in gen)
+        for size in range(1, min(3, len(members)) + 1):
+            faces.update(combinations(members, size))
+    return SimplicialComplex.from_faces(labels, faces)
+
+
 def brute_geometric_chi(h) -> int:
     return sum((-1) ** (len(f) - 1) for f in brute_geometric_faces(h))
 

@@ -12,8 +12,14 @@ from hyperforman import (
     random_hypernetwork,
 )
 
-from conftest import complexes, hypernetworks, set_families
-from helpers import brute_chains, brute_parallel
+from conftest import (
+    ABSENT_EDGE_IDS,
+    ABSENT_EDGES,
+    complexes,
+    hypernetworks,
+    set_families,
+)
+from helpers import brute_chains
 
 F = frozenset
 
@@ -212,10 +218,17 @@ class TestSkeleton:
             assert k.skeleton(d).euler_characteristic() == expected
 
 
-# on path3 (vertices 0, 1, 2; edges 01 and 12): a triangle, a vertex, a
-# loop, a pair past the labels, and a vertex pair that is not an edge
-ABSENT_EDGES = [(0, 1, 2), (0,), (0, 0), (1, 3), (0, 2)]
-ABSENT_EDGE_IDS = ["triangle", "vertex", "loop", "out-of-range", "non-edge"]
+class TestDegree:
+    @given(complexes())
+    def test_matches_brute_count(self, k):
+        for v in range(k.n_vertices):
+            assert k.degree(v) == sum(1 for e in k.faces(1) if v in e)
+
+    # degrees sit in a tuple, where -1 would silently name the last vertex
+    @pytest.mark.parametrize("v", [-1, 3], ids=["negative", "past-labels"])
+    def test_absent_vertex_raises(self, corpus, v):
+        with pytest.raises(ValueError, match="not in the complex"):
+            corpus["path3"].degree(v)
 
 
 class TestTrianglesContaining:
@@ -241,33 +254,3 @@ class TestTrianglesContaining:
             assert k.triangles_containing(e) == sorted(
                 t for t in k.triangles if set(e) <= set(t)
             )
-
-
-class TestParallelEdges:
-    def test_path_neighbour_is_parallel(self, corpus):
-        assert corpus["path3"].parallel_edges((0, 1)) == {(1, 2)}
-
-    def test_triangle_has_none(self, corpus):
-        # the other two edges share both a vertex and the triangle
-        assert corpus["triangle"].parallel_edges((0, 1)) == set()
-
-    def test_tetrahedron_has_none(self, corpus):
-        k = corpus["tetrahedron"]
-        for e in k.edges:
-            assert k.parallel_edges(e) == set()
-
-    @pytest.mark.parametrize("e", ABSENT_EDGES, ids=ABSENT_EDGE_IDS)
-    def test_absent_edge_raises(self, corpus, e):
-        with pytest.raises(ValueError, match="not a face"):
-            corpus["path3"].parallel_edges(e)
-
-    @given(complexes())
-    def test_matches_brute_force(self, k):
-        for e in k.faces(1):
-            assert set(k.parallel_edges(e)) == brute_parallel(k, e)
-
-    @given(complexes())
-    def test_symmetry(self, k):
-        for e in k.faces(1):
-            for other in k.parallel_edges(e):
-                assert e in k.parallel_edges(other)

@@ -21,7 +21,7 @@ from hyperforman import (
 )
 from hyperforman.curvature import DirectedComplex, DirectedConfig, DirectionError
 
-from conftest import complexes
+from conftest import ABSENT_EDGE_IDS, ABSENT_EDGES, complexes
 from helpers import (
     brute_balance_residual,
     brute_directed_formula,
@@ -41,6 +41,26 @@ def subdivided_tetrahedron() -> SimplicialComplex:
     return k
 
 
+def hub_and_fan(seed: int) -> SimplicialComplex:
+    """A hub joined to every leaf, where a random share of the hub's
+    edges lie in triangles: fan triangles on consecutive leaves, chords
+    to random leaves, and a few triangles and bare edges among leaves
+    alone. Parallels are counted from the hub's high degree minus the
+    edges of shared triangles, so this is where a miscount shows."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 14)
+    leaves = range(1, n + 1)
+    faces: list[tuple[int, ...]] = [(0, i) for i in leaves]
+    for i in range(1, n):
+        if rng.random() < 0.5:
+            faces.append((0, i, i + 1))
+    for _ in range(rng.randint(0, 3)):
+        faces.append((0, *rng.sample(leaves, 2)))
+        faces.append(tuple(rng.sample(leaves, 3)))
+        faces.append(tuple(rng.sample(leaves, 2)))
+    return SimplicialComplex.from_faces([f"v{i}" for i in range(n + 1)], faces)
+
+
 def refuse_skeleton(self, d):
     raise AssertionError("only edges and triangles may be read; no skeleton")
 
@@ -56,8 +76,10 @@ class TestFormanRicci:
         assert forman_ricci(corpus["star_k13"], (0, 1)) == 0 - 2 + 2 == 0
 
     def test_closed_form_tetrahedron(self, corpus):
-        assert forman_ricci_closed(corpus["tetrahedron"], (0, 1)) == 4
-        assert forman_ricci(corpus["tetrahedron"], (0, 1)) == 2 - 0 + 2 == 4
+        k = corpus["tetrahedron"]
+        for e in k.edges:
+            assert forman_ricci_closed(k, e) == 4
+            assert forman_ricci(k, e) == 2 - 0 + 2 == 4
 
     def test_closed_form_isolated_edge(self, corpus):
         assert forman_ricci_closed(corpus["single_edge"], (0, 1)) == 2
@@ -66,9 +88,23 @@ class TestFormanRicci:
         assert forman_ricci_closed(corpus["cycle4"], (0, 1)) == 0
         assert forman_ricci(corpus["cycle4"], (0, 1)) == 0 - 2 + 2 == 0
 
-    def test_absent_edge_raises(self, corpus):
-        with pytest.raises(ValueError, match="not a face"):
-            forman_ricci(corpus["triangle"], (0, 3))
+    @pytest.mark.parametrize("e", ABSENT_EDGES, ids=ABSENT_EDGE_IDS)
+    def test_absent_edge_raises(self, corpus, e):
+        for route in (forman_ricci, forman_ricci_closed):
+            with pytest.raises(ValueError, match="not a face"):
+                route(corpus["path3"], e)
+
+    @given(complexes())
+    def test_matches_brute_force(self, k):
+        for e in k.edges:
+            assert forman_ricci(k, e) == brute_ricci(k, e)
+
+    def test_hub_and_fan_match_brute_force(self):
+        for seed in range(20):
+            k = hub_and_fan(seed)
+            for e in k.edges:
+                ric = forman_ricci(k, e)
+                assert ric == brute_ricci(k, e) == forman_ricci_closed(k, e), (seed, e)
 
     def test_both_routes_on_corpus(self, corpus):
         for name, k in corpus.items():

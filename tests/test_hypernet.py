@@ -10,7 +10,6 @@ from hyperforman import (
     HypernetworkError,
     Hypervertex,
     ParseError,
-    geometric_complex,
     geometric_euler_characteristic,
     parse,
     random_hypernetwork,
@@ -19,7 +18,12 @@ from hyperforman import (
 from hyperforman.hypernet import _edge
 
 from conftest import example_network, hub_star, hypernetworks, overlap_network
-from helpers import brute_geometric_chi, brute_geometric_faces, clique_expansion
+from helpers import (
+    brute_geometric_chi,
+    brute_geometric_faces,
+    clique_expansion,
+    geometric_complex,
+)
 
 EXAMPLE_JSON = json.dumps(
     {
@@ -114,6 +118,15 @@ class TestParsing:
         # ValueError, not JSONDecodeError
         with pytest.raises(ParseError, match="^invalid JSON: an integer has more than"):
             parse('{"nodes": [], "x": ' + "1" * 5000 + "}", "json")
+
+    # a str, unlike UTF-8 bytes, can carry a raw surrogate code point
+    def test_raw_surrogate_rejected_in_json(self):
+        with pytest.raises(ParseError, match=r"surrogate code point \\ud800"):
+            parse('{"nodes": ["a", "\ud800"]}', "json")
+
+    def test_raw_surrogate_rejected_in_text(self):
+        with pytest.raises(ParseError, match=r"surrogate code point \\udc00"):
+            parse("V1: a \udc00\n", "text")
 
     def test_repeated_member_rejected(self):
         bad = json.loads(EXAMPLE_JSON)
