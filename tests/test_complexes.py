@@ -7,6 +7,7 @@ from hyperforman import (
     ChainCapExceeded,
     Poset,
     SimplicialComplex,
+    forman_ricci,
     order_complex,
     poset_from_hypernetwork,
     random_hypernetwork,
@@ -254,3 +255,28 @@ class TestTrianglesContaining:
             assert k.triangles_containing(e) == sorted(
                 t for t in k.triangles if set(e) <= set(t)
             )
+
+
+def parallel_count(k, e) -> int:
+    """The number of edges parallel to e, read back from the curvature:
+    ric(e) = #triangles on e - #parallels + 2."""
+    return len(k.triangles_containing(e)) - forman_ricci(k, e) + 2
+
+
+class TestParallelEdges:
+    def test_path_neighbour_is_parallel(self, corpus):
+        assert parallel_count(corpus["path3"], (0, 1)) == 1
+
+    def test_triangle_has_none(self, corpus):
+        # the other two edges share both a vertex and the triangle
+        assert parallel_count(corpus["triangle"], (0, 1)) == 0
+
+    def test_tetrahedron_has_none(self, corpus):
+        k = corpus["tetrahedron"]
+        for e in k.edges:
+            assert parallel_count(k, e) == 0
+
+    @pytest.mark.parametrize("e", ABSENT_EDGES, ids=ABSENT_EDGE_IDS)
+    def test_absent_edge_raises(self, corpus, e):
+        with pytest.raises(ValueError, match="not a face"):
+            forman_ricci(corpus["path3"], e)

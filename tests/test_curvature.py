@@ -88,11 +88,15 @@ class TestFormanRicci:
         assert forman_ricci_closed(corpus["cycle4"], (0, 1)) == 0
         assert forman_ricci(corpus["cycle4"], (0, 1)) == 0 - 2 + 2 == 0
 
+    def test_absent_edge_raises(self, corpus):
+        with pytest.raises(ValueError, match="not a face"):
+            forman_ricci(corpus["triangle"], (0, 3))
+
+    # the definitional route's five shapes are in TestParallelEdges
     @pytest.mark.parametrize("e", ABSENT_EDGES, ids=ABSENT_EDGE_IDS)
-    def test_absent_edge_raises(self, corpus, e):
-        for route in (forman_ricci, forman_ricci_closed):
-            with pytest.raises(ValueError, match="not a face"):
-                route(corpus["path3"], e)
+    def test_closed_form_absent_edge_raises(self, corpus, e):
+        with pytest.raises(ValueError, match="not a face"):
+            forman_ricci_closed(corpus["path3"], e)
 
     @given(complexes())
     def test_matches_brute_force(self, k):
