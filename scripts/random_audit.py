@@ -2,11 +2,13 @@
 """Randomized audit: draw random hypernetworks and verify, for each one,
 that its poset's covers are the transitive reduction of inclusion found
 by testing every pair, that the counted chains of the poset match the
-f-vector of the listed order complex, that the curvature balance closes
-exactly, and that on every edge of the order complex's 2-skeleton the
-balance's curvature equals both the closed form and a brute count made
-here from the edges and triangles alone. The first failure is printed
-with its network and the script exits 1."""
+f-vector of the listed order complex, that the order complex (built
+without checks from the chain walk) passes the checked constructor and
+carries its faces' sorted edges and triangles, that the curvature
+balance closes exactly, and that on every edge of the order complex's
+2-skeleton the balance's curvature equals both the closed form and a
+brute count made here from the edges and triangles alone. The first
+failure is printed with its network and the script exits 1."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import sys
 import time
 
 from hyperforman import (
+    SimplicialComplex,
     forman_ricci_closed,
     gauss_bonnet,
     order_complex,
@@ -89,6 +92,16 @@ def main() -> int:
                 f"{full.f_vector()}",
                 h,
             )
+        try:
+            SimplicialComplex(full.labels, full.faces_by_dim)
+        except ValueError as ex:
+            return fail(f"network {i}: the checked constructor rejects it: {ex}", h)
+        if (full.edges, full.triangles) != (tuple(full.faces(1)), tuple(full.faces(2))):
+            return fail(
+                f"network {i}: edges {full.edges} and triangles {full.triangles} "
+                "are not its sorted faces",
+                h,
+            )
         k = full.skeleton(2)
         report = gauss_bonnet(k)
         if report.residual != 0:
@@ -106,8 +119,8 @@ def main() -> int:
     dt = time.perf_counter() - t0
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
-        f"covers and chain counts match, all balances exact, both curvature "
-        f"routes agree with the brute count ({dt:.2f}s)"
+        f"covers, chain counts and sorted faces match, all balances exact, "
+        f"both curvature routes agree with the brute count ({dt:.2f}s)"
     )
     return 0
 

@@ -3,8 +3,13 @@ curvature needs.
 
 Faces are sorted tuples of vertex indices, bucketed by dimension in
 hash sets, so membership tests and the edge-to-triangle index are O(1)
-lookups. Complexes are immutable once built and every construction
-checks downward closure.
+lookups. Complexes are immutable once built. The raw constructor and
+:meth:`SimplicialComplex.from_faces` check downward closure and the
+vertex set, since their faces come from callers. :func:`order_complex`
+and :meth:`SimplicialComplex.skeleton` build without checking: chains
+of a poset come sorted, distinct and downward closed, and a skeleton
+is a prefix of a complex that was checked when it was built. Both also
+hand over their edges and triangles already sorted.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ if TYPE_CHECKING:
     from .poset import Poset
 
 Simplex = tuple[int, ...]
+# the cached sorted faces, by dimension from 1
+_SORTED_FACES = ("edges", "triangles")
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,7 @@ class SimplicialComplex:
     faces_by_dim: tuple[frozenset[Simplex], ...]
 
     def __post_init__(self):
+        # _trusted skips this; every other construction runs it
         # codimension-1 closure implies full closure by induction
         for d in range(1, len(self.faces_by_dim)):
             below = self.faces_by_dim[d - 1]
@@ -85,6 +93,24 @@ class SimplicialComplex:
             buckets[len(f) - 1].add(f)
         return cls(labels, tuple(frozenset(b) for b in buckets))
 
+    @classmethod
+    def _trusted(
+        cls,
+        labels: tuple[str, ...],
+        faces_by_dim: tuple[frozenset[Simplex], ...],
+        sorted_faces: tuple[tuple[Simplex, ...], ...] = (),
+    ) -> "SimplicialComplex":
+        """Build without checks from faces known to be downward closed,
+        with every label index as a vertex. ``sorted_faces`` holds the
+        edges, then the triangles, each already sorted; whichever are
+        given seed :attr:`edges` and :attr:`triangles`."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "labels", labels)
+        object.__setattr__(k, "faces_by_dim", faces_by_dim)
+        for name, faces in zip(_SORTED_FACES, sorted_faces):
+            k.__dict__[name] = faces
+        return k
+
     @property
     def dim(self) -> int:
         return len(self.faces_by_dim) - 1
@@ -110,12 +136,17 @@ class SimplicialComplex:
         return 0 <= d <= self.dim and t in self.faces_by_dim[d]
 
     def skeleton(self, d: int) -> "SimplicialComplex":
-        """Subcomplex of all faces of dimension <= d."""
+        """Subcomplex of all faces of dimension <= d, built without
+        re-checking the faces of this already checked complex."""
         if d < 0:
             raise ValueError("skeleton dimension must be >= 0")
         if d >= self.dim:
             return self
-        return SimplicialComplex(self.labels, self.faces_by_dim[: d + 1])
+        # hand over only the sorted faces the skeleton keeps
+        sorted_faces = tuple(getattr(self, name) for name in _SORTED_FACES[:d])
+        return SimplicialComplex._trusted(
+            self.labels, self.faces_by_dim[: d + 1], sorted_faces
+        )
 
     @cached_property
     def edges(self) -> tuple[Simplex, ...]:
@@ -141,12 +172,14 @@ class SimplicialComplex:
                 idx[e].append(t)
         return {e: tuple(ts) for e, ts in idx.items()}
 
-    def _require_edge(self, e: Iterable[int]) -> Simplex:
-        # the index's keys are exactly the edges
+    def _edge_entry(self, e: Iterable[int]) -> tuple[Simplex, tuple[Simplex, ...]]:
+        """The sorted edge e and the triangles on it, from one lookup in
+        the index, whose keys are exactly the edges."""
         t = tuple(sorted(e))
-        if t not in self._edge_triangles:
+        triangles = self._edge_triangles.get(t)
+        if triangles is None:
             raise ValueError(f"edge {t} is not a face of the complex")
-        return t
+        return t, triangles
 
     def degree(self, v: int) -> int:
         """Number of edges containing v."""
@@ -154,11 +187,10 @@ class SimplicialComplex:
             raise ValueError(f"vertex {v} is not in the complex")
         return self._degrees[v]
 
-    def triangles_containing(self, e: Iterable[int]) -> list[Simplex]:
+    def triangles_containing(self, e: Iterable[int]) -> tuple[Simplex, ...]:
         """All 2-faces having edge e as a face, in sorted order (the index
         is filled by walking the sorted :attr:`triangles`)."""
-        t = self._require_edge(e)
-        return list(self._edge_triangles[t])
+        return self._edge_entry(e)[1]
 
     def vertex_label(self, v: int) -> str:
         return self.labels[v]
@@ -189,4 +221,8 @@ def order_complex(
     for chain in p.chains(max_len):
         buckets[len(chain) - 1].append(chain)
     labels = tuple(p.element_label(i) for i in range(len(p)))
-    return SimplicialComplex(labels, tuple(frozenset(b) for b in buckets))
+    return SimplicialComplex._trusted(
+        labels,
+        tuple(frozenset(b) for b in buckets),
+        tuple(tuple(b) for b in buckets[1:3]),
+    )

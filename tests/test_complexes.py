@@ -80,11 +80,25 @@ class TestConstruction:
                     assert k.has_face(sub)
 
 
+def assert_same_complex(k, checked, note):
+    """k equals the checked complex, and so do the sorted faces, the
+    edge -> triangles index and the degrees that k may have been seeded
+    with: dataclass equality never looks at those caches."""
+    assert k == checked, note
+    assert k.edges == checked.edges, note
+    assert k.triangles == checked.triangles, note
+    for e in checked.edges:
+        assert k.triangles_containing(e) == checked.triangles_containing(e), note
+    for v in range(checked.n_vertices):
+        assert k.degree(v) == checked.degree(v), note
+
+
 def assert_order_complex_matches_brute_chains(p):
     labels = [p.element_label(i) for i in range(len(p))]
     for d in (None, 0, 1, 2):
         chains = brute_chains(p.elements, None if d is None else d + 1)
-        assert order_complex(p, d) == SimplicialComplex.from_faces(labels, chains), d
+        checked = SimplicialComplex.from_faces(labels, chains)
+        assert_same_complex(order_complex(p, d), checked, d)
 
 
 class TestOrderComplex:
@@ -133,6 +147,12 @@ class TestOrderComplex:
     @given(set_families(max_universe=5, max_sets=7))
     @settings(max_examples=60)
     def test_matches_brute_chains(self, fam):
+        assert_order_complex_matches_brute_chains(Poset.from_sets(fam))
+
+    @pytest.mark.parametrize(
+        "fam", [[], [F("a"), F("b"), F("c")]], ids=["empty", "antichain"]
+    )
+    def test_matches_brute_chains_without_edges(self, fam):
         assert_order_complex_matches_brute_chains(Poset.from_sets(fam))
 
     @pytest.mark.parametrize("singletons", [True, False])
@@ -195,6 +215,13 @@ class TestEulerCharacteristic:
             assert len(torus.triangles_containing(e)) == 2
 
 
+def assert_skeletons_match_closed_faces(checked):
+    for d in range(checked.dim + 2):
+        faces = [f for b in checked.faces_by_dim[: d + 1] for f in b]
+        expected = SimplicialComplex.from_faces(checked.labels, faces)
+        assert_same_complex(checked.skeleton(d), expected, d)
+
+
 class TestSkeleton:
     def test_tetrahedron_one_skeleton(self, corpus):
         k1 = corpus["tetrahedron"].skeleton(1)
@@ -210,6 +237,16 @@ class TestSkeleton:
         k0 = corpus["triangle"].skeleton(0)
         assert k0.f_vector() == (3,)
         assert k0.euler_characteristic() == 3
+
+    @given(complexes())
+    def test_matches_closed_faces_of_a_checked_complex(self, k):
+        assert_skeletons_match_closed_faces(SimplicialComplex(k.labels, k.faces_by_dim))
+
+    def test_matches_closed_faces_of_a_4_simplex(self):
+        # a skeleton seeds its triangles only when cut below dimension 3
+        assert_skeletons_match_closed_faces(
+            SimplicialComplex.from_faces("abcdef", [(0, 1, 2, 3, 4), (4, 5)])
+        )
 
     @given(complexes())
     def test_chi_is_alternating_prefix_sum(self, k):
@@ -239,10 +276,10 @@ class TestTrianglesContaining:
             assert len(k.triangles_containing(e)) == 2
 
     def test_single_triangle(self, corpus):
-        assert corpus["triangle"].triangles_containing((0, 1)) == [(0, 1, 2)]
+        assert corpus["triangle"].triangles_containing((0, 1)) == ((0, 1, 2),)
 
     def test_path_edge_has_none(self, corpus):
-        assert corpus["path3"].triangles_containing((0, 1)) == []
+        assert corpus["path3"].triangles_containing((0, 1)) == ()
 
     @pytest.mark.parametrize("e", ABSENT_EDGES, ids=ABSENT_EDGE_IDS)
     def test_absent_edge_raises(self, corpus, e):
@@ -252,8 +289,8 @@ class TestTrianglesContaining:
     @given(complexes())
     def test_sorted_like_brute_force(self, k):
         for e in k.edges:
-            assert k.triangles_containing(e) == sorted(
-                t for t in k.triangles if set(e) <= set(t)
+            assert k.triangles_containing(e) == tuple(
+                sorted(t for t in k.triangles if set(e) <= set(t))
             )
 
 

@@ -103,6 +103,14 @@ class TestFormanRicci:
         for e in k.edges:
             assert forman_ricci(k, e) == brute_ricci(k, e)
 
+    @given(complexes())
+    def test_either_vertex_order(self, k):
+        for e in k.edges:
+            r = e[::-1]
+            assert forman_ricci(k, r) == forman_ricci(k, e)
+            assert forman_ricci_closed(k, r) == forman_ricci_closed(k, e)
+            assert k.triangles_containing(r) == k.triangles_containing(e)
+
     def test_hub_and_fan_match_brute_force(self):
         for seed in range(20):
             k = hub_and_fan(seed)
