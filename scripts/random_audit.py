@@ -7,8 +7,11 @@ without checks from the chain walk) passes the checked constructor and
 carries its faces' sorted edges and triangles, that the curvature
 balance closes exactly, and that on every edge of the order complex's
 2-skeleton the balance's curvature equals both the closed form and a
-brute count made here from the edges and triangles alone. The first
-failure is printed with its network and the script exits 1."""
+brute count made here from the edges and triangles alone. It also
+checks that the network's geometric chi (the signed intersection walk
+on node bitmasks) equals a count made here of every face of the
+simplex view. The first failure is printed with its network and the
+script exits 1."""
 
 from __future__ import annotations
 
@@ -16,11 +19,13 @@ import argparse
 import random
 import sys
 import time
+from itertools import combinations
 
 from hyperforman import (
     SimplicialComplex,
     forman_ricci_closed,
     gauss_bonnet,
+    geometric_euler_characteristic,
     order_complex,
     poset_from_hypernetwork,
     random_hypernetwork,
@@ -59,6 +64,22 @@ def brute_ricci(k, e) -> int:
     return len(on_e) - parallels + 2
 
 
+def face_count_chi(h) -> int:
+    """Euler characteristic of the simplex view from its listed faces:
+    every nonempty subset of a hypervertex, of a hyperedge's endpoint
+    union or of a node singleton, each counted once."""
+    by_id = {hv.id: hv.nodes for hv in h.hypervertices}
+    gens = [hv.nodes for hv in h.hypervertices]
+    gens += [by_id[e.tail] | by_id[e.head] for e in h.hyperedges]
+    gens += [frozenset({n}) for n in h.nodes]
+    faces = set()
+    for g in gens:
+        members = sorted(g)
+        for size in range(1, len(members) + 1):
+            faces.update(combinations(members, size))
+    return sum(1 if len(f) % 2 else -1 for f in faces)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=1000)
@@ -76,6 +97,13 @@ def main() -> int:
             max_nodes=args.max_nodes,
             max_hypervertices=args.max_hypervertices,
         )
+        geometric, faces = geometric_euler_characteristic(h), face_count_chi(h)
+        if geometric != faces:
+            return fail(
+                f"network {i}: geometric chi {geometric} but the face count "
+                f"gives {faces}",
+                h,
+            )
         include_singletons = i % 4 != 3
         p = poset_from_hypernetwork(h, include_singletons=include_singletons)
         expected = brute_covers(p.elements)
@@ -120,7 +148,8 @@ def main() -> int:
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
         f"covers, chain counts and sorted faces match, all balances exact, "
-        f"both curvature routes agree with the brute count ({dt:.2f}s)"
+        f"both curvature routes agree with the brute count, geometric chi "
+        f"matches the face count ({dt:.2f}s)"
     )
     return 0
 

@@ -423,12 +423,19 @@ def geometric_euler_characteristic(h: Hypernetwork, cap: int | None = None) -> i
     is exactly x, so the work is at most generators times distinct
     intersections, and every intersection is a face of the view.
 
+    Node sets are ``int`` bitmasks, one bit per node in sorted order,
+    built on each call: a meet is ``x & mask`` and allocates no set.
+    Masks match node sets one to one, so the intersections, and the
+    visits below, are those of the same walk over sets. Generators are
+    taken by size, then by sorted members.
+
     The work is counted as the (generator, live intersection) pairs
     visited. Once that count passes ``cap`` (unbounded by default), the
     walk stops with :class:`ChainCapExceeded`.
     """
+    bit = {n: 1 << i for i, n in enumerate(sorted(h.nodes))}
     gens = {*h.generator_sets(), *(frozenset({n}) for n in h.nodes)}
-    signed: dict[frozenset[str], int] = {}
+    signed: dict[int, int] = {}
     visited = 0
     for g in sorted(gens, key=lambda s: (len(s), sorted(s))):
         visited += len(signed)
@@ -436,10 +443,11 @@ def geometric_euler_characteristic(h: Hypernetwork, cap: int | None = None) -> i
             raise ChainCapExceeded(
                 f"geometric chi visited {visited} intersections", visited, cap
             )
+        mask = sum(map(bit.__getitem__, g))
         # g alone, and g joined to every earlier family it meets
-        delta = {g: 1}
+        delta = {mask: 1}
         for x, count in signed.items():
-            meet = x & g
+            meet = x & mask
             if meet:
                 delta[meet] = delta.get(meet, 0) - count
         for x, count in delta.items():

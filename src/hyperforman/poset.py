@@ -89,9 +89,10 @@ class Poset:
 
     ``elements`` are stored in a canonical order (by size, then sorted
     members) so indices are stable regardless of construction order.
-    ``covers`` holds index pairs ``(q, p)`` with p covering q; it is the
-    transitive reduction of inclusion and is normally computed by
-    :meth:`from_sets`, not passed by hand.
+    ``covers`` holds index pairs ``(q, p)`` with p covering q, so q < p
+    (the constructor rejects any other pair); it is the transitive
+    reduction of inclusion and is normally computed by :meth:`from_sets`,
+    not passed by hand.
     """
 
     elements: tuple[frozenset, ...]
@@ -101,6 +102,8 @@ class Poset:
         for q, p in self.covers:
             if not (0 <= q < len(self.elements) and 0 <= p < len(self.elements)):
                 raise ValueError(f"cover pair ({q}, {p}) out of range")
+            if q >= p:
+                raise ValueError(f"cover pair ({q}, {p}) does not go up in index")
             if not self.elements[q] < self.elements[p]:
                 raise ValueError(
                     f"cover pair ({q}, {p}) does not respect inclusion"

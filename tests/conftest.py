@@ -141,6 +141,34 @@ def coatoms(n: int) -> Hypernetwork:
     )
 
 
+def _drawn_network(rng, n_nodes, sizes, n_hypervertices, n_hyperedges):
+    """Hypervertices of sizes drawn from ``sizes`` over nodes n0, n1, ...
+    (so n10 sorts before n9), joined by distinct random hyperedges."""
+    nodes = [f"n{i}" for i in range(n_nodes)]
+    hvs = tuple(
+        Hypervertex(f"V{i}", frozenset(rng.sample(nodes, rng.choice(sizes))))
+        for i in range(n_hypervertices)
+    )
+    pairs = rng.sample(list(combinations(range(n_hypervertices), 2)), n_hyperedges)
+    edges = tuple(
+        _edge(f"E{k}", f"V{a}", f"V{b}", False) for k, (a, b) in enumerate(pairs)
+    )
+    return Hypernetwork(frozenset(nodes), hvs, edges)
+
+
+def dense_shaped(rng: random.Random) -> Hypernetwork:
+    """24 nodes, 28 hypervertices of 4 nodes and 28 hyperedges: most
+    generator families meet."""
+    return _drawn_network(rng, 24, (4,), 28, 28)
+
+
+def wide_shaped(rng: random.Random) -> Hypernetwork:
+    """70-200 nodes (wider than one machine word), 0.75 hypervertices of
+    1-6 nodes per node and 1.5 hyperedges per node: most meets are empty."""
+    n = rng.randint(70, 200)
+    return _drawn_network(rng, n, range(1, 7), 3 * n // 4, 3 * n // 2)
+
+
 def overlap_network(seed: int) -> Hypernetwork:
     """35 nodes, 72 hypervertices of 1-6 nodes and 192 hyperedges: about
     6 * 10^16 families of maximal generators have a common node."""

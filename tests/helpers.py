@@ -160,14 +160,42 @@ def brute_balance_residual(k: SimplicialComplex) -> Fraction:
     return total - chi
 
 
+def geometric_generators(h) -> set[frozenset]:
+    """Node sets spanning the simplex view: hypervertices, hyperedge
+    endpoint unions and node singletons."""
+    by_id = {hv.id: hv.nodes for hv in h.hypervertices}
+    gens = {hv.nodes for hv in h.hypervertices}
+    gens.update(by_id[e.tail] | by_id[e.head] for e in h.hyperedges)
+    gens.update(frozenset({n}) for n in h.nodes)
+    return gens
+
+
+def frozenset_geometric_walk(h) -> tuple[int, int]:
+    """Geometric chi by the signed intersection walk on node frozensets,
+    and the (generator, live intersection) pairs it visits; generators
+    come by size, then by sorted members."""
+    signed: dict[frozenset, int] = {}
+    visited = 0
+    for g in sorted(geometric_generators(h), key=lambda s: (len(s), sorted(s))):
+        visited += len(signed)
+        delta = {g: 1}
+        for x, count in signed.items():
+            meet = x & g
+            if meet:
+                delta[meet] = delta.get(meet, 0) - count
+        for x, count in delta.items():
+            count += signed.get(x, 0)
+            if count:
+                signed[x] = count
+            else:
+                signed.pop(x, None)
+    return sum(signed.values()), visited
+
+
 def brute_geometric_faces(h) -> set[frozenset]:
     """Materialized face set of the full simplex view of a hypernetwork."""
-    by_id = {hv.id: hv.nodes for hv in h.hypervertices}
-    gens = [hv.nodes for hv in h.hypervertices]
-    gens.extend(by_id[e.tail] | by_id[e.head] for e in h.hyperedges)
-    gens.extend(frozenset({n}) for n in h.nodes)
     faces: set[frozenset] = set()
-    for g in gens:
+    for g in geometric_generators(h):
         members = sorted(g)
         for size in range(1, len(members) + 1):
             faces.update(frozenset(c) for c in combinations(members, size))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from hyperforman import (
+    ChainCapExceeded,
     Hypernetwork,
     HypernetworkError,
     Hypervertex,
@@ -17,11 +18,19 @@ from hyperforman import (
 )
 from hyperforman.hypernet import _edge
 
-from conftest import example_network, hub_star, hypernetworks, overlap_network
+from conftest import (
+    dense_shaped,
+    example_network,
+    hub_star,
+    hypernetworks,
+    overlap_network,
+    wide_shaped,
+)
 from helpers import (
     brute_geometric_chi,
     brute_geometric_faces,
     clique_expansion,
+    frozenset_geometric_walk,
     geometric_complex,
 )
 
@@ -312,6 +321,23 @@ class TestGeometricChi:
         for i in range(250):
             h = random_hypernetwork(rng)
             assert geometric_euler_characteristic(h) == brute_geometric_chi(h), i
+
+    @pytest.mark.parametrize(
+        "draw, count",
+        [(random_hypernetwork, 250), (dense_shaped, 40), (wide_shaped, 10)],
+        ids=["random", "dense", "wide"],
+    )
+    def test_masks_match_the_frozenset_walk(self, draw, count):
+        rng = random.Random(f"geometric-{draw.__name__}")
+        for i in range(count):
+            h = draw(rng)
+            chi, visits = frozenset_geometric_walk(h)
+            assert geometric_euler_characteristic(h, cap=visits) == chi, i
+            if not h.nodes:
+                continue  # no generator, so no cap can be passed
+            with pytest.raises(ChainCapExceeded) as ex:
+                geometric_euler_characteristic(h, cap=visits - 1)
+            assert ex.value.count == visits, i
 
     def test_hub_star_is_contractible(self):
         assert geometric_euler_characteristic(hub_star(1200)) == 1

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperforman import (
     ChainCapExceeded,
@@ -57,6 +58,28 @@ class TestConstruction:
     def test_bad_cover_pair_rejected(self):
         with pytest.raises(ValueError):
             Poset((F("a"), F("b")), frozenset({(0, 1)}))
+
+    def test_cover_down_in_index_rejected(self):
+        # {a,b} before {a}: the cover {a} < {a,b} would run from 1 to 0
+        with pytest.raises(ValueError, match=r"\(1, 0\) does not go up in index"):
+            Poset((F("ab"), F("a")), frozenset({(1, 0)}))
+
+    @given(set_families(), st.data())
+    def test_permuted_elements_rejected_or_give_sorted_edges(self, fam, data):
+        p = Poset.from_sets(fam)
+        new = data.draw(st.permutations(range(len(p))))
+        elements = [None] * len(p)
+        for old, e in enumerate(p.elements):
+            elements[new[old]] = e
+        covers = frozenset((new[q], new[r]) for q, r in p.covers)
+        try:
+            permuted = Poset(tuple(elements), covers)
+        except ValueError:
+            assert any(q >= r for q, r in covers)
+            return
+        k = order_complex(permuted)
+        assert all(u < v for u, v in k.edges)
+        assert all(list(t) == sorted(t) for t in k.triangles)
 
     @given(set_families())
     def test_covers_match_brute_force(self, fam):
