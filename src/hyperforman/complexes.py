@@ -1,19 +1,20 @@
 """Simplicial complexes, order complexes, and the adjacency queries
 curvature needs.
 
-Faces are sorted tuples of vertex indices, bucketed by dimension in
-hash sets, so membership tests and the edge-to-triangle index are O(1)
-lookups. Complexes are immutable once built. The raw constructor and
-:meth:`SimplicialComplex.from_faces` check downward closure and the
-vertex set, since their faces come from callers. :func:`order_complex`
-and :meth:`SimplicialComplex.skeleton` build without checking: chains
-of a poset come sorted, distinct and downward closed, and a skeleton
-is a prefix of a complex that was checked when it was built. Both also
-hand over their edges and triangles already sorted.
+Faces are increasing tuples of vertex indices, held in one sorted tuple
+per dimension, so membership is a bisection and the edges and triangles
+are buckets 1 and 2 as they stand; the edge-to-triangle index is a
+dict. Complexes are immutable once built. The raw constructor and
+:meth:`SimplicialComplex.from_faces` check their faces, since these come
+from callers. :func:`order_complex` and :meth:`SimplicialComplex.skeleton`
+build without checking: chains of a poset come sorted, distinct and
+downward closed, and a skeleton is a prefix of a complex that was
+checked when it was built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -25,38 +26,48 @@ if TYPE_CHECKING:
     from .poset import Poset
 
 Simplex = tuple[int, ...]
-# the cached sorted faces, by dimension from 1
-_SORTED_FACES = ("edges", "triangles")
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Faces stratified by dimension, downward closed.
 
-    Every index 0..len(labels)-1 is a vertex of the complex; labels are
-    only used for reporting. The raw constructor takes faces that are
-    already sorted, in range and downward closed, and checks closure and
-    that its vertices are exactly the label indices; :meth:`from_faces`
-    accepts arbitrary faces and closes them.
+    ``faces_by_dim[d]`` is the sorted tuple of the d-faces, each a tuple
+    of d + 1 increasing vertex indices. Every index 0..len(labels)-1 is a
+    vertex of the complex; labels are only used for reporting. The raw
+    constructor sorts each bucket it is given and checks the face shapes,
+    repeats, closure, and that its vertices are exactly the label
+    indices; :meth:`from_faces` accepts arbitrary faces and closes them.
     """
 
     labels: tuple[str, ...]
-    faces_by_dim: tuple[frozenset[Simplex], ...]
+    faces_by_dim: tuple[tuple[Simplex, ...], ...]
 
     def __post_init__(self):
         # _trusted skips this; every other construction runs it
+        buckets = tuple(tuple(sorted(map(tuple, b))) for b in self.faces_by_dim)
+        object.__setattr__(self, "faces_by_dim", buckets)
+        for d, bucket in enumerate(buckets):
+            for f in bucket:
+                if len(f) != d + 1 or f != tuple(sorted(set(f))):
+                    raise ValueError(
+                        f"face {f} is not {d + 1} strictly increasing vertices"
+                    )
+            for f, g in zip(bucket, bucket[1:]):
+                if f == g:
+                    raise ValueError(f"face {f} is listed twice")
         # codimension-1 closure implies full closure by induction
-        for d in range(1, len(self.faces_by_dim)):
-            below = self.faces_by_dim[d - 1]
-            for f in self.faces_by_dim[d]:
+        for d in range(1, len(buckets)):
+            below = set(buckets[d - 1])
+            for f in buckets[d]:
                 for sub in combinations(f, d):
                     if sub not in below:
                         raise ValueError(
                             f"complex is not downward closed: {f} lacks {sub}"
                         )
         # with closure, this keeps every face in range
-        vertices = self.faces_by_dim[0] if self.faces_by_dim else frozenset()
-        if vertices != {(i,) for i in range(len(self.labels))}:
+        vertices = buckets[0] if buckets else ()
+        if vertices != tuple((i,) for i in range(len(self.labels))):
             raise ValueError(
                 f"complex vertices do not match its {len(self.labels)} labels"
             )
@@ -85,30 +96,22 @@ class SimplicialComplex:
             for m in range(1, len(f)):
                 norm.update(combinations(f, m))
         norm.update((i,) for i in range(n))
-        if not norm:
-            return cls(labels, ())
-        max_dim = max(len(f) for f in norm) - 1
-        buckets: list[set[Simplex]] = [set() for _ in range(max_dim + 1)]
+        top = max(map(len, norm), default=0)
+        buckets: list[list[Simplex]] = [[] for _ in range(top)]
         for f in norm:
-            buckets[len(f) - 1].add(f)
-        return cls(labels, tuple(frozenset(b) for b in buckets))
+            buckets[len(f) - 1].append(f)
+        return cls(labels, tuple(buckets))
 
     @classmethod
     def _trusted(
-        cls,
-        labels: tuple[str, ...],
-        faces_by_dim: tuple[frozenset[Simplex], ...],
-        sorted_faces: tuple[tuple[Simplex, ...], ...] = (),
+        cls, labels: tuple[str, ...], faces_by_dim: tuple[tuple[Simplex, ...], ...]
     ) -> "SimplicialComplex":
-        """Build without checks from faces known to be downward closed,
-        with every label index as a vertex. ``sorted_faces`` holds the
-        edges, then the triangles, each already sorted; whichever are
-        given seed :attr:`edges` and :attr:`triangles`."""
+        """Build without checks from sorted buckets of increasing faces,
+        known to be distinct and downward closed, with every label index
+        as a vertex."""
         k = object.__new__(cls)
         object.__setattr__(k, "labels", labels)
         object.__setattr__(k, "faces_by_dim", faces_by_dim)
-        for name, faces in zip(_SORTED_FACES, sorted_faces):
-            k.__dict__[name] = faces
         return k
 
     @property
@@ -125,36 +128,34 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(b) for d, b in enumerate(self.faces_by_dim))
 
+    def _bucket(self, d: int) -> tuple[Simplex, ...]:
+        return self.faces_by_dim[d] if 0 <= d <= self.dim else ()
+
     def faces(self, d: int) -> list[Simplex]:
-        if d < 0 or d > self.dim:
-            return []
-        return sorted(self.faces_by_dim[d])
+        return list(self._bucket(d))
 
     def has_face(self, f: Iterable[int]) -> bool:
         t = tuple(sorted(f))
-        d = len(t) - 1
-        return 0 <= d <= self.dim and t in self.faces_by_dim[d]
+        bucket = self._bucket(len(t) - 1)
+        i = bisect_left(bucket, t)
+        return i < len(bucket) and bucket[i] == t
 
     def skeleton(self, d: int) -> "SimplicialComplex":
-        """Subcomplex of all faces of dimension <= d, built without
-        re-checking the faces of this already checked complex."""
+        """Subcomplex of all faces of dimension <= d: a slice of the
+        buckets of this already checked complex, not checked again."""
         if d < 0:
             raise ValueError("skeleton dimension must be >= 0")
         if d >= self.dim:
             return self
-        # hand over only the sorted faces the skeleton keeps
-        sorted_faces = tuple(getattr(self, name) for name in _SORTED_FACES[:d])
-        return SimplicialComplex._trusted(
-            self.labels, self.faces_by_dim[: d + 1], sorted_faces
-        )
+        return SimplicialComplex._trusted(self.labels, self.faces_by_dim[: d + 1])
 
-    @cached_property
+    @property
     def edges(self) -> tuple[Simplex, ...]:
-        return tuple(self.faces(1))
+        return self._bucket(1)
 
-    @cached_property
+    @property
     def triangles(self) -> tuple[Simplex, ...]:
-        return tuple(self.faces(2))
+        return self._bucket(2)
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
@@ -210,8 +211,9 @@ def order_complex(
     faces are counted first, so more than ``chain_cap`` of them raises
     :class:`ChainCapExceeded` before any chain is listed. Chains come
     sorted, distinct and downward closed (subchains of chains are
-    chains), so each goes straight into its dimension's bucket; every
-    poset element is a vertex.
+    chains), in lexicographic order, so each goes straight into its
+    dimension's bucket and every bucket comes out sorted; every poset
+    element is a vertex.
     """
     if skeleton_dim is not None and skeleton_dim < 0:
         raise ValueError("skeleton dimension must be >= 0")
@@ -221,8 +223,4 @@ def order_complex(
     for chain in p.chains(max_len):
         buckets[len(chain) - 1].append(chain)
     labels = tuple(p.element_label(i) for i in range(len(p)))
-    return SimplicialComplex._trusted(
-        labels,
-        tuple(frozenset(b) for b in buckets),
-        tuple(tuple(b) for b in buckets[1:3]),
-    )
+    return SimplicialComplex._trusted(labels, tuple(map(tuple, buckets)))

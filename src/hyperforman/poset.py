@@ -89,18 +89,20 @@ class Poset:
 
     ``elements`` are stored in a canonical order (by size, then sorted
     members) so indices are stable regardless of construction order.
-    ``covers`` holds index pairs ``(q, p)`` with p covering q, so q < p
-    (the constructor rejects any other pair); it is the transitive
-    reduction of inclusion and is normally computed by :meth:`from_sets`,
-    not passed by hand.
+    ``covers`` holds index pairs ``(q, p)`` with p covering q, so q < p;
+    it is the transitive reduction of inclusion and is normally computed
+    by :meth:`from_sets`, not passed by hand. The raw constructor
+    rejects repeated elements and any other cover set.
     """
 
     elements: tuple[frozenset, ...]
     covers: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        # _trusted skips this; every other construction runs it
+        n = len(self.elements)
         for q, p in self.covers:
-            if not (0 <= q < len(self.elements) and 0 <= p < len(self.elements)):
+            if not (0 <= q < n and 0 <= p < n):
                 raise ValueError(f"cover pair ({q}, {p}) out of range")
             if q >= p:
                 raise ValueError(f"cover pair ({q}, {p}) does not go up in index")
@@ -108,6 +110,36 @@ class Poset:
                 raise ValueError(
                     f"cover pair ({q}, {p}) does not respect inclusion"
                 )
+        where = {e: i for i, e in enumerate(self.elements)}
+        if len(where) != n:
+            raise ValueError("poset elements repeat a set")
+        found = Poset.from_sets(self.elements)
+        expected = {
+            (where[found.elements[q]], where[found.elements[p]])
+            for q, p in found.covers
+        }
+        extra, missing = self.covers - expected, expected - self.covers
+        if extra:
+            raise ValueError(
+                f"cover pair {min(extra)} is not a cover: an element lies between"
+            )
+        if missing:
+            raise ValueError(f"covers lack the cover pair {min(missing)}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        elements: tuple[frozenset, ...],
+        covers: frozenset[tuple[int, int]],
+        above: tuple[tuple[int, ...], ...],
+    ) -> "Poset":
+        """Build without checks from distinct elements in canonical order,
+        their covers and their complete up sets, which seed ``_above``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "elements", elements)
+        object.__setattr__(p, "covers", covers)
+        p.__dict__["_above"] = above
+        return p
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable]) -> "Poset":
@@ -141,10 +173,10 @@ class Poset:
                     covers.append((i, j))
                     up.add(j)
                     up |= above[j]
-        p = cls(elements, frozenset(covers))
         # the up sets are complete, so they seed the _above cache
-        p.__dict__["_above"] = tuple(tuple(sorted(s)) for s in above)
-        return p
+        return cls._trusted(
+            elements, frozenset(covers), tuple(tuple(sorted(s)) for s in above)
+        )
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -1,7 +1,9 @@
 import random
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperforman import (
     ChainCapExceeded,
@@ -51,6 +53,33 @@ class TestConstruction:
             SimplicialComplex(("a", "b"), (F({(0,)}), F({(0, 1)})))
 
     @pytest.mark.parametrize(
+        "faces, message",
+        [
+            ((F({(0,), (1,)}), F({(1, 0)})), r"\(1, 0\) is not 2 strictly increasing"),
+            ((F({(0,), (1,)}), F({(0,)})), r"\(0,\) is not 2 strictly increasing"),
+            (([(0,), (1,)], [(0, 1), (0, 1)]), r"\(0, 1\) is listed twice"),
+            (([(0,), (1,), (0,)], []), r"\(0,\) is listed twice"),
+        ],
+        ids=["decreasing-edge", "vertex-in-edges", "edge-twice", "vertex-twice"],
+    )
+    def test_rejects_malformed_buckets(self, faces, message):
+        with pytest.raises(ValueError, match=message):
+            SimplicialComplex(("a", "b"), faces)
+
+    @given(complexes(), st.randoms(use_true_random=False))
+    def test_sorts_shuffled_buckets_like_from_faces(self, k, rng):
+        expected = SimplicialComplex.from_faces(
+            k.labels, [f for b in k.faces_by_dim for f in b]
+        )
+        shuffled = []
+        for bucket in expected.faces_by_dim:
+            faces = list(bucket)
+            rng.shuffle(faces)
+            shuffled.append(faces)
+        assert SimplicialComplex(expected.labels, tuple(shuffled)) == expected
+        assert all(type(b) is tuple for b in expected.faces_by_dim)
+
+    @pytest.mark.parametrize(
         "labels, faces",
         [
             (("a", "b"), (F({(0,)}),)),
@@ -71,9 +100,19 @@ class TestConstruction:
         assert SimplicialComplex((), ()) == k
 
     @given(complexes())
-    def test_always_downward_closed(self, k):
-        from itertools import combinations
+    def test_has_face_agrees_with_faces(self, k):
+        assert not k.has_face(())
+        for d in range(k.dim + 3):
+            present = set(k.faces(d))
+            # every present face, and absent ones: non-faces, faces past
+            # dim and faces through the vertex past the labels
+            tried = islice(combinations(range(k.n_vertices + 1), d + 1), 300)
+            for f in present.union(tried):
+                assert k.has_face(f) == (f in present), f
+                assert k.has_face(reversed(f)) == (f in present), f
 
+    @given(complexes())
+    def test_always_downward_closed(self, k):
         for d in range(1, k.dim + 1):
             for f in k.faces(d):
                 for sub in combinations(f, d):
@@ -81,12 +120,11 @@ class TestConstruction:
 
 
 def assert_same_complex(k, checked, note):
-    """k equals the checked complex, and so do the sorted faces, the
-    edge -> triangles index and the degrees that k may have been seeded
-    with: dataclass equality never looks at those caches."""
+    """k equals the checked complex, and so do the edge -> triangles
+    index and the degrees cached from it. Dataclass equality compares
+    the sorted buckets, so it covers the order of the edges and
+    triangles, but never looks at those caches."""
     assert k == checked, note
-    assert k.edges == checked.edges, note
-    assert k.triangles == checked.triangles, note
     for e in checked.edges:
         assert k.triangles_containing(e) == checked.triangles_containing(e), note
     for v in range(checked.n_vertices):
@@ -243,7 +281,7 @@ class TestSkeleton:
         assert_skeletons_match_closed_faces(SimplicialComplex(k.labels, k.faces_by_dim))
 
     def test_matches_closed_faces_of_a_4_simplex(self):
-        # a skeleton seeds its triangles only when cut below dimension 3
+        # every cut from 0 to past dim, a cut keeping the triangles included
         assert_skeletons_match_closed_faces(
             SimplicialComplex.from_faces("abcdef", [(0, 1, 2, 3, 4), (4, 5)])
         )

@@ -64,6 +64,31 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"\(1, 0\) does not go up in index"):
             Poset((F("ab"), F("a")), frozenset({(1, 0)}))
 
+    @pytest.mark.parametrize(
+        "elements, covers, message",
+        [
+            ((F("a"), F("ab")), [], r"lack the cover pair \(0, 1\)"),
+            (
+                (F("a"), F("ab"), F("abc")),
+                [(0, 1), (1, 2), (0, 2)],
+                r"\(0, 2\) is not a cover",
+            ),
+            ((F("a"), F("a")), [], "repeat a set"),
+        ],
+        ids=["missing-cover", "transitive-pair", "repeated-element"],
+    )
+    def test_raw_covers_must_be_the_reduction(self, elements, covers, message):
+        with pytest.raises(ValueError, match=message):
+            Poset(elements, frozenset(covers))
+
+    def test_from_sets_skips_the_raw_check(self, monkeypatch):
+        def check(self):
+            raise AssertionError("Poset.__post_init__ was called")
+
+        monkeypatch.setattr(Poset, "__post_init__", check)
+        p = Poset.from_sets([F("a"), F("ab"), F("b")])
+        assert p.covers == {(0, 2), (1, 2)}
+
     @given(set_families(), st.data())
     def test_permuted_elements_rejected_or_give_sorted_edges(self, fam, data):
         p = Poset.from_sets(fam)
