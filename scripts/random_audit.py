@@ -2,8 +2,9 @@
 """Randomized audit: draw random hypernetworks and verify, for each one,
 that its poset's covers are the transitive reduction of inclusion found
 by testing every pair, that the counted chains of the poset match the
-f-vector of the listed order complex, that the order complex (built
-without checks from the chain walk) and its 2-skeleton (a slice of its
+f-vector of its order complex, that the order complex (built level by
+level, without checks) holds, bucket by bucket and in order, the chains
+that ``Poset.chains`` lists, that it and its 2-skeleton (a slice of its
 buckets) each equal what the checked constructor builds from their
 faces, that the curvature balance closes exactly, and that on every
 edge of the order complex's 2-skeleton the balance's curvature equals
@@ -49,6 +50,17 @@ def brute_covers(elements) -> set[tuple[int, int]]:
         for i in under
         if not any(i in below[k] for k in under)
     }
+
+
+def grouped_chains(p) -> tuple:
+    """The chains ``Poset.chains`` lists, one tuple per size in the order
+    they are listed, shaped like ``SimplicialComplex.faces_by_dim``."""
+    buckets: list[list[tuple[int, ...]]] = []
+    for c in p.chains():
+        while len(buckets) < len(c):
+            buckets.append([])
+        buckets[len(c) - 1].append(c)
+    return tuple(map(tuple, buckets))
 
 
 def brute_ricci(k, e) -> int:
@@ -116,8 +128,15 @@ def main() -> int:
         full = order_complex(p)
         if p.chain_counts() != full.f_vector():
             return fail(
-                f"network {i}: counted f-vector {p.chain_counts()} but listed "
+                f"network {i}: counted f-vector {p.chain_counts()} but built "
                 f"{full.f_vector()}",
+                h,
+            )
+        listed = grouped_chains(p)
+        if full.faces_by_dim != listed:
+            return fail(
+                f"network {i}: order complex buckets {full.faces_by_dim} but "
+                f"the chain listing gives {listed}",
                 h,
             )
         k = full.skeleton(2)
@@ -148,8 +167,9 @@ def main() -> int:
     dt = time.perf_counter() - t0
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
-        f"covers and chain counts match, the order complexes and 2-skeletons "
-        f"equal their checked builds, all balances exact, "
+        f"covers and chain counts match, the order complexes hold the listed "
+        f"chains, they and their 2-skeletons equal their checked builds, all "
+        f"balances exact, "
         f"both curvature routes agree with the brute count, geometric chi "
         f"matches the face count ({dt:.2f}s)"
     )

@@ -313,15 +313,20 @@ def _json_text(obj) -> str:
     return "".join(chunks)
 
 
-def emit(args, human_lines, json_obj, csv_header, csv_rows) -> None:
+def emit(args, human, json_obj, csv_table) -> None:
+    """Write the report in the ``--output`` format. Each payload is a
+    zero-argument callable and only the chosen one is called: ``human``
+    gives the lines, ``json_obj`` the object, ``csv_table`` the header
+    and the rows."""
     if args.output == "json":
-        sys.stdout.write(_json_text(json_obj))
+        sys.stdout.write(_json_text(json_obj()))
     elif args.output == "csv":
+        header, rows = csv_table()
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        sys.stdout.write("\n".join(human_lines) + "\n")
+        sys.stdout.write("\n".join(human()) + "\n")
 
 
 # -- formatting helpers ------------------------------------------------------
@@ -357,6 +362,21 @@ def chi_display(a: Analysis, value) -> str:
     if isinstance(value, dict):
         return f"not ranked ({a.rank.describe()})"
     return str(value)
+
+
+def curvature_lines(a: Analysis) -> list[str]:
+    k2 = a.skeleton
+    lines = [
+        f"edge {label}: triangles={t} parallel={p} ric={r} closed={c} "
+        + ("ok" if r == c else "MISMATCH")
+        for label, t, p, r, c in a.edge_rows
+    ]
+    lines += [
+        f"vertex {k2.vertex_label(v)}: {_decimal(term)}"
+        for v, term in a.balance.vertex_terms.items()
+    ]
+    lines += [f"triangle {k2.face_label(t)}: {TRIANGLE_TERM}" for t in k2.triangles]
+    return lines
 
 
 def curvature_obj(a: Analysis) -> dict:
@@ -411,7 +431,7 @@ def cmd_validate(a: Analysis) -> int:
     else:
         human = [a.loaded.network.summary()]
     rows = [(field, value) for field, value in obj.items() if field != "kind"]
-    emit(a.args, human, obj, ("field", "value"), rows)
+    emit(a.args, lambda: human, lambda: obj, lambda: (("field", "value"), rows))
     return EXIT_OK
 
 
@@ -425,7 +445,8 @@ def cmd_chi(a: Analysis) -> int:
             rows.append((m, "not-ranked"))
         else:
             rows.append((m, v))
-    emit(a.args, human, {"chi": a.chi}, ("method", "value"), rows)
+    header = ("method", "value")
+    emit(a.args, lambda: human, lambda: {"chi": a.chi}, lambda: (header, rows))
     return EXIT_OK
 
 
@@ -481,22 +502,23 @@ def cmd_curvature(a: Analysis) -> int:
     _check_directed_flags(args, a.loaded)
     if args.directed:
         human, obj, rows = _directed_section(a.loaded.network, _directed_config(args))
-        emit(args, human, {"directed": obj}, ("metric", "key", "value"), rows)
+        emit(
+            args,
+            lambda: human,
+            lambda: {"directed": obj},
+            lambda: (("metric", "key", "value"), rows),
+        )
         return EXIT_OK
 
-    k2 = a.skeleton
-    human = [
-        f"edge {label}: triangles={t} parallel={p} ric={r} closed={c} "
-        + ("ok" if r == c else "MISMATCH")
-        for label, t, p, r, c in a.edge_rows
-    ]
-    human += [
-        f"vertex {k2.vertex_label(v)}: {_decimal(term)}"
-        for v, term in a.balance.vertex_terms.items()
-    ]
-    human += [f"triangle {k2.face_label(t)}: {TRIANGLE_TERM}" for t in k2.triangles]
-    header = ("edge", "triangles", "parallel", "ric")
-    emit(args, human, curvature_obj(a), header, [row[:4] for row in a.edge_rows])
+    emit(
+        args,
+        lambda: curvature_lines(a),
+        lambda: curvature_obj(a),
+        lambda: (
+            ("edge", "triangles", "parallel", "ric"),
+            [row[:4] for row in a.edge_rows],
+        ),
+    )
     return EXIT_OK
 
 
@@ -535,7 +557,7 @@ def cmd_gauss_bonnet(a: Analysis) -> int:
         ("chi", report.chi),
         ("residual", str(report.residual)),
     ]
-    emit(a.args, human, obj, ("component", "value"), rows)
+    emit(a.args, lambda: human, lambda: obj, lambda: (("component", "value"), rows))
     return balance_status(report)
 
 
@@ -548,7 +570,8 @@ def cmd_filtrate(a: Analysis) -> int:
     if not rows:
         human = ["empty complex: no filtration steps"]
     obj = {"filtration": filtration_obj(a)}
-    emit(a.args, human, obj, ("threshold", "f0", "f1", "f2", "chi"), rows)
+    header = ("threshold", "f0", "f1", "f2", "chi")
+    emit(a.args, lambda: human, lambda: obj, lambda: (header, rows))
     return EXIT_OK
 
 

@@ -7,9 +7,11 @@ are buckets 1 and 2 as they stand; the edge-to-triangle index is a
 dict. Complexes are immutable once built. The raw constructor and
 :meth:`SimplicialComplex.from_faces` check their faces, since these come
 from callers. :func:`order_complex` and :meth:`SimplicialComplex.skeleton`
-build without checking: chains of a poset come sorted, distinct and
-downward closed, and a skeleton is a prefix of a complex that was
-checked when it was built.
+build without checking. The order complex is built one dimension at a
+time, each level extending the chains of the one below by the elements
+above their last one, which keeps every bucket sorted, distinct and
+downward closed; a skeleton is a prefix of a complex that was checked
+when it was built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable
 
-from .poset import DEFAULT_CHAIN_CAP
+from .poset import DEFAULT_CHAIN_CAP, ChainCapExceeded
 
 if TYPE_CHECKING:
     from .poset import Poset
@@ -36,8 +38,9 @@ class SimplicialComplex:
     of d + 1 increasing vertex indices. Every index 0..len(labels)-1 is a
     vertex of the complex; labels are only used for reporting. The raw
     constructor sorts each bucket it is given and checks the face shapes,
-    repeats, closure, and that its vertices are exactly the label
-    indices; :meth:`from_faces` accepts arbitrary faces and closes them.
+    repeats, closure, that the top bucket is not empty, and that its
+    vertices are exactly the label indices; :meth:`from_faces` accepts
+    arbitrary faces and closes them.
     """
 
     labels: tuple[str, ...]
@@ -56,6 +59,9 @@ class SimplicialComplex:
             for f, g in zip(bucket, bucket[1:]):
                 if f == g:
                     raise ValueError(f"face {f} is listed twice")
+        if buckets and not buckets[-1]:
+            # the same faces would otherwise make complexes of two dimensions
+            raise ValueError(f"top bucket (dimension {len(buckets) - 1}) is empty")
         # codimension-1 closure implies full closure by induction
         for d in range(1, len(buckets)):
             below = set(buckets[d - 1])
@@ -169,15 +175,23 @@ class SimplicialComplex:
     def _edge_triangles(self) -> dict[Simplex, tuple[Simplex, ...]]:
         idx: dict[Simplex, list[Simplex]] = {e: [] for e in self.edges}
         for t in self.triangles:
-            for e in combinations(t, 2):
-                idx[e].append(t)
+            u, v, w = t
+            idx[u, v].append(t)
+            idx[u, w].append(t)
+            idx[v, w].append(t)
         return {e: tuple(ts) for e, ts in idx.items()}
 
     def _edge_entry(self, e: Iterable[int]) -> tuple[Simplex, tuple[Simplex, ...]]:
-        """The sorted edge e and the triangles on it, from one lookup in
-        the index, whose keys are exactly the edges."""
+        """The sorted edge e and the triangles on it from the index, whose
+        keys are exactly the edges. A stored edge is found as it is; any
+        other pair is sorted first."""
+        index = self._edge_triangles
+        if type(e) is tuple:
+            triangles = index.get(e)
+            if triangles is not None:
+                return e, triangles
         t = tuple(sorted(e))
-        triangles = self._edge_triangles.get(t)
+        triangles = index.get(t)
         if triangles is None:
             raise ValueError(f"edge {t} is not a face of the complex")
         return t, triangles
@@ -197,7 +211,7 @@ class SimplicialComplex:
         return self.labels[v]
 
     def face_label(self, f: Iterable[int]) -> str:
-        return "|".join(self.labels[v] for v in sorted(f))
+        return "|".join(map(self.labels.__getitem__, sorted(f)))
 
 
 def order_complex(
@@ -208,19 +222,38 @@ def order_complex(
     """The chain complex of a poset: one m-simplex per (m+1)-chain.
 
     ``skeleton_dim`` bounds the dimension (None means unbounded). The
-    faces are counted first, so more than ``chain_cap`` of them raises
-    :class:`ChainCapExceeded` before any chain is listed. Chains come
-    sorted, distinct and downward closed (subchains of chains are
-    chains), in lexicographic order, so each goes straight into its
-    dimension's bucket and every bucket comes out sorted; every poset
-    element is a vertex.
+    complex is built level by level: the chains with m + 2 elements are
+    the chains with m + 1 elements, each extended by every element above
+    its last one. Each level's size is summed from the previous level
+    first, so more than ``chain_cap`` faces raises
+    :class:`ChainCapExceeded` before a dimension that passes the cap is
+    listed. Elements are indexed in an order where every comparable pair
+    points upward, and extending a lexicographically sorted level by
+    ascending successors keeps it sorted, so every bucket comes out
+    sorted, distinct and downward closed; every poset element is a
+    vertex.
     """
     if skeleton_dim is not None and skeleton_dim < 0:
         raise ValueError("skeleton dimension must be >= 0")
     max_len = None if skeleton_dim is None else skeleton_dim + 1
-    counts = p.chain_counts(max_len, chain_cap)
-    buckets: list[list[Simplex]] = [[] for _ in counts]
-    for chain in p.chains(max_len):
-        buckets[len(chain) - 1].append(chain)
+    above = p._above
+    buckets: list[tuple[Simplex, ...]] = []
+    size, total = len(p), 0
+    while size:
+        total += size
+        if total > chain_cap:
+            raise ChainCapExceeded(
+                f"order complex has {total} faces up to dimension {len(buckets)}",
+                total,
+                chain_cap,
+            )
+        if buckets:
+            level = [c + (j,) for c in buckets[-1] for j in above[c[-1]]]
+        else:
+            level = [(i,) for i in range(size)]
+        buckets.append(tuple(level))
+        if len(buckets) == max_len:
+            break
+        size = sum([len(above[c[-1]]) for c in level])
     labels = tuple(p.element_label(i) for i in range(len(p)))
-    return SimplicialComplex._trusted(labels, tuple(map(tuple, buckets)))
+    return SimplicialComplex._trusted(labels, tuple(buckets))

@@ -65,7 +65,8 @@ def forman_ricci(k: SimplicialComplex, e: Iterable[int]) -> int:
     e, triangles = k._edge_entry(e)
     u, v = e
     degrees = k._degrees
-    shared = {f for t in triangles for f in combinations(t, 2)} - {e}
+    shared = {f for t in triangles for f in combinations(t, 2)}
+    shared.discard(e)
     parallels = degrees[u] - 1 + degrees[v] - 1 - len(shared)
     return len(triangles) - parallels + 2
 

@@ -76,7 +76,7 @@ class RankFunction:
 
 
 def set_label(s: frozenset) -> str:
-    return "{" + ",".join(str(x) for x in sorted(s)) + "}"
+    return "{" + ",".join(map(str, sorted(s))) + "}"
 
 
 def _canonical_key(s: frozenset):
@@ -295,6 +295,9 @@ class Poset:
         lexicographic order, each exactly once. Comparability is full
         inclusion, not just covers. Nothing here bounds the output:
         callers check :meth:`chain_counts` against their cap first.
+        :func:`~hyperforman.complexes.order_complex` builds its chains
+        level by level instead; this listing is the reference it is
+        tested against.
         """
         if max_length is not None and max_length < 1:
             return

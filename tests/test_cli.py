@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hyperforman import Poset, serialize
+from hyperforman import cli, serialize
 from hyperforman.cli import _json_text, main
 
 from conftest import coatoms, hub_star, time_limit, tower_poset_json
@@ -338,10 +338,10 @@ class TestChi:
         )
 
     def test_counts_without_listing_chains(self, capsys, corpus_dir, monkeypatch):
-        def listing(*args, **kwargs):
-            raise AssertionError("Poset.chains was called")
+        def building(*args, **kwargs):
+            raise AssertionError("order_complex was called")
 
-        monkeypatch.setattr(Poset, "chains", listing)
+        monkeypatch.setattr(cli, "order_complex", building)
         example = corpus_path(corpus_dir, NET, "example.json")
         rc, out, _ = run(capsys, "chi", "--chi-method", "delta", example)
         assert rc == 0
@@ -428,6 +428,26 @@ class TestCurvature:
         lines = out.splitlines()
         assert "vertex_sum,1" in lines
         assert "residual,0" in lines
+
+    def test_builds_only_the_chosen_output(self, capsys, corpus_dir, monkeypatch):
+        example = corpus_path(corpus_dir, NET, "example.json")
+        rc, json_out, _ = run(capsys, "curvature", example, "--output", "json")
+        assert rc == 0
+
+        def building(a):
+            raise AssertionError("curvature_obj was called")
+
+        monkeypatch.setattr(cli, "curvature_obj", building)
+        rc, out, _ = run(capsys, "curvature", example)
+        assert rc == 0
+        assert out.startswith("edge ")
+        rc, out, _ = run(capsys, "curvature", example, "--output", "csv")
+        assert rc == 0
+        assert out.startswith("edge,triangles,parallel,ric\n")
+        monkeypatch.undo()
+        rc, out, _ = run(capsys, "curvature", example, "--output", "json")
+        assert (rc, out) == (0, json_out)
+        assert len(json.loads(out)["edges"]) == 9
 
     def test_truncation_note_replaces_warning(self, capsys, corpus_dir):
         with warnings.catch_warnings(record=True) as caught:

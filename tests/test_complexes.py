@@ -10,6 +10,7 @@ from hyperforman import (
     Poset,
     SimplicialComplex,
     forman_ricci,
+    forman_ricci_closed,
     order_complex,
     poset_from_hypernetwork,
     random_hypernetwork,
@@ -22,7 +23,7 @@ from conftest import (
     hypernetworks,
     set_families,
 )
-from helpers import brute_chains
+from helpers import brute_chains, grouped_chains
 
 F = frozenset
 
@@ -78,6 +79,20 @@ class TestConstruction:
             shuffled.append(faces)
         assert SimplicialComplex(expected.labels, tuple(shuffled)) == expected
         assert all(type(b) is tuple for b in expected.faces_by_dim)
+
+    @pytest.mark.parametrize(
+        "labels, faces",
+        [(("a",), (((0,),), ())), ((), ((),))],
+        ids=["empty-edges", "empty-vertices"],
+    )
+    def test_rejects_empty_top_bucket(self, labels, faces):
+        # the same faces would otherwise make a complex one dimension up,
+        # unequal to the one from_faces builds
+        with pytest.raises(ValueError, match=r"top bucket \(dimension \d\) is empty"):
+            SimplicialComplex(labels, faces)
+        assert SimplicialComplex(labels, faces[:-1]) == SimplicialComplex.from_faces(
+            labels, []
+        )
 
     @pytest.mark.parametrize(
         "labels, faces",
@@ -204,10 +219,11 @@ class TestOrderComplex:
 
     def test_cap_is_counted_before_listing(self, example_net, monkeypatch):
         def listing(*args, **kwargs):
-            raise AssertionError("Poset.chains was called")
+            raise AssertionError("Poset.chains or Poset.chain_counts was called")
 
         p = poset_from_hypernetwork(example_net)  # f = (6, 9, 4)
         monkeypatch.setattr(Poset, "chains", listing)
+        monkeypatch.setattr(Poset, "chain_counts", listing)
         with pytest.raises(ChainCapExceeded) as caught:
             order_complex(p, chain_cap=10)
         assert (caught.value.count, caught.value.cap) == (15, 10)
@@ -215,6 +231,21 @@ class TestOrderComplex:
             "order complex has 15 faces up to dimension 1, "
             "over the chain cap of 10"
         )
+        assert order_complex(p, chain_cap=19).f_vector() == (6, 9, 4)
+
+    @pytest.mark.parametrize("skeleton_dim", [None, 0, 1, 2, 4])
+    def test_levels_match_the_chain_listing(self, skeleton_dim):
+        max_length = None if skeleton_dim is None else skeleton_dim + 1
+        rng = random.Random(23)
+        posets = [Poset.from_sets([])]
+        for i in range(60):
+            h = random_hypernetwork(rng, max_nodes=16, max_hypervertices=9)
+            posets.append(poset_from_hypernetwork(h, include_singletons=i % 4 != 3))
+        assert max(len(grouped_chains(p)) for p in posets) > 5
+        for p in posets:
+            cx = order_complex(p, skeleton_dim)
+            assert cx.faces_by_dim == grouped_chains(p, max_length)
+            assert all(list(b) == sorted(b) for b in cx.faces_by_dim)
 
     @given(hypernetworks(max_nodes=6, max_hypervertices=3))
     @settings(max_examples=40)
@@ -307,6 +338,13 @@ class TestDegree:
             corpus["path3"].degree(v)
 
 
+EDGE_QUERIES = (
+    SimplicialComplex.triangles_containing,
+    forman_ricci,
+    forman_ricci_closed,
+)
+
+
 class TestTrianglesContaining:
     def test_tetrahedron_every_edge_in_two(self, corpus):
         k = corpus["tetrahedron"]
@@ -323,6 +361,21 @@ class TestTrianglesContaining:
     def test_absent_edge_raises(self, corpus, e):
         with pytest.raises(ValueError, match="not a face"):
             corpus["path3"].triangles_containing(e)
+
+    @given(complexes())
+    def test_any_form_of_an_edge_gives_the_same_answer(self, k):
+        for u, v in k.edges:
+            for query in EDGE_QUERIES:
+                expected = query(k, (u, v))
+                assert query(k, (v, u)) == expected
+                assert query(k, [u, v]) == expected
+                assert query(k, [v, u]) == expected
+
+    @pytest.mark.parametrize("e", ABSENT_EDGES, ids=ABSENT_EDGE_IDS)
+    @pytest.mark.parametrize("query", EDGE_QUERIES, ids=lambda q: q.__name__)
+    def test_absent_edge_as_a_list_raises(self, corpus, query, e):
+        with pytest.raises(ValueError, match="not a face"):
+            query(corpus["path3"], list(e))
 
     @given(complexes())
     def test_sorted_like_brute_force(self, k):
