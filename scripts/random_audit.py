@@ -6,12 +6,15 @@ f-vector of its order complex, that the order complex (built level by
 level, without checks) holds, bucket by bucket and in order, the chains
 that ``Poset.chains`` lists, that it and its 2-skeleton (a slice of its
 buckets) each equal what the checked constructor builds from their
-faces, that the curvature balance closes exactly, and that on every
-edge of the order complex's 2-skeleton the balance's curvature equals
-both the closed form and a brute count made here from the edges and
-triangles alone. It also checks that the network's geometric chi (the
-signed intersection walk on node bitmasks) equals a count made here of
-every face of the simplex view. The first failure is printed with its
+faces, that the curvature balance closes exactly, that at skeleton 0, 1
+and 2 the balance read from the poset's counts (``poset_gauss_bonnet``,
+as ``gauss-bonnet`` prints it) equals the one taken on that skeleton of
+the order complex, and that on every edge of the order complex's
+2-skeleton the balance's curvature equals both the closed form and a
+brute count made here from the edges and triangles alone. It also
+checks that the network's geometric chi (the signed intersection walk
+on node bitmasks) equals a count made here of every face of the simplex
+view. The first failure is printed with its
 network and the script exits 1."""
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from hyperforman import (
     geometric_euler_characteristic,
     order_complex,
     poset_from_hypernetwork,
+    poset_gauss_bonnet,
     random_hypernetwork,
     serialize,
 )
@@ -74,6 +78,10 @@ def brute_ricci(k, e) -> int:
         if len(set(e) & set(f)) == 1 and not any(set(f) <= t for t in on_e)
     )
     return len(on_e) - parallels + 2
+
+
+def balance_numbers(rep) -> tuple:
+    return (rep.vertex_sum, rep.ricci_sum, rep.triangle_sum, rep.chi, rep.residual)
 
 
 def face_count_chi(h) -> int:
@@ -154,6 +162,17 @@ def main() -> int:
         report = gauss_bonnet(k)
         if report.residual != 0:
             return fail(f"network {i}: residual {report.residual}", h)
+        for skeleton in (0, 1, 2):
+            on_complex = balance_numbers(gauss_bonnet(full.skeleton(skeleton)))
+            counted = balance_numbers(
+                poset_gauss_bonnet(p, p.chain_counts(skeleton + 1))
+            )
+            if counted != on_complex:
+                return fail(
+                    f"network {i}, skeleton {skeleton}: balance from counts "
+                    f"{counted} but on the complex {on_complex}",
+                    h,
+                )
         for e in k.edges:
             ric = report.ricci[e]
             closed, brute = forman_ricci_closed(k, e), brute_ricci(k, e)
@@ -169,7 +188,7 @@ def main() -> int:
         f"{args.count} random hypernetworks, {edges_checked} edges: "
         f"covers and chain counts match, the order complexes hold the listed "
         f"chains, they and their 2-skeletons equal their checked builds, all "
-        f"balances exact, "
+        f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "
         f"both curvature routes agree with the brute count, geometric chi "
         f"matches the face count ({dt:.2f}s)"
     )

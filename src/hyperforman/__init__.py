@@ -4,6 +4,7 @@ exact combinatorial Ricci curvature and Gauss-Bonnet accounting."""
 from .complexes import SimplicialComplex, order_complex
 from .curvature import (
     TRIANGLE_TERM,
+    CurvatureBalance,
     CurvatureReport,
     DirectedComplex,
     DirectedConfig,
@@ -13,6 +14,7 @@ from .curvature import (
     forman_ricci,
     forman_ricci_closed,
     gauss_bonnet,
+    poset_gauss_bonnet,
     two_skeleton,
     vertex_curvature,
 )
@@ -42,6 +44,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainCapExceeded",
+    "CurvatureBalance",
     "CurvatureReport",
     "DEFAULT_CHAIN_CAP",
     "DirectedComplex",
@@ -68,6 +71,7 @@ __all__ = [
     "order_complex",
     "parse",
     "poset_from_hypernetwork",
+    "poset_gauss_bonnet",
     "random_hypernetwork",
     "serialize",
     "two_skeleton",

@@ -3,7 +3,9 @@
 Subcommands: validate, chi, curvature, gauss-bonnet, filtrate, report.
 Inputs are hypernetwork files (JSON or text) or poset JSON files (an
 object with an ``elements`` key); the pipeline is input -> inclusion
-poset -> face counts of its order complex -> 2-skeleton -> curvature.
+poset -> face counts of its order complex -> 2-skeleton -> curvature,
+except that gauss-bonnet reads its balance from the face counts and the
+poset's up and down sizes and builds no complex.
 Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
 subcommands only format what it holds. Exit codes: 0 success, 2 invalid
@@ -29,6 +31,7 @@ from . import hypernet
 from .complexes import SimplicialComplex, order_complex
 from .curvature import (
     TRIANGLE_TERM,
+    CurvatureBalance,
     CurvatureReport,
     DirectedComplex,
     DirectedConfig,
@@ -37,8 +40,9 @@ from .curvature import (
     curvature_filtration,
     forman_ricci_closed,
     gauss_bonnet,
+    poset_gauss_bonnet,
     two_skeleton,  # noqa: F401  not called here; perfbench/tracing.py patches it
-    vertex_curvature,  # noqa: F401  not called here; perfbench/tracing.py patches it
+    vertex_curvature,
 )
 from .hypernet import (
     Hypernetwork,
@@ -170,10 +174,10 @@ class Analysis:
         )
 
     @cached_property
-    def skeleton(self) -> SimplicialComplex:
-        """The complex curvature operates on: the order complex cut to
-        dimension 2 at most. No face above dimension 2 is built; a note
-        on stderr says when the complex has any."""
+    def curvature_counts(self) -> tuple[int, ...]:
+        """The face counts curvature reads: the f-vector cut to
+        dimension 2. A note on stderr says when the complex has faces
+        above dimension 2."""
         dim = len(self.f_vector) - 1
         if dim > 2:
             print(
@@ -181,16 +185,27 @@ class Analysis:
                 "curvature operates on its 2-skeleton",
                 file=sys.stderr,
             )
-        skeleton = self.args.skeleton
+        return self.f_vector[:3]
+
+    @cached_property
+    def skeleton(self) -> SimplicialComplex:
+        """The complex curvature operates on: the order complex built up
+        to the dimension its counts reach, 2 at most."""
         return order_complex(
             self.poset,
-            skeleton_dim=2 if skeleton is None else min(skeleton, 2),
+            skeleton_dim=max(len(self.curvature_counts) - 1, 0),
             chain_cap=self.args.chain_cap,
         )
 
     @cached_property
     def balance(self) -> CurvatureReport:
         return gauss_bonnet(self.skeleton)
+
+    @cached_property
+    def counted_balance(self) -> CurvatureBalance:
+        """The balance of :attr:`balance`, from the counts and the poset
+        alone: no chain is listed and no complex is built."""
+        return poset_gauss_bonnet(self.poset, self.curvature_counts)
 
     @cached_property
     def edge_rows(self) -> list[tuple[str, int, int, int, int]]:
@@ -372,8 +387,8 @@ def curvature_lines(a: Analysis) -> list[str]:
         for label, t, p, r, c in a.edge_rows
     ]
     lines += [
-        f"vertex {k2.vertex_label(v)}: {_decimal(term)}"
-        for v, term in a.balance.vertex_terms.items()
+        f"vertex {k2.vertex_label(v)}: {_decimal(vertex_curvature(k2, v))}"
+        for v in range(k2.n_vertices)
     ]
     lines += [f"triangle {k2.face_label(t)}: {TRIANGLE_TERM}" for t in k2.triangles]
     return lines
@@ -394,8 +409,8 @@ def curvature_obj(a: Analysis) -> dict:
             for label, t, p, r, c in a.edge_rows
         ],
         "vertices": [
-            {"vertex": k2.vertex_label(v), "term": _exact(term)}
-            for v, term in a.balance.vertex_terms.items()
+            {"vertex": k2.vertex_label(v), "term": _exact(vertex_curvature(k2, v))}
+            for v in range(k2.n_vertices)
         ],
         "triangles": [
             {"triangle": k2.face_label(t), "term": TRIANGLE_TERM}
@@ -411,7 +426,7 @@ def filtration_obj(a: Analysis) -> list[dict]:
     ]
 
 
-def balance_status(report: CurvatureReport) -> int:
+def balance_status(report: CurvatureBalance) -> int:
     if report.residual != 0:
         print("error: curvature does not balance the Euler characteristic",
               file=sys.stderr)
@@ -529,7 +544,7 @@ def _require_undirected(loaded: Loaded, what: str) -> None:
 
 def cmd_gauss_bonnet(a: Analysis) -> int:
     _require_undirected(a.loaded, "gauss-bonnet")
-    report = a.balance
+    report = a.counted_balance
     equation = (
         f"{_decimal(report.vertex_sum)} - {report.ricci_sum} + "
         f"{report.triangle_sum} = {report.chi} = chi"

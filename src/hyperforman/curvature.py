@@ -19,7 +19,9 @@ below it). These are tuned so that
 
     sum(vertex terms) - sum(ric) + sum(triangle terms) = chi
 
-holds exactly, which is what :func:`gauss_bonnet` verifies.
+holds exactly, which is what :func:`gauss_bonnet` verifies on a complex
+and :func:`poset_gauss_bonnet` on the order complex of a poset, from its
+counts alone.
 
 The directed variants accept a 2-complex whose every edge carries a
 direction; triangles whose edge orientations are coherent (transitive or
@@ -32,10 +34,14 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Literal, Mapping
+from itertools import chain, combinations
+from operator import add, mul
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
+
+if TYPE_CHECKING:
+    from .poset import Poset
 
 TRIANGLE_TERM = 10  # 1 + 6*3 - 3^2; forced by exactness on a single triangle
 
@@ -101,16 +107,14 @@ def _twice_vertex_term(degree: int) -> int:
 
 
 @dataclass(frozen=True)
-class CurvatureReport:
-    """Per-edge and per-vertex curvature terms and their exact balance
+class CurvatureBalance:
+    """The summed vertex, edge and triangle terms and their exact balance
     against chi; every triangle carries :data:`TRIANGLE_TERM`.
 
     ``residual = vertex_sum - ricci_sum + triangle_sum - chi`` and is
     exactly zero for every valid 2-complex.
     """
 
-    ricci: dict[Simplex, int]
-    vertex_terms: dict[int, Fraction]
     vertex_sum: Fraction
     ricci_sum: int
     triangle_sum: int
@@ -118,17 +122,25 @@ class CurvatureReport:
     residual: Fraction
 
 
+@dataclass(frozen=True)
+class CurvatureReport(CurvatureBalance):
+    """The balance together with the curvature of each edge; the vertex
+    terms are :func:`vertex_curvature` of each vertex."""
+
+    ricci: dict[Simplex, int]
+
+
 def gauss_bonnet(k: SimplicialComplex) -> CurvatureReport:
     """Full curvature accounting of a 2-complex.
 
-    Computes every edge, vertex, and triangle term and the residual of
-    their alternating sum against the Euler characteristic. A nonzero
-    residual would falsify the discrete curvature identity; callers
-    treat it as a hard failure, never a warning.
+    Computes every edge term, sums the vertex and triangle terms, and
+    takes the residual of their alternating sum against the Euler
+    characteristic. A nonzero residual would falsify the discrete
+    curvature identity; callers treat it as a hard failure, never a
+    warning.
     """
     k = two_skeleton(k)
     ricci = {e: forman_ricci(k, e) for e in k.edges}
-    vertex_terms = {v: vertex_curvature(k, v) for v in range(k.n_vertices)}
     # one Fraction: the terms are halves, so sum their doubles
     vertex_sum = Fraction(sum(map(_twice_vertex_term, k._degrees)), 2)
     ricci_sum = sum(ricci.values())
@@ -137,7 +149,52 @@ def gauss_bonnet(k: SimplicialComplex) -> CurvatureReport:
     residual = vertex_sum - ricci_sum + triangle_sum - chi
     return CurvatureReport(
         ricci=ricci,
-        vertex_terms=vertex_terms,
+        vertex_sum=vertex_sum,
+        ricci_sum=ricci_sum,
+        triangle_sum=triangle_sum,
+        chi=chi,
+        residual=residual,
+    )
+
+
+def poset_gauss_bonnet(p: "Poset", f: Sequence[int]) -> CurvatureBalance:
+    """The balance :func:`gauss_bonnet` gives on the order complex of p,
+    read from counts without listing a chain.
+
+    ``f`` is the f-vector of the order complex at the chosen skeleton,
+    as :meth:`Poset.chain_counts` counts it; like :func:`gauss_bonnet`,
+    this reads the 2-skeleton, so only f0, f1 and f2 are used. They give
+    the triangle sum and chi, and say whether the complex has edges and
+    triangles at all. The edges are the comparable
+    pairs x < y, so deg x = |below x| + |above x|. The triangles on
+    x < y are the 3-chains through it, T(x, y) = |below x| + |(x, y)| +
+    |above y| of them. Summed over the edges, T counts each 3-chain once
+    per edge of it, and the 3-chains with middle z number
+    |below z| * |above z|, so sum T = 3 * sum_z |below z| * |above z|.
+    Each vertex lies on deg of the edges, so
+
+        sum ric = 3 * sum T + 4 * f1 - sum deg^2.
+
+    The degrees and sum T come from the up and down sizes and f from a
+    separate count, so the residual, which works out to
+    1.5 * (sum deg - 2 f1) - 3 * (sum T - 3 f2), is zero only when the
+    two agree. Time is O(|P| + comparable pairs); the extra memory is
+    two int lists of length |P|.
+    """
+    f0, f1, f2 = (*f[:3], 0, 0, 0)[:3]
+    above = p._above
+    up = list(map(len, above))
+    down = [0] * len(up)
+    for y in chain.from_iterable(above):
+        down[y] += 1
+    degrees = list(map(add, down, up)) if len(f) > 1 else [0] * len(up)
+    triangles_on_edges = 3 * sum(map(mul, down, up)) if len(f) > 2 else 0
+    vertex_sum = Fraction(sum(map(_twice_vertex_term, degrees)), 2)
+    ricci_sum = 3 * triangles_on_edges + 4 * f1 - sum(d * d for d in degrees)
+    triangle_sum = TRIANGLE_TERM * f2
+    chi = f0 - f1 + f2
+    residual = vertex_sum - ricci_sum + triangle_sum - chi
+    return CurvatureBalance(
         vertex_sum=vertex_sum,
         ricci_sum=ricci_sum,
         triangle_sum=triangle_sum,

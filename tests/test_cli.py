@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hyperforman import cli, serialize
+from hyperforman import cli, order_complex, serialize
 from hyperforman.cli import _json_text, main
 
 from conftest import coatoms, hub_star, time_limit, tower_poset_json
@@ -660,6 +660,70 @@ class TestGaussBonnet:
                 assert rc == 0, path.name
                 assert "residual = 0.0" in out, path.name
 
+    @pytest.mark.parametrize("singletons", [(), ("--no-singletons",)])
+    @pytest.mark.parametrize("skeleton", ["full", "0", "1", "2"])
+    def test_counts_print_what_the_complex_prints(
+        self, capsys, corpus_dir, monkeypatch, singletons, skeleton
+    ):
+        paths = sorted(p for p in corpus_dir.rglob("*") if p.is_file())
+        argvs = [
+            ("gauss-bonnet", p, *singletons, "--skeleton", skeleton) for p in paths
+        ]
+        counted = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(
+            cli,
+            "poset_gauss_bonnet",
+            lambda p, f: cli.gauss_bonnet(order_complex(p, max(len(f) - 1, 0))),
+        )
+        assert [run(capsys, *argv) for argv in argvs] == counted
+        assert [rc for rc, _, _ in counted] == [
+            2 if p.parent.name == DIR else 0 for p in paths
+        ]
+
+    def test_lists_no_chain(self, capsys, corpus_dir, monkeypatch):
+        paths = sorted((corpus_dir / NET).iterdir()) + sorted(
+            (corpus_dir / SCAF).iterdir()
+        )
+        expected = [run(capsys, "gauss-bonnet", p) for p in paths]
+
+        def listing(*args, **kwargs):
+            raise AssertionError("a chain was listed")
+
+        for owner, name in (
+            (cli, "order_complex"),
+            (cli, "gauss_bonnet"),
+            (cli.Poset, "chains"),
+        ):
+            monkeypatch.setattr(owner, name, listing)
+        got = [run(capsys, "gauss-bonnet", p) for p in paths]
+        assert got == expected
+        assert all(rc == 0 for rc, _, _ in got)
+        example = corpus_path(corpus_dir, NET, "example.json")
+        rc, out, err = run(capsys, "gauss-bonnet", example, "--chain-cap", "3")
+        assert (rc, out) == (4, "")
+        assert err == (
+            "error: order complex has 6 faces up to dimension 0, "
+            "over the chain cap of 3\n"
+        )
+
+    def test_tall_tower_balances_from_counts(self, capsys, tmp_path):
+        # a 300-chain: 4,455,100 triangles, none of them listed; every
+        # vertex has degree 299 and every edge 298 triangles, so
+        # ric = 300 on each of the 44,850 edges
+        f = tmp_path / "tower.json"
+        f.write_text(tower_poset_json(300))
+        with time_limit(10):
+            rc, out, err = run(capsys, "gauss-bonnet", f, "--skeleton", "2")
+        assert (rc, err) == (0, "")
+        assert out == (
+            "sum vertex terms = -26685450.0\n"
+            "sum ricci = 13455000\n"
+            "sum triangle terms = 44551000\n"
+            "chi = 4410550\n"
+            "residual = 0.0\n"
+            "-26685450.0 - 13455000 + 44551000 = 4410550 = chi\n"
+        )
+
     def test_directed_input_rejected(self, capsys, corpus_dir):
         rc, _, err = run(
             capsys, "gauss-bonnet", corpus_path(corpus_dir, DIR, "chain_dag.json")
@@ -672,14 +736,16 @@ class TestGaussBonnet:
         self, capsys, corpus_dir, monkeypatch, command
     ):
         # the identity cannot fail on a real complex, so force a fake
-        # report through the command to pin the exit path
+        # report through the command to pin the exit path; gauss-bonnet
+        # takes its balance from the counts, report from the complex
         import hyperforman.cli as cli
 
-        real = cli.gauss_bonnet
+        name = "poset_gauss_bonnet" if command == "gauss-bonnet" else "gauss_bonnet"
+        real = getattr(cli, name)
         monkeypatch.setattr(
             cli,
-            "gauss_bonnet",
-            lambda k: dataclasses.replace(real(k), residual=Fraction(-2, 2)),
+            name,
+            lambda *a: dataclasses.replace(real(*a), residual=Fraction(-2, 2)),
         )
         rc, out, err = run(
             capsys, command, corpus_path(corpus_dir, NET, "example.json")

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperforman import (
     Poset,
@@ -15,13 +16,14 @@ from hyperforman import (
     gauss_bonnet,
     order_complex,
     poset_from_hypernetwork,
+    poset_gauss_bonnet,
     random_hypernetwork,
     two_skeleton,
     vertex_curvature,
 )
 from hyperforman.curvature import DirectedComplex, DirectedConfig, DirectionError
 
-from conftest import ABSENT_EDGE_IDS, ABSENT_EDGES, complexes
+from conftest import ABSENT_EDGE_IDS, ABSENT_EDGES, complexes, hypernetworks
 from helpers import (
     brute_balance_residual,
     brute_directed_formula,
@@ -166,10 +168,11 @@ class TestVertexAndTriangleTerms:
             vertex_curvature(corpus["triangle"], 9)
 
 
-def assert_sums_consistent(rep) -> None:
-    """Each sum of a report adds up its terms, and the residual is the
+def assert_sums_consistent(k, rep) -> None:
+    """Each sum of k's report adds up its terms, and the residual is the
     alternating total against chi."""
-    assert rep.vertex_sum == sum(rep.vertex_terms.values(), Fraction(0))
+    terms = (vertex_curvature(k, v) for v in range(k.n_vertices))
+    assert rep.vertex_sum == sum(terms, Fraction(0))
     assert rep.ricci_sum == sum(rep.ricci.values())
     assert rep.residual == rep.vertex_sum - rep.ricci_sum + rep.triangle_sum - rep.chi
 
@@ -182,7 +185,7 @@ class TestGaussBonnet:
         assert rep.triangle_sum == 10
         assert rep.chi == 1
         assert rep.residual == 0
-        assert_sums_consistent(rep)
+        assert_sums_consistent(corpus["triangle"], rep)
 
     def test_tetrahedron_sums(self, corpus):
         rep = gauss_bonnet(corpus["tetrahedron"])
@@ -221,7 +224,7 @@ class TestGaussBonnet:
             rep = gauss_bonnet(k)
             assert rep.residual == 0, name
             assert brute_balance_residual(k) == Fraction(0), name
-            assert_sums_consistent(rep)
+            assert_sums_consistent(k, rep)
 
     def test_high_dimensional_complex_warns_and_truncates(self):
         from hyperforman import Poset
@@ -242,6 +245,50 @@ class TestGaussBonnet:
         if k.dim > 2:
             k = k.skeleton(2)
         assert gauss_bonnet(k).residual == 0
+
+
+def balance_numbers(rep) -> tuple:
+    return (rep.vertex_sum, rep.ricci_sum, rep.triangle_sum, rep.chi, rep.residual)
+
+
+def assert_counts_match_the_complex(p: Poset, skeleton: int | None) -> None:
+    """The counted balance of p at ``--skeleton`` equals gauss_bonnet on
+    the order complex cut to dimension min(skeleton, 2)."""
+    f = p.chain_counts(None if skeleton is None else skeleton + 1)
+    k = order_complex(p, 2 if skeleton is None else min(skeleton, 2))
+    counted = poset_gauss_bonnet(p, f)
+    assert balance_numbers(counted) == balance_numbers(gauss_bonnet(k))
+    assert counted.residual == 0
+
+
+SKELETONS = (None, 0, 1, 2)
+
+
+class TestPosetGaussBonnet:
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_matches_the_complex_on_random_draws(self, singletons):
+        rng = random.Random(20261018 + singletons)
+        for _ in range(150):
+            p = poset_from_hypernetwork(
+                random_hypernetwork(rng), include_singletons=singletons
+            )
+            for skeleton in SKELETONS:
+                assert_counts_match_the_complex(p, skeleton)
+
+    @given(hypernetworks(), st.booleans(), st.sampled_from(SKELETONS))
+    def test_matches_the_complex_on_drawn_networks(self, h, singletons, skeleton):
+        p = poset_from_hypernetwork(h, include_singletons=singletons)
+        assert_counts_match_the_complex(p, skeleton)
+
+    def test_a_miscounted_f_vector_unbalances(self):
+        # residual = 1.5 (sum deg - 2 f1) - 3 (sum T - 3 f2), with the
+        # degrees and T from the up and down sizes
+        p = Poset.from_sets(frozenset(s) for s in ("a", "b", "ab", "abc"))
+        f0, f1, f2 = p.chain_counts(3)
+        assert poset_gauss_bonnet(p, (f0, f1, f2)).residual == 0
+        assert poset_gauss_bonnet(p, (f0, f1 + 1, f2)).residual == -3
+        assert poset_gauss_bonnet(p, (f0, f1, f2 + 1)).residual == 9
+        assert poset_gauss_bonnet(p, (f0 + 1, f1, f2)).residual == -1
 
 
 def filtration(k):
@@ -301,8 +348,10 @@ class TestFiltration:
     @given(complexes())
     @settings(max_examples=80)
     def test_matches_threshold_by_threshold_oracle(self, k):
+        # test_matches_brute_force holds forman_ricci to brute_ricci on
+        # this strategy; brute_ricci itself is O(E^2 T) per complex
         k2 = k.skeleton(2)
-        ric = {e: brute_ricci(k2, e) for e in k2.edges}
+        ric = {e: forman_ricci(k2, e) for e in k2.edges}
         assert curvature_filtration(k2, ric) == brute_filtration(k2, ric)
 
     @pytest.mark.parametrize("singletons", [True, False])
