@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Randomized audit: draw random hypernetworks and verify, for each one,
 that its poset's covers are the transitive reduction of inclusion found
-by testing every pair, that the counted chains of the poset match the
+by testing every pair, that the checked raw constructor, given the
+poset's elements and cover pairs, rebuilds the same per-element store
+(covers and up sets) and the same JSON, that the counted chains of the
+poset match the
 f-vector of its order complex, that the order complex (built level by
 level, without checks) holds, bucket by bucket and in order, the chains
 that ``Poset.chains`` lists, that it and its 2-skeleton (a slice of its
@@ -26,6 +29,7 @@ import time
 from itertools import combinations
 
 from hyperforman import (
+    Poset,
     SimplicialComplex,
     forman_ricci_closed,
     gauss_bonnet,
@@ -133,6 +137,15 @@ def main() -> int:
                 f"reduction is {sorted(expected)}",
                 h,
             )
+        raw = Poset(p.elements, p.covers)
+        store = (p._children, p._above, p.to_json_obj())
+        rebuilt = (raw._children, raw._above, raw.to_json_obj())
+        if rebuilt != store:
+            return fail(
+                f"network {i}: covers, up sets and JSON {store} but the raw "
+                f"constructor rebuilds {rebuilt}",
+                h,
+            )
         full = order_complex(p)
         if p.chain_counts() != full.f_vector():
             return fail(
@@ -186,7 +199,8 @@ def main() -> int:
     dt = time.perf_counter() - t0
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
-        f"covers and chain counts match, the order complexes hold the listed "
+        f"covers match, the raw constructor rebuilds each poset's store and "
+        f"JSON, chain counts match, the order complexes hold the listed "
         f"chains, they and their 2-skeletons equal their checked builds, all "
         f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "
         f"both curvature routes agree with the brute count, geometric chi "

@@ -441,8 +441,8 @@ def cmd_validate(a: Analysis) -> int:
     obj = input_summary(a.loaded)
     if a.loaded.kind == "poset":
         p = a.loaded.poset
-        obj["covers"] = len(p.covers)
-        human = [f"{len(p)} elements, {len(p.covers)} cover pairs"]
+        obj["covers"] = p.cover_count()
+        human = [f"{len(p)} elements, {obj['covers']} cover pairs"]
     else:
         human = [a.loaded.network.summary()]
     rows = [(field, value) for field, value in obj.items() if field != "kind"]

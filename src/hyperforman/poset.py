@@ -6,6 +6,8 @@ canonical poset of a hypernetwork (singletons, hypervertex sets, and
 hyperedge unions), face posets of simplicial complexes (faces as vertex
 sets), and hand-built fixtures. The cover relation is always the
 transitive reduction of inclusion, so it never needs to be supplied.
+One pass of :meth:`Poset.from_sets` finds it, and the poset keeps it
+per element: the covers above each element and its whole up set.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ class ChainCapExceeded(RuntimeError):
 class NotRanked:
     """Witness that no rank function exists.
 
-    ``element`` received the two conflicting ``ranks`` when rank 0 is
-    propagated up from the minimal elements along covers.
+    ``element`` is the first in index order to receive two ranks when
+    rank 0 is pushed up from the minimal elements along covers;
+    ``ranks`` are the least and the greatest it received.
     """
 
     element_index: int
@@ -83,62 +86,74 @@ def _canonical_key(s: frozenset):
     return (len(s), tuple(sorted(s)))
 
 
-@dataclass(frozen=True)
+def _cover_pair(entry) -> tuple[int, int]:
+    """A raw cover entry as an index pair, or a ValueError naming it."""
+    if isinstance(entry, (tuple, list)) and [type(i) for i in entry] == [int, int]:
+        return tuple(entry)
+    raise ValueError(f"cover entry {entry!r} is not a pair of int indices")
+
+
+@dataclass(frozen=True, init=False)
 class Poset:
     """Distinct finite sets under strict inclusion.
 
     ``elements`` are stored in a canonical order (by size, then sorted
     members) so indices are stable regardless of construction order.
-    ``covers`` holds index pairs ``(q, p)`` with p covering q, so q < p;
-    it is the transitive reduction of inclusion and is normally computed
-    by :meth:`from_sets`, not passed by hand. The raw constructor
-    rejects repeated elements and any other cover set.
+    The order is kept per element, as filled in by :meth:`from_sets`:
+    ``_children[q]`` lists, ascending, the p that cover q (so q < p),
+    and ``_above[q]`` every p above q. :attr:`covers` gives the same
+    cover relation as index pairs ``(q, p)``, built when first read.
+    The covers are the transitive reduction of inclusion, so the
+    elements determine them: equality and hashing go by ``elements``.
+
+    The raw constructor ``Poset(elements, covers)`` takes any iterable
+    of index pairs. It rejects an entry that is not a pair of ``int``
+    indices, repeated elements and any cover set other than the one
+    :meth:`from_sets` finds, whose store it then takes over in its own
+    element order.
     """
 
     elements: tuple[frozenset, ...]
-    covers: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
+    def __init__(self, elements: Iterable[frozenset], covers: Iterable):
         # _trusted skips this; every other construction runs it
-        n = len(self.elements)
-        for q, p in self.covers:
+        elements = tuple(elements)
+        n = len(elements)
+        pairs = frozenset(map(_cover_pair, covers))
+        for q, p in pairs:
             if not (0 <= q < n and 0 <= p < n):
                 raise ValueError(f"cover pair ({q}, {p}) out of range")
             if q >= p:
                 raise ValueError(f"cover pair ({q}, {p}) does not go up in index")
-            if not self.elements[q] < self.elements[p]:
-                raise ValueError(
-                    f"cover pair ({q}, {p}) does not respect inclusion"
-                )
-        where = {e: i for i, e in enumerate(self.elements)}
+            if not elements[q] < elements[p]:
+                raise ValueError(f"cover pair ({q}, {p}) does not respect inclusion")
+        where = {e: i for i, e in enumerate(elements)}
         if len(where) != n:
             raise ValueError("poset elements repeat a set")
-        found = Poset.from_sets(self.elements)
-        expected = {
-            (where[found.elements[q]], where[found.elements[p]])
-            for q, p in found.covers
-        }
-        extra, missing = self.covers - expected, expected - self.covers
+        found = Poset.from_sets(elements)
+        at = [where[e] for e in found.elements]
+        children, above = [()] * n, [()] * n
+        for i, (ps, up) in enumerate(zip(found._children, found._above)):
+            children[at[i]] = tuple(sorted(at[p] for p in ps))
+            above[at[i]] = tuple(sorted(at[p] for p in up))
+        expected = {(q, p) for q, ps in enumerate(children) for p in ps}
+        extra, missing = pairs - expected, expected - pairs
         if extra:
             raise ValueError(
                 f"cover pair {min(extra)} is not a cover: an element lies between"
             )
         if missing:
             raise ValueError(f"covers lack the cover pair {min(missing)}")
+        self.__dict__.update(elements=elements, covers=pairs)
+        self.__dict__.update(_children=tuple(children), _above=tuple(above))
 
     @classmethod
-    def _trusted(
-        cls,
-        elements: tuple[frozenset, ...],
-        covers: frozenset[tuple[int, int]],
-        above: tuple[tuple[int, ...], ...],
-    ) -> "Poset":
-        """Build without checks from distinct elements in canonical order,
-        their covers and their complete up sets, which seed ``_above``."""
+    def _trusted(cls, elements, children, above) -> "Poset":
+        """Build without checks from distinct elements in canonical order
+        and, per element, its covers and its complete up set, ascending:
+        the ``_children`` and ``_above`` tables."""
         p = object.__new__(cls)
-        object.__setattr__(p, "elements", elements)
-        object.__setattr__(p, "covers", covers)
-        p.__dict__["_above"] = above
+        p.__dict__.update(elements=elements, _children=children, _above=above)
         return p
 
     @classmethod
@@ -151,8 +166,9 @@ class Poset:
         list in ascending order: the first superset met is a cover, and
         so is every later one not already above an earlier cover, since
         a superset that is not a cover contains a cover of smaller
-        index. So subset tests run only on such unblocked candidates,
-        and the up sets merged on the way are the ``_above`` table.
+        index. So subset tests run only on such unblocked candidates;
+        the covers found are the ``_children`` table, in ascending
+        order, and the up sets merged on the way are the ``_above`` table.
         """
         uniq = {frozenset(s) for s in sets}
         elements = tuple(sorted(uniq, key=_canonical_key))
@@ -162,20 +178,21 @@ class Poset:
             for x in e:
                 postings.setdefault(x, []).append(i)
         above: list[set[int]] = [set() for _ in range(n)]
-        covers: list[tuple[int, int]] = []
+        children: list[tuple[int, ...]] = [()] * n
         for i in reversed(range(n)):
             e, up = elements[i], above[i]
             candidates = min((postings[x] for x in e), key=len) if e else range(n)
+            found = []
             for j in candidates:
                 if j <= i or j in up:
                     continue
                 if e < elements[j]:
-                    covers.append((i, j))
+                    found.append(j)
                     up.add(j)
                     up |= above[j]
-        # the up sets are complete, so they seed the _above cache
+            children[i] = tuple(found)
         return cls._trusted(
-            elements, frozenset(covers), tuple(tuple(sorted(s)) for s in above)
+            elements, tuple(children), tuple(tuple(sorted(s)) for s in above)
         )
 
     def __len__(self) -> int:
@@ -192,34 +209,12 @@ class Poset:
         return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        """Direct cover successors of each element, ascending."""
-        out: list[list[int]] = [[] for _ in self.elements]
-        for q, p in self.covers:
-            out[q].append(p)
-        return tuple(tuple(sorted(c)) for c in out)
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """Index pairs ``(q, p)`` with p covering q, built when first read."""
+        return frozenset((q, p) for q, ps in enumerate(self._children) for p in ps)
 
-    @cached_property
-    def _parents(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.elements]
-        for q, p in self.covers:
-            out[p].append(q)
-        return tuple(tuple(sorted(c)) for c in out)
-
-    @cached_property
-    def _above(self) -> tuple[tuple[int, ...], ...]:
-        """All strict successors under inclusion, from the cover digraph
-        (:meth:`from_sets` fills it in while finding the covers)."""
-        n = len(self.elements)
-        above: list[set[int]] = [set() for _ in range(n)]
-        # canonical order is a topological order: subsets sort earlier
-        for i in reversed(range(n)):
-            acc: set[int] = set()
-            for c in self._children[i]:
-                acc.add(c)
-                acc |= above[c]
-            above[i] = acc
-        return tuple(tuple(sorted(s)) for s in above)
+    def cover_count(self) -> int:
+        return sum(map(len, self._children))
 
     def comparable_pair_count(self) -> int:
         return sum(len(s) for s in self._above)
@@ -227,21 +222,25 @@ class Poset:
     def rank_function(self) -> RankFunction | NotRanked:
         """The unique rank function, or a :class:`NotRanked` witness.
 
-        Minimal elements get 0 and every cover increments by exactly 1;
-        the first element whose parents disagree is the witness.
+        Minimal elements get 0 and every cover increments by exactly 1:
+        in index order, each element pushes its rank + 1 to its covers.
+        The first element that receives two values is the witness, with
+        the least and greatest it received.
         """
         n = len(self.elements)
-        ranks: list[int] = []
-        for i in range(n):
-            parents = self._parents[i]
-            if not parents:
-                ranks.append(0)
-                continue
-            vals = sorted({ranks[q] + 1 for q in parents})
-            if len(vals) > 1:
-                return NotRanked(i, self.elements[i], (vals[0], vals[-1]))
-            ranks.append(vals[0])
-        return RankFunction(tuple(ranks), max(ranks, default=0))
+        lo, hi = [n] * n, [0] * n  # least and greatest rank pushed; n if none
+        for i, ps in enumerate(self._children):
+            if lo[i] == n:
+                lo[i] = 0
+            elif lo[i] != hi[i]:
+                return NotRanked(i, self.elements[i], (lo[i], hi[i]))
+            r = lo[i] + 1
+            for p in ps:
+                if r < lo[p]:
+                    lo[p] = r
+                if r > hi[p]:
+                    hi[p] = r
+        return RankFunction(tuple(lo), max(lo, default=0))
 
     def ranked_euler_characteristic(self) -> int:
         """Alternating sum of level counts over ranks.
@@ -317,7 +316,7 @@ class Poset:
         """Elements (as sorted label lists) and cover pairs."""
         return {
             "elements": [sorted(str(x) for x in e) for e in self.elements],
-            "covers": sorted([q, p] for q, p in self.covers),
+            "covers": [[q, p] for q, ps in enumerate(self._children) for p in ps],
         }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from hyperforman import Poset, SimplicialComplex
+from hyperforman import NotRanked, Poset, RankFunction, SimplicialComplex
 from hyperforman.curvature import DirectedComplex, DirectedConfig, FiltrationStep
 
 
@@ -114,6 +114,18 @@ def brute_rank_candidates(elements, covers) -> list[set[int]]:
         else:
             cand[i] = {c + 1 for q in parents[i] for c in cand[q]}
     return cand
+
+
+def brute_rank_function(elements, covers) -> RankFunction | NotRanked:
+    """The ranks when every element has one candidate; otherwise the
+    first element in index order with several, and its least and
+    greatest candidate."""
+    cand = brute_rank_candidates(elements, covers)
+    for i, c in enumerate(cand):
+        if len(c) > 1:
+            return NotRanked(i, elements[i], (min(c), max(c)))
+    ranks = tuple(min(c) for c in cand)
+    return RankFunction(ranks, max(ranks, default=0))
 
 
 def brute_triangles_above(k: SimplicialComplex, e) -> int:

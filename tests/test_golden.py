@@ -80,6 +80,27 @@ def test_cli_output_matches_golden():
     assert not differ, "CLI output changed for:\n" + "\n".join(differ)
 
 
+def test_cli_output_builds_no_cover_pair_set(monkeypatch):
+    """Every case whose input carries no ``covers`` array (which the
+    loader checks against the pair set) prints the same with
+    ``Poset.covers`` refused: the CLI reads the order only from the
+    per-element store."""
+    from hyperforman import Poset
+
+    def refuse(self):
+        raise AssertionError("Poset.covers was built")
+
+    monkeypatch.setattr(Poset, "covers", property(refuse))
+    golden = json.loads(GOLDEN.read_text())
+    checked = [
+        argv
+        for argv in cases()
+        if not argv[1].endswith(".json")
+        or "covers" not in json.loads((CORPUS_DIR / argv[1]).read_text())
+    ]
+    differ = [argv for argv in checked if digest(argv) != golden[" ".join(argv)]]
+    assert not differ, "CLI output changed for:\n" + "\n".join(map(" ".join, differ))
+
 if __name__ == "__main__":
     table = {" ".join(argv): digest(argv) for argv in cases()}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

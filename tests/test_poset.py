@@ -22,7 +22,8 @@ from conftest import complexes, set_families
 from helpers import (
     brute_chains,
     brute_covers,
-    brute_rank_candidates,
+    brute_less,
+    brute_rank_function,
     codim1_face_poset,
     pairwise_poset,
 )
@@ -32,6 +33,15 @@ F = frozenset
 
 def chain_poset(*sets):
     return Poset.from_sets([F(s) for s in sets])
+
+
+def assert_store_matches_brute_force(p):
+    """Each row of ``_children`` and ``_above`` ascends, and they hold the
+    covers and the strict inclusions found by testing every pair."""
+    for table, expected in ((p._children, brute_covers), (p._above, brute_less)):
+        assert all(list(row) == sorted(set(row)) for row in table)
+        pairs = {(i, j) for i, row in enumerate(table) for j in row}
+        assert pairs == expected(p.elements)
 
 
 class TestConstruction:
@@ -81,11 +91,41 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             Poset(elements, frozenset(covers))
 
-    def test_from_sets_skips_the_raw_check(self, monkeypatch):
-        def check(self):
-            raise AssertionError("Poset.__post_init__ was called")
+    @pytest.mark.parametrize(
+        "covers, message",
+        [
+            ([(0, 1)], None),
+            ({(0, 1)}, None),
+            (((q, q + 1) for q in range(1)), None),
+            ([[0, 1]], None),
+            ([(0,)], r"entry \(0,\) is not a pair"),
+            ([(0, 1, 1)], r"entry \(0, 1, 1\) is not a pair"),
+            ([("0", 1)], r"entry \('0', 1\) is not a pair"),
+            ([(False, True)], r"entry \(False, True\) is not a pair"),
+            ([0], "entry 0 is not a pair"),
+        ],
+        ids=["list", "set", "generator", "list-pair", "short", "long", "str",
+             "bool", "int"],
+    )
+    def test_raw_covers_are_normalised(self, covers, message):
+        elements = (F("a"), F("ab"))
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                Poset(elements, covers)
+            return
+        p = Poset(elements, covers)
+        if isinstance(covers, set):
+            covers.add((1, 0))  # the poset keeps its own copy
+        assert isinstance(p.covers, frozenset)
+        assert p.covers == {(0, 1)}
+        assert p == Poset.from_sets(elements)
+        assert hash(p) == hash(Poset.from_sets(elements))
 
-        monkeypatch.setattr(Poset, "__post_init__", check)
+    def test_from_sets_skips_the_raw_check(self, monkeypatch):
+        def check(self, *args):
+            raise AssertionError("Poset.__init__ was called")
+
+        monkeypatch.setattr(Poset, "__init__", check)
         p = Poset.from_sets([F("a"), F("ab"), F("b")])
         assert p.covers == {(0, 2), (1, 2)}
 
@@ -133,19 +173,48 @@ class TestConstruction:
             assert (p.elements, p.covers) == (q.elements, q.covers), i
 
     @given(set_families(min_set_size=0))
-    def test_seeded_up_sets_match_covers(self, fam):
-        p = Poset.from_sets(fam)
-        assert "_above" in p.__dict__
-        assert p._above == Poset(p.elements, p.covers)._above
+    def test_store_matches_brute_force(self, fam):
+        assert_store_matches_brute_force(Poset.from_sets(fam))
 
-    def test_seeded_up_sets_match_covers_on_random_networks(self):
+    def test_store_matches_brute_force_on_random_networks(self):
         rng = random.Random(5)
         for i in range(100):
             h = random_hypernetwork(
                 rng, max_nodes=16, max_hypervertices=10, edge_probability=0.5
             )
-            p = poset_from_hypernetwork(h)
-            assert p._above == Poset(p.elements, p.covers)._above, i
+            assert_store_matches_brute_force(poset_from_hypernetwork(h))
+
+    @given(set_families(min_set_size=0), st.data())
+    def test_raw_store_is_the_permuted_from_sets_store(self, fam, data):
+        p = Poset.from_sets(fam)
+        # a random linear extension of inclusion, so the raw poset is valid
+        order, left = [], set(range(len(p)))
+        while left:
+            e = p.elements
+            ready = sorted(i for i in left if not any(e[j] < e[i] for j in left))
+            order.append(data.draw(st.sampled_from(ready)))
+            left.remove(order[-1])
+        new = {old: k for k, old in enumerate(order)}
+        raw = Poset(
+            tuple(p.elements[old] for old in order),
+            [(new[q], new[r]) for q, r in p.covers],
+        )
+        for name in ("_children", "_above"):
+            table = getattr(raw, name)
+            for old, row in enumerate(getattr(p, name)):
+                assert table[new[old]] == tuple(sorted(new[j] for j in row)), name
+        assert raw.covers == {(new[q], new[r]) for q, r in p.covers}
+        assert raw.to_json_obj() == {
+            "elements": [p.to_json_obj()["elements"][old] for old in order],
+            "covers": sorted([new[q], new[r]] for q, r in p.covers),
+        }
+        assert raw.chain_counts() == p.chain_counts()
+        rf, raw_rf = p.rank_function(), raw.rank_function()
+        assert rf == brute_rank_function(p.elements, p.covers)
+        assert raw_rf == brute_rank_function(raw.elements, raw.covers)
+        if isinstance(rf, RankFunction):
+            assert raw_rf.ranks == tuple(rf.ranks[old] for old in order)
+            assert raw_rf.max_rank == rf.max_rank
 
     def test_deep_tower(self):
         # nested sets 0..300 (the empty set included) in scrambled order
@@ -191,17 +260,17 @@ class TestRankFunction:
 
     @given(set_families())
     def test_propagation_matches_exhaustive_oracle(self, fam):
-        # the oracle unions over all cover paths, so it is order blind
         p = Poset.from_sets(fam)
-        cand = brute_rank_candidates(p.elements, p.covers)
-        rf = p.rank_function()
-        if all(len(c) == 1 for c in cand):
-            assert isinstance(rf, RankFunction)
-            assert rf.ranks == tuple(next(iter(c)) for c in cand)
-        else:
-            assert isinstance(rf, NotRanked)
-            assert len(cand[rf.element_index]) > 1
-            assert set(rf.ranks) <= cand[rf.element_index]
+        assert p.rank_function() == brute_rank_function(p.elements, p.covers)
+
+    def test_witness_is_the_first_conflict_with_its_extremes(self):
+        # {a,b,c,e,f,g} is pushed 3 by {a,b,c}, 2 by {e,f} and 1 by {g};
+        # {p,...,v} conflicts too, but comes later in index order
+        p = chain_poset(
+            "a", "ab", "abc", "e", "ef", "g", "abcefg", "p", "pq", "r", "pqrstuv"
+        )
+        top = F("abcefg")
+        assert p.rank_function() == NotRanked(p.index_of(top), top, (1, 3))
 
 
 class TestRankedEuler:
