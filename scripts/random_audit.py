@@ -13,8 +13,10 @@ faces, that the curvature balance closes exactly, that at skeleton 0, 1
 and 2 the balance read from the poset's counts (``poset_gauss_bonnet``,
 as ``gauss-bonnet`` prints it) equals the one taken on that skeleton of
 the order complex, and that on every edge of the order complex's
-2-skeleton the balance's curvature equals both the closed form and a
-brute count made here from the edges and triangles alone. It also
+2-skeleton the balance's curvature (filled in one walk of the edge
+index) equals the per-edge definitional route ``forman_ricci``, the
+closed form and a brute count made here from the edges and triangles
+alone. It also
 checks that the network's geometric chi (the signed intersection walk
 on node bitmasks) equals a count made here of every face of the simplex
 view. The first failure is printed with its
@@ -31,6 +33,7 @@ from itertools import combinations
 from hyperforman import (
     Poset,
     SimplicialComplex,
+    forman_ricci,
     forman_ricci_closed,
     gauss_bonnet,
     geometric_euler_characteristic,
@@ -187,12 +190,13 @@ def main() -> int:
                     h,
                 )
         for e in k.edges:
-            ric = report.ricci[e]
+            ric, per_edge = report.ricci[e], forman_ricci(k, e)
             closed, brute = forman_ricci_closed(k, e), brute_ricci(k, e)
-            if not ric == closed == brute:
+            if not ric == per_edge == closed == brute:
                 return fail(
-                    f"network {i}, edge {k.face_label(e)}: definitional "
-                    f"curvature {ric}, closed form {closed}, brute count {brute}",
+                    f"network {i}, edge {k.face_label(e)}: balance curvature "
+                    f"{ric}, per-edge definitional {per_edge}, closed form "
+                    f"{closed}, brute count {brute}",
                     h,
                 )
             edges_checked += 1
@@ -203,7 +207,8 @@ def main() -> int:
         f"JSON, chain counts match, the order complexes hold the listed "
         f"chains, they and their 2-skeletons equal their checked builds, all "
         f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "
-        f"both curvature routes agree with the brute count, geometric chi "
+        f"the balance's curvature table, the per-edge definitional route and "
+        f"the closed form agree with the brute count, geometric chi "
         f"matches the face count ({dt:.2f}s)"
     )
     return 0

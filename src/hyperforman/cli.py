@@ -37,12 +37,14 @@ from .curvature import (
     DirectedConfig,
     DirectionError,
     FiltrationStep,
+    _edge_term,
+    _twice_vertex_term,
     curvature_filtration,
-    forman_ricci_closed,
+    forman_ricci_closed,  # noqa: F401  not called here; perfbench/tracing.py patches it
     gauss_bonnet,
     poset_gauss_bonnet,
     two_skeleton,  # noqa: F401  not called here; perfbench/tracing.py patches it
-    vertex_curvature,
+    vertex_curvature,  # noqa: F401  not called here; perfbench/tracing.py patches it
 )
 from .hypernet import (
     Hypernetwork,
@@ -211,16 +213,21 @@ class Analysis:
     def edge_rows(self) -> list[tuple[str, int, int, int, int]]:
         """(label, triangles, parallel, ric, closed form) per edge.
 
-        ``ric`` is the balance's definitional value, so the parallel
-        count is T + 2 - ric; the closed form is evaluated on its own and
-        stays an independent check.
+        One walk of the edge -> triangles index, next to the balance's
+        curvature, which was filled from the same index in the same
+        order. ``ric`` is the definitional value, so the parallel count
+        is T + 2 - ric; the closed form is evaluated from the degrees on
+        its own and stays an independent check.
         """
         k2 = self.skeleton
+        labels, degrees = k2.labels, k2._degrees
         rows = []
-        for e, ric in self.balance.ricci.items():
-            t = len(k2.triangles_containing(e))
-            closed = forman_ricci_closed(k2, e)
-            rows.append((k2.face_label(e), t, t + 2 - ric, ric, closed))
+        for ((u, v), triangles), ric in zip(
+            k2._edge_triangles.items(), self.balance.ricci.values(), strict=True
+        ):
+            t = len(triangles)
+            closed = _edge_term(t, degrees[u], degrees[v])
+            rows.append((labels[u] + "|" + labels[v], t, t + 2 - ric, ric, closed))
         return rows
 
     @cached_property
@@ -357,6 +364,22 @@ def _exact(x: Fraction) -> int | str:
     return x.numerator if x.denominator == 1 else str(x)
 
 
+def _half_decimal(t: int) -> str:
+    """``_decimal(Fraction(t, 2))`` with no Fraction: an int divided by 2
+    rounds to the same float."""
+    return f"{t / 2:.1f}"
+
+
+def _half_exact(t: int) -> int | str:
+    """``_exact(Fraction(t, 2))`` with no Fraction."""
+    return t // 2 if t % 2 == 0 else f"{t}/2"
+
+
+def _face_text(labels: tuple[str, ...], f) -> str:
+    """The label of a stored face, whose vertices are already increasing."""
+    return "|".join(map(labels.__getitem__, f))
+
+
 def input_summary(loaded: Loaded) -> dict:
     """Size counts of the input, as validate and report print them."""
     if loaded.kind == "poset":
@@ -381,21 +404,25 @@ def chi_display(a: Analysis, value) -> str:
 
 def curvature_lines(a: Analysis) -> list[str]:
     k2 = a.skeleton
+    labels = k2.labels
     lines = [
         f"edge {label}: triangles={t} parallel={p} ric={r} closed={c} "
         + ("ok" if r == c else "MISMATCH")
         for label, t, p, r, c in a.edge_rows
     ]
     lines += [
-        f"vertex {k2.vertex_label(v)}: {_decimal(vertex_curvature(k2, v))}"
-        for v in range(k2.n_vertices)
+        f"vertex {label}: {_half_decimal(_twice_vertex_term(d))}"
+        for label, d in zip(labels, k2._degrees)
     ]
-    lines += [f"triangle {k2.face_label(t)}: {TRIANGLE_TERM}" for t in k2.triangles]
+    lines += [
+        f"triangle {_face_text(labels, t)}: {TRIANGLE_TERM}" for t in k2.triangles
+    ]
     return lines
 
 
 def curvature_obj(a: Analysis) -> dict:
     k2 = a.skeleton
+    labels = k2.labels
     return {
         "edges": [
             {
@@ -409,11 +436,11 @@ def curvature_obj(a: Analysis) -> dict:
             for label, t, p, r, c in a.edge_rows
         ],
         "vertices": [
-            {"vertex": k2.vertex_label(v), "term": _exact(vertex_curvature(k2, v))}
-            for v in range(k2.n_vertices)
+            {"vertex": label, "term": _half_exact(_twice_vertex_term(d))}
+            for label, d in zip(labels, k2._degrees)
         ],
         "triangles": [
-            {"triangle": k2.face_label(t), "term": TRIANGLE_TERM}
+            {"triangle": _face_text(labels, t), "term": TRIANGLE_TERM}
             for t in k2.triangles
         ],
     }
@@ -483,7 +510,7 @@ def _directed_section(h: Hypernetwork, cfg: DirectedConfig) -> tuple[list, dict,
         "degree_mode": cfg.degree_mode,
         "triangle_mode": cfg.triangle_mode,
         "degrees": {labels[v]: degs[v] for v in range(len(labels))},
-        "chosen_triangles": [dc.complex.face_label(t) for t in chosen],
+        "chosen_triangles": [_face_text(labels, t) for t in chosen],
         "chi_formula": _exact(formula),
         "chi_count": count,
     }

@@ -62,18 +62,28 @@ def two_skeleton(k: SimplicialComplex) -> SimplicialComplex:
 def forman_ricci(k: SimplicialComplex, e: Iterable[int]) -> int:
     """Edge curvature by its definition: triangles minus parallels plus 2.
 
-    The edges meeting e = (u, v) in one vertex number
-    (deg u - 1) + (deg v - 1); the parallels are those left after taking
-    out the other edges of the triangles on e. Only those triangles and
-    two degrees are read, so each edge costs O(#triangles on e + 1) and
-    faces above dimension 2 are ignored without building the 2-skeleton.
+    Looks e up in the edge -> triangles index and counts its parallels
+    as :func:`gauss_bonnet` does for every edge in one pass, so each
+    edge costs O(#triangles on e + 1) and faces above dimension 2 are
+    ignored without building the 2-skeleton.
     """
     e, triangles = k._edge_entry(e)
+    return _ricci(e, triangles, k._degrees)
+
+
+def _ricci(e: Simplex, triangles: tuple[Simplex, ...], degrees: Sequence[int]) -> int:
+    """ric(e) by its definition, for the edge e = (u, v), the triangles
+    on it and the degree table.
+
+    The edges meeting e in one vertex number (deg u - 1) + (deg v - 1);
+    the parallels are those left after taking out the other edges of
+    the triangles on e. Each distinct third vertex w of those triangles
+    gives two of them, (u, w) and (v, w), and the triangles' vertices
+    are u, v and the third vertices.
+    """
     u, v = e
-    degrees = k._degrees
-    shared = {f for t in triangles for f in combinations(t, 2)}
-    shared.discard(e)
-    parallels = degrees[u] - 1 + degrees[v] - 1 - len(shared)
+    thirds = len(set(chain.from_iterable(triangles))) - 2 if triangles else 0
+    parallels = degrees[u] - 1 + degrees[v] - 1 - 2 * thirds
     return len(triangles) - parallels + 2
 
 
@@ -133,16 +143,18 @@ class CurvatureReport(CurvatureBalance):
 def gauss_bonnet(k: SimplicialComplex) -> CurvatureReport:
     """Full curvature accounting of a 2-complex.
 
-    Computes every edge term, sums the vertex and triangle terms, and
+    Computes every edge term by its definition in one walk of the
+    edge -> triangles index, sums the vertex and triangle terms, and
     takes the residual of their alternating sum against the Euler
     characteristic. A nonzero residual would falsify the discrete
     curvature identity; callers treat it as a hard failure, never a
     warning.
     """
     k = two_skeleton(k)
-    ricci = {e: forman_ricci(k, e) for e in k.edges}
+    degrees = k._degrees
+    ricci = {e: _ricci(e, ts, degrees) for e, ts in k._edge_triangles.items()}
     # one Fraction: the terms are halves, so sum their doubles
-    vertex_sum = Fraction(sum(map(_twice_vertex_term, k._degrees)), 2)
+    vertex_sum = Fraction(sum(map(_twice_vertex_term, degrees)), 2)
     ricci_sum = sum(ricci.values())
     triangle_sum = TRIANGLE_TERM * len(k.triangles)
     chi = k.euler_characteristic()

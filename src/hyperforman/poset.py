@@ -191,9 +191,10 @@ class Poset:
                     up.add(j)
                     up |= above[j]
             children[i] = tuple(found)
-        return cls._trusted(
-            elements, tuple(children), tuple(tuple(sorted(s)) for s in above)
-        )
+        # in place, so each set is freed as its tuple is built
+        for i, up in enumerate(above):
+            above[i] = tuple(sorted(up))
+        return cls._trusted(elements, tuple(children), tuple(above))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -13,8 +14,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hyperforman import cli, order_complex, serialize
-from hyperforman.cli import _json_text, main
+from hyperforman import (
+    cli,
+    forman_ricci,
+    forman_ricci_closed,
+    order_complex,
+    random_hypernetwork,
+    serialize,
+)
+from hyperforman.cli import (
+    _decimal,
+    _exact,
+    _half_decimal,
+    _half_exact,
+    _json_text,
+    main,
+)
 
 from conftest import coatoms, hub_star, time_limit, tower_poset_json
 
@@ -394,6 +409,23 @@ class TestCurvature:
         edge_lines = [l for l in out.splitlines() if l.startswith("edge ")]
         assert len(edge_lines) == 9
         assert all(l.endswith("ok") for l in edge_lines)
+
+    def test_edge_rows_match_the_per_edge_route(self, corpus_dir, tmp_path):
+        paths = sorted(p for p in corpus_dir.rglob("*") if p.is_file())
+        rng = random.Random(0)
+        for i in range(200):
+            path = tmp_path / f"draw{i}.json"
+            path.write_text(serialize(random_hypernetwork(rng), "json"))
+            paths.append(path)
+        for path in paths:
+            a = cli.Analysis(cli.build_parser().parse_args(["curvature", str(path)]))
+            k = a.skeleton
+            expected = []
+            for e in k.edges:
+                t, ric = len(k.triangles_containing(e)), forman_ricci(k, e)
+                closed = forman_ricci_closed(k, e)
+                expected.append((k.face_label(e), t, t + 2 - ric, ric, closed))
+            assert a.edge_rows == expected, path.name
 
     def test_star_all_zero(self, capsys, corpus_dir):
         rc, out, _ = run(
@@ -892,11 +924,12 @@ class TestReport:
         assert rc == 0
         edges = len(json.loads(out)["curvature"]["edges"])
         assert edges == 9
+        # the curvature table is one walk of the edge index: no per-edge call
         assert calls == {
             "poset_from_hypernetwork": 1,
             "order_complex": 1,
             "gauss_bonnet": 1,
-            "forman_ricci": edges,
+            "forman_ricci": 0,
         }
 
     def test_byte_identical_across_hash_seeds(self, corpus_dir):
@@ -999,6 +1032,16 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(JSON_TEXT, inner, max_size=4),
     max_leaves=30,
 )
+
+
+class TestHalfTerms:
+    def test_doubled_terms_print_as_their_fractions(self):
+        # odd, negative and past 2**53, where the float rounds
+        for t in [*range(-1000, 1001), 2**60 + 1, -(2**60 + 1)]:
+            assert _half_decimal(t) == _decimal(Fraction(t, 2)), t
+            half = _half_exact(t)
+            assert half == _exact(Fraction(t, 2)), t
+            assert type(half) is type(_exact(Fraction(t, 2))), t
 
 
 class TestJsonText:

@@ -102,8 +102,13 @@ class TestFormanRicci:
 
     @given(complexes())
     def test_matches_brute_force(self, k):
+        # the balance's one-pass table, taken on the 2-skeleton, matches too
+        table = gauss_bonnet(k.skeleton(2) if k.dim > 2 else k).ricci
+        assert list(table) == list(k.edges)
         for e in k.edges:
-            assert forman_ricci(k, e) == brute_ricci(k, e)
+            brute = brute_ricci(k, e)
+            assert forman_ricci(k, e) == brute
+            assert table[e] == brute == forman_ricci_closed(k, e), e
 
     @given(complexes())
     def test_either_vertex_order(self, k):
@@ -116,9 +121,12 @@ class TestFormanRicci:
     def test_hub_and_fan_match_brute_force(self):
         for seed in range(20):
             k = hub_and_fan(seed)
+            table = gauss_bonnet(k).ricci
+            assert list(table) == list(k.edges)
             for e in k.edges:
                 ric = forman_ricci(k, e)
                 assert ric == brute_ricci(k, e) == forman_ricci_closed(k, e), (seed, e)
+                assert table[e] == ric, (seed, e)
 
     def test_both_routes_on_corpus(self, corpus):
         for name, k in corpus.items():

@@ -101,6 +101,35 @@ def test_cli_output_builds_no_cover_pair_set(monkeypatch):
     differ = [argv for argv in checked if digest(argv) != golden[" ".join(argv)]]
     assert not differ, "CLI output changed for:\n" + "\n".join(map(" ".join, differ))
 
+
+def test_curvature_table_makes_no_per_edge_call(monkeypatch):
+    """``curvature``, ``filtrate`` and ``report`` print the same with
+    every per-edge and per-vertex lookup refused: the table is one walk
+    of the edge -> triangles index and the degree table."""
+    from hyperforman import SimplicialComplex, cli, curvature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-edge or per-vertex lookup")
+
+    for owner, name in (
+        (curvature, "forman_ricci"),
+        (curvature, "forman_ricci_closed"),
+        (curvature, "vertex_curvature"),
+        (cli, "forman_ricci_closed"),
+        (cli, "vertex_curvature"),
+        (SimplicialComplex, "_edge_entry"),
+        (SimplicialComplex, "triangles_containing"),
+        (SimplicialComplex, "face_label"),
+        (SimplicialComplex, "degree"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    golden = json.loads(GOLDEN.read_text())
+    commands = ("curvature", "filtrate", "report")
+    checked = [argv for argv in cases() if argv[0] in commands]
+    differ = [argv for argv in checked if digest(argv) != golden[" ".join(argv)]]
+    assert not differ, "CLI output changed for:\n" + "\n".join(map(" ".join, differ))
+
+
 if __name__ == "__main__":
     table = {" ".join(argv): digest(argv) for argv in cases()}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
