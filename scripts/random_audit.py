@@ -19,16 +19,24 @@ closed form and a brute count made here from the edges and triangles
 alone. It also
 checks that the network's geometric chi (the signed intersection walk
 on node bitmasks) equals a count made here of every face of the simplex
-view. The first failure is printed with its
-network and the script exits 1."""
+view, and that ``report`` on the network, run through the CLI, exits 0
+with the bytes ``json.dumps(..., indent=2, sort_keys=True)`` writes for
+the object it parses to, so the CLI's JSON writer and its row tables
+are held to the standard library on every draw. The first failure is
+printed with its network and the script exits 1."""
 
 from __future__ import annotations
 
 import argparse
+import io
+import json
 import random
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from pathlib import Path
 
 from hyperforman import (
     Poset,
@@ -43,6 +51,7 @@ from hyperforman import (
     random_hypernetwork,
     serialize,
 )
+from hyperforman.cli import main as cli_main
 
 
 def fail(message: str, h) -> int:
@@ -105,6 +114,29 @@ def face_count_chi(h) -> int:
         for size in range(1, len(members) + 1):
             faces.update(combinations(members, size))
     return sum(1 if len(f) % 2 else -1 for f in faces)
+
+
+def report_fault(h, include_singletons: bool) -> str | None:
+    """Run ``report`` on h through the CLI; say what is wrong if it does
+    not exit 0 with the bytes ``json.dumps(obj, indent=2,
+    sort_keys=True)`` writes for the object ``obj`` it parses to."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "network.json"
+        path.write_text(serialize(h, "json"), encoding="utf-8")
+        argv = ["report", str(path)] + ([] if include_singletons else ["--no-singletons"])
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            rc = cli_main(argv)
+    text = out.getvalue()
+    if rc != 0:
+        return f"report exits {rc}"
+    try:
+        canonical = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    except ValueError as ex:
+        return f"report is not JSON ({ex}):\n{text}"
+    if text != canonical:
+        return f"report is not what json.dumps writes for it:\n{text}"
+    return None
 
 
 def main() -> int:
@@ -200,6 +232,9 @@ def main() -> int:
                     h,
                 )
             edges_checked += 1
+        fault = report_fault(h, include_singletons)
+        if fault is not None:
+            return fail(f"network {i}: {fault}", h)
     dt = time.perf_counter() - t0
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
@@ -209,7 +244,8 @@ def main() -> int:
         f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "
         f"the balance's curvature table, the per-edge definitional route and "
         f"the closed form agree with the brute count, geometric chi "
-        f"matches the face count ({dt:.2f}s)"
+        f"matches the face count, each report's JSON is what json.dumps "
+        f"writes ({dt:.2f}s)"
     )
     return 0
 

@@ -247,7 +247,7 @@ class Analysis:
         if method == "rank":
             if isinstance(self.rank, NotRanked):
                 return {"not_ranked": True, **self.rank_witness()}
-            return sum((-1) ** j * c for j, c in enumerate(self.rank.level_counts()))
+            return self.rank.euler_characteristic()
         if self.loaded.kind == "poset":
             return None
         # called through the module, where perfbench/tracing.py patches it
@@ -279,6 +279,44 @@ def directed_graph_complex(h: Hypernetwork) -> DirectedComplex:
     return DirectedComplex.from_arcs(labels, arcs)
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """A JSON array of objects that all have the keys ``keys``: one tuple
+    of scalars per object, in key order. ``keys`` must be distinct
+    ``str`` in sorted order, the order ``sort_keys`` writes them in."""
+
+    keys: tuple[str, ...]
+    rows: list[tuple]
+
+    def __post_init__(self) -> None:
+        keys = self.keys
+        if not all(isinstance(k, str) for k in keys):
+            raise TypeError(f"row table keys must be str, not {keys!r}")
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise TypeError(f"row table keys must be sorted and distinct: {keys!r}")
+
+
+def _scalar(value) -> str:
+    """The JSON text of a str, bool, int or None; a TypeError otherwise.
+    The exact types come first: they are what the reports hold."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def _json_text(obj) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
     plus a newline, byte for byte.
@@ -286,24 +324,17 @@ def _json_text(obj) -> str:
     CPython runs its C encoder only when ``indent`` is None, so the stdlib
     pretty-prints in pure Python; this writer is shorter work for the same
     bytes. It takes what the reports hold: dicts with ``str`` keys, lists,
-    tuples, strings, ints, booleans and None. Anything else, floats
-    included, is a TypeError.
+    tuples, strings, ints, booleans, None and :class:`_Rows` tables,
+    written as the list of dicts they stand for. A table's rows go
+    through one ``%`` template, built once per table at its indent, so
+    no per-row dict is built or walked. Anything else, floats included,
+    is a TypeError.
     """
     chunks: list[str] = []
     append = chunks.append
 
     def write(value, indent: str) -> None:
-        if isinstance(value, str):
-            append(_quote(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             if not value:
                 append("{}")
                 return
@@ -327,8 +358,19 @@ def _json_text(obj) -> str:
                 write(item, inner)
                 sep = ",\n" + inner
             append("\n" + indent + "]")
+        elif isinstance(value, _Rows):
+            inner = indent + "  "
+            fields = ",\n".join(
+                inner + "  " + _quote(k).replace("%", "%%") + ": %s" for k in value.keys
+            )
+            fmt = "{\n" + fields + "\n" + inner + "}" if fields else "{}"
+            rows = [fmt % tuple(map(_scalar, row)) for row in value.rows]
+            if not rows:
+                append("[]")
+                return
+            append("[\n" + inner + (",\n" + inner).join(rows) + "\n" + indent + "]")
         else:
-            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+            append(_scalar(value))
 
     write(obj, "")
     append("\n")
@@ -402,6 +444,15 @@ def chi_display(a: Analysis, value) -> str:
     return str(value)
 
 
+def chi_cell(value):
+    """A chi value as its CSV cell."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, dict):
+        return "not-ranked"
+    return value
+
+
 def curvature_lines(a: Analysis) -> list[str]:
     k2 = a.skeleton
     labels = k2.labels
@@ -421,28 +472,27 @@ def curvature_lines(a: Analysis) -> list[str]:
 
 
 def curvature_obj(a: Analysis) -> dict:
+    """The curvature table as JSON: the edge, vertex and triangle arrays,
+    each a :class:`_Rows` table read straight from ``edge_rows``, the
+    degree table and the stored triangles, with no per-row dict."""
     k2 = a.skeleton
     labels = k2.labels
     return {
-        "edges": [
-            {
-                "edge": label,
-                "triangles": t,
-                "parallel": p,
-                "ric": r,
-                "ric_closed": c,
-                "match": r == c,
-            }
-            for label, t, p, r, c in a.edge_rows
-        ],
-        "vertices": [
-            {"vertex": label, "term": _half_exact(_twice_vertex_term(d))}
-            for label, d in zip(labels, k2._degrees)
-        ],
-        "triangles": [
-            {"triangle": _face_text(labels, t), "term": TRIANGLE_TERM}
-            for t in k2.triangles
-        ],
+        "edges": _Rows(
+            ("edge", "match", "parallel", "ric", "ric_closed", "triangles"),
+            [(label, r == c, p, r, c, t) for label, t, p, r, c in a.edge_rows],
+        ),
+        "vertices": _Rows(
+            ("term", "vertex"),
+            [
+                (_half_exact(_twice_vertex_term(d)), label)
+                for label, d in zip(labels, k2._degrees)
+            ],
+        ),
+        "triangles": _Rows(
+            ("term", "triangle"),
+            [(TRIANGLE_TERM, _face_text(labels, t)) for t in k2.triangles],
+        ),
     }
 
 
@@ -478,17 +528,12 @@ def cmd_validate(a: Analysis) -> int:
 
 
 def cmd_chi(a: Analysis) -> int:
-    human = [f"chi[{m}] = {chi_display(a, v)}" for m, v in a.chi.items()]
-    rows = []
-    for m, v in a.chi.items():
-        if v is None:
-            rows.append((m, "n/a"))
-        elif isinstance(v, dict):
-            rows.append((m, "not-ranked"))
-        else:
-            rows.append((m, v))
-    header = ("method", "value")
-    emit(a.args, lambda: human, lambda: {"chi": a.chi}, lambda: (header, rows))
+    emit(
+        a.args,
+        lambda: [f"chi[{m}] = {chi_display(a, v)}" for m, v in a.chi.items()],
+        lambda: {"chi": a.chi},
+        lambda: (("method", "value"), [(m, chi_cell(v)) for m, v in a.chi.items()]),
+    )
     return EXIT_OK
 
 
@@ -606,14 +651,21 @@ def cmd_gauss_bonnet(a: Analysis) -> int:
 def cmd_filtrate(a: Analysis) -> int:
     _require_undirected(a.loaded, "filtrate")
     rows = [(s.threshold, *s.f_vector, s.chi) for s in a.filtration]
-    human = [
-        f"threshold {t}: f=({f0},{f1},{f2}) chi={chi}" for t, f0, f1, f2, chi in rows
-    ]
-    if not rows:
-        human = ["empty complex: no filtration steps"]
-    obj = {"filtration": filtration_obj(a)}
-    header = ("threshold", "f0", "f1", "f2", "chi")
-    emit(a.args, lambda: human, lambda: obj, lambda: (header, rows))
+
+    def human() -> list[str]:
+        if not rows:
+            return ["empty complex: no filtration steps"]
+        return [
+            f"threshold {t}: f=({f0},{f1},{f2}) chi={chi}"
+            for t, f0, f1, f2, chi in rows
+        ]
+
+    emit(
+        a.args,
+        human,
+        lambda: {"filtration": filtration_obj(a)},
+        lambda: (("threshold", "f0", "f1", "f2", "chi"), rows),
+    )
     return EXIT_OK
 
 

@@ -77,6 +77,10 @@ class RankFunction:
             counts[r] += 1
         return tuple(counts)
 
+    def euler_characteristic(self) -> int:
+        """Alternating sum of the level counts: rank j counts (-1)^j."""
+        return sum((-1) ** j * c for j, c in enumerate(self.level_counts()))
+
 
 def set_label(s: frozenset) -> str:
     return "{" + ",".join(map(str, sorted(s))) + "}"
@@ -252,7 +256,7 @@ class Poset:
         rf = self.rank_function()
         if isinstance(rf, NotRanked):
             raise NotRankedError(rf)
-        return sum((-1) ** j * c for j, c in enumerate(rf.level_counts()))
+        return rf.euler_characteristic()
 
     def chain_counts(
         self, max_length: int | None = None, cap: int | None = None

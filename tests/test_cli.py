@@ -28,6 +28,7 @@ from hyperforman.cli import (
     _half_decimal,
     _half_exact,
     _json_text,
+    _Rows,
     main,
 )
 
@@ -834,6 +835,26 @@ class TestFiltrate:
         assert rc == 0
         assert all(line.startswith("threshold ") for line in out.splitlines())
 
+    def test_builds_only_the_chosen_output(self, capsys, corpus_dir, monkeypatch):
+        example = corpus_path(corpus_dir, NET, "example.json")
+        rc, json_out, _ = run(capsys, "filtrate", example, "--output", "json")
+        assert rc == 0
+
+        def building(a):
+            raise AssertionError("filtration_obj was called")
+
+        monkeypatch.setattr(cli, "filtration_obj", building)
+        rc, out, _ = run(capsys, "filtrate", example)
+        assert rc == 0
+        assert out.startswith("threshold ")
+        rc, out, _ = run(capsys, "filtrate", example, "--output", "csv")
+        assert rc == 0
+        assert out.startswith("threshold,f0,f1,f2,chi\n")
+        monkeypatch.undo()
+        rc, out, _ = run(capsys, "filtrate", example, "--output", "json")
+        assert (rc, out) == (0, json_out)
+        assert json.loads(out)["filtration"]
+
 
 class TestReport:
     def test_report_is_valid_json_with_sections(self, capsys, corpus_dir):
@@ -1033,6 +1054,43 @@ JSON_VALUES = st.recursive(
     max_leaves=30,
 )
 
+# row tables: sorted distinct keys that need escaping, or that a "%"
+# template would misread, with scalars past 2**63
+ROW_KEYS = st.lists(
+    st.text(st.one_of(st.sampled_from('"{}|%\n\\\u00e9\u2028\ud800'), st.characters())),
+    unique=True,
+    max_size=5,
+).map(lambda keys: tuple(sorted(keys)))
+ROW_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | JSON_TEXT
+)
+ROW_TABLES = ROW_KEYS.flatmap(
+    lambda keys: st.lists(st.tuples(*[ROW_SCALARS] * len(keys)), max_size=4).map(
+        lambda rows: _Rows(keys, rows)
+    )
+)
+VALUES_WITH_TABLES = st.recursive(
+    ROW_SCALARS | ROW_TABLES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def expanded(value):
+    """``value`` with each row table replaced by its list of dicts."""
+    if isinstance(value, _Rows):
+        return [dict(zip(value.keys, row, strict=True)) for row in value.rows]
+    if isinstance(value, dict):
+        return {k: expanded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [expanded(v) for v in value]
+    return value
+
 
 class TestHalfTerms:
     def test_doubled_terms_print_as_their_fractions(self):
@@ -1058,3 +1116,39 @@ class TestJsonText:
     def test_other_types_are_type_errors(self, value):
         with pytest.raises(TypeError):
             _json_text(value)
+
+    @given(VALUES_WITH_TABLES)
+    def test_row_tables_match_the_stdlib_pretty_printer(self, value):
+        expected = json.dumps(expanded(value), indent=2, sort_keys=True) + "\n"
+        assert _json_text(value) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            _Rows(("a", "b"), []),
+            _Rows((), [(), ()]),
+            _Rows(("edge", "match", "ric"), [("a|b", True, -(2**70))]),
+            {"x": [_Rows(("%s", "k"), [(None, "%d")]), _Rows(("a",), [])]},
+        ],
+        ids=["empty", "no-keys", "one-row-top-level", "nested"],
+    )
+    def test_row_table_cases(self, value):
+        expected = json.dumps(expanded(value), indent=2, sort_keys=True) + "\n"
+        assert _json_text(value) == expected
+
+    @pytest.mark.parametrize(
+        "row", [(1.5, 1), (Fraction(1, 2), 1), ({1}, 1), (1,), (1, 2, 3)],
+        ids=["float", "fraction", "set", "short", "long"],
+    )
+    def test_row_values_of_other_types_are_type_errors(self, row):
+        with pytest.raises(TypeError):
+            _json_text({"t": _Rows(("a", "b"), [(1, 2), row])})
+
+    @pytest.mark.parametrize(
+        "keys",
+        [("b", "a"), ("a", "a"), ("a", 1), (b"a",)],
+        ids=["unsorted", "repeated", "int-key", "bytes-key"],
+    )
+    def test_bad_keys_are_type_errors(self, keys):
+        with pytest.raises(TypeError):
+            _Rows(keys, [])

@@ -297,6 +297,15 @@ class TestRankedEuler:
         with pytest.raises(NotRankedError, match="rank 1 and rank 2"):
             p.ranked_euler_characteristic()
 
+    @given(set_families())
+    def test_is_the_signed_count_of_elements_by_rank(self, fam):
+        p = Poset.from_sets(fam)
+        rf = p.rank_function()
+        if isinstance(rf, NotRanked):
+            return
+        signed = sum((-1) ** r for r in rf.ranks)
+        assert rf.euler_characteristic() == p.ranked_euler_characteristic() == signed
+
 
 class TestFacePoset:
     def test_single_triangle(self):
