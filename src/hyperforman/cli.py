@@ -9,8 +9,13 @@ poset's up and down sizes and builds no complex.
 Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
 subcommands only format what it holds. Exit codes: 0 success, 2 invalid
-input or configuration, 3 I/O failure, 4 chain cap exceeded, 5 broken
+input or configuration, 3 I/O failure (a stdout whose reader has closed
+included, with one ``error:`` line), 4 chain cap exceeded, 5 broken
 curvature/Euler balance.
+
+``main(argv)`` can be called many times in one process: the argument
+parser is built on the first call and reused, and :func:`build_parser`
+returns a fresh parser for callers that want their own.
 
 All output is deterministic: identical input and configuration produce
 byte-identical reports.
@@ -20,10 +25,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -843,10 +849,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` parses with: built on the first call and
+    reused for the rest of the process, since building it costs about
+    40 times what one ``parse_args`` does.
+
+    Reuse is safe because argparse keeps no state between ``parse_args``
+    calls: each gets a fresh ``Namespace``, and ``sys.argv``, the
+    standard streams and the terminal width of help and usage text are
+    read when they are used. Only the ``set_defaults(func=cmd_*)`` of
+    each subcommand is fixed at the first build, so patching a ``cmd_*``
+    function afterwards does not reach :func:`main`; patch the module
+    globals it reads at call time instead, or call ``cache_clear()``.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(Analysis(args))
+        rc = args.func(Analysis(args))
+        # a reader that closed the pipe shows up here, not at exit
+        sys.stdout.flush()
+        return rc
     except ChainCapExceeded as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CAP
@@ -859,7 +885,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    rc = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the interpreter's own flush at exit cannot fail again (exit 120)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    raise SystemExit(rc)
 
 
 if __name__ == "__main__":

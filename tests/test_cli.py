@@ -40,7 +40,12 @@ DIR = "directed"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
-    rc = main([str(a) for a in argv])
+    """Exit code, stdout and stderr of one in-process call, argparse's
+    own exits included."""
+    try:
+        rc = main([str(a) for a in argv])
+    except SystemExit as ex:
+        rc = ex.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -1152,3 +1157,82 @@ class TestJsonText:
     def test_bad_keys_are_type_errors(self, keys):
         with pytest.raises(TypeError):
             _Rows(keys, [])
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, capsys, corpus_dir, monkeypatch):
+        example = str(corpus_path(corpus_dir, NET, "example.json"))
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for command in ("validate", "chi", "gauss-bonnet", "chi"):
+            assert run(capsys, command, example)[0] == 0
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_calls_do_not_leak_into_each_other(self, capsys, corpus_dir):
+        example = str(corpus_path(corpus_dir, NET, "example.json"))
+        usage_error = ["chi", example, "--chi-method", "bogus"]
+        calls = [usage_error, ["chi", example, "--output", "json"], usage_error]
+        alone = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        cli._parser.cache_clear()
+        together = [run(capsys, *argv) for argv in calls]
+        assert together == alone
+        assert [rc for rc, _, _ in alone] == [2, 0, 2]
+        assert "invalid choice: 'bogus'" in alone[0][2]
+
+    def test_help_follows_the_terminal_width_after_caching(
+        self, capsys, corpus_dir, monkeypatch
+    ):
+        run(capsys, "validate", corpus_path(corpus_dir, NET, "example.json"))
+        assert cli._parser.cache_info().currsize == 1
+        helps = {}
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            rc, helps[columns], _ = run(capsys, "chi", "--help")
+            assert rc == 0
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(["chi", "--help"])
+            assert capsys.readouterr().out == helps[columns]
+        # the narrow terminal wraps the option help onto more lines
+        assert helps["40"].count("\n") > helps["200"].count("\n")
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["validate", "chi"])
+    def test_closed_reader_exits_3_with_one_line(self, corpus_dir, command, unbuffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "hyperforman.cli",
+                    command,
+                    str(corpus_path(corpus_dir, NET, "example.json")),
+                ],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (3, b"error: [Errno 32] Broken pipe\n")
