@@ -9,9 +9,9 @@ poset's up and down sizes and builds no complex.
 Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
 subcommands only format what it holds. Exit codes: 0 success, 2 invalid
-input or configuration, 3 I/O failure (a stdout whose reader has closed
-included, with one ``error:`` line), 4 chain cap exceeded, 5 broken
-curvature/Euler balance.
+input or configuration, 3 I/O failure (a stdout pipe whose reader has
+already closed included, with one ``error:`` line), 4 chain cap
+exceeded, 5 broken curvature/Euler balance.
 
 ``main(argv)`` can be called many times in one process: the argument
 parser is built on the first call and reused, and :func:`build_parser`

@@ -40,12 +40,7 @@ DIR = "directed"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process call, argparse's
-    own exits included."""
-    try:
-        rc = main([str(a) for a in argv])
-    except SystemExit as ex:
-        rc = ex.code
+    rc = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -1159,6 +1154,17 @@ class TestJsonText:
             _Rows(keys, [])
 
 
+def run_to_exit(capsys, *argv) -> tuple[int, str, str]:
+    """Like :func:`run`, but an exit raised by argparse itself (a usage
+    error or ``--help``) is returned as its code instead of raised."""
+    try:
+        rc = main([str(a) for a in argv])
+    except SystemExit as ex:
+        rc = ex.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
 class TestParserReuse:
     def test_main_builds_the_parser_once(self, capsys, corpus_dir, monkeypatch):
         example = str(corpus_path(corpus_dir, NET, "example.json"))
@@ -1185,9 +1191,9 @@ class TestParserReuse:
         alone = []
         for argv in calls:
             cli._parser.cache_clear()
-            alone.append(run(capsys, *argv))
+            alone.append(run_to_exit(capsys, *argv))
         cli._parser.cache_clear()
-        together = [run(capsys, *argv) for argv in calls]
+        together = [run_to_exit(capsys, *argv) for argv in calls]
         assert together == alone
         assert [rc for rc, _, _ in alone] == [2, 0, 2]
         assert "invalid choice: 'bogus'" in alone[0][2]
@@ -1200,7 +1206,7 @@ class TestParserReuse:
         helps = {}
         for columns in ("40", "200"):
             monkeypatch.setenv("COLUMNS", columns)
-            rc, helps[columns], _ = run(capsys, "chi", "--help")
+            rc, helps[columns], _ = run_to_exit(capsys, "chi", "--help")
             assert rc == 0
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(["chi", "--help"])
