@@ -12,7 +12,12 @@ buckets) each equal what the checked constructor builds from their
 faces, that the curvature balance closes exactly, that at skeleton 0, 1
 and 2 the balance read from the poset's counts (``poset_gauss_bonnet``,
 as ``gauss-bonnet`` prints it) equals the one taken on that skeleton of
-the order complex, and that on every edge of the order complex's
+the order complex, and so do the per-edge table, the balance and the
+filtration counted from comparability bitsets (``poset_curvature_table``
+and ``poset_curvature_filtration``, as ``curvature``, ``filtrate`` and
+``report`` print them), row for row against ``gauss_bonnet``, the
+closed form and ``curvature_filtration`` on that skeleton, and that on
+every edge of the order complex's
 2-skeleton the balance's curvature (filled in one walk of the edge
 index) equals the per-edge definitional route ``forman_ricci``, the
 closed form and a brute count made here from the edges and triangles
@@ -41,11 +46,14 @@ from pathlib import Path
 from hyperforman import (
     Poset,
     SimplicialComplex,
+    curvature_filtration,
     forman_ricci,
     forman_ricci_closed,
     gauss_bonnet,
     geometric_euler_characteristic,
     order_complex,
+    poset_curvature_filtration,
+    poset_curvature_table,
     poset_from_hypernetwork,
     poset_gauss_bonnet,
     random_hypernetwork,
@@ -94,6 +102,16 @@ def brute_ricci(k, e) -> int:
         if len(set(e) & set(f)) == 1 and not any(set(f) <= t for t in on_e)
     )
     return len(on_e) - parallels + 2
+
+
+def complex_rows(k, ricci) -> list[tuple[int, ...]]:
+    """The rows ``poset_curvature_table`` gives, from the complex: per
+    edge its vertices, triangles, parallels, curvature and closed form."""
+    rows = []
+    for e in k.edges:
+        t, ric = len(k.triangles_containing(e)), ricci[e]
+        rows.append((*e, t, t + 2 - ric, ric, forman_ricci_closed(k, e)))
+    return rows
 
 
 def balance_numbers(rep) -> tuple:
@@ -211,14 +229,39 @@ def main() -> int:
         if report.residual != 0:
             return fail(f"network {i}: residual {report.residual}", h)
         for skeleton in (0, 1, 2):
-            on_complex = balance_numbers(gauss_bonnet(full.skeleton(skeleton)))
-            counted = balance_numbers(
-                poset_gauss_bonnet(p, p.chain_counts(skeleton + 1))
-            )
+            cut = full.skeleton(skeleton)
+            cut_report = gauss_bonnet(cut)
+            on_complex = balance_numbers(cut_report)
+            f = p.chain_counts(skeleton + 1)
+            counted = balance_numbers(poset_gauss_bonnet(p, f))
             if counted != on_complex:
                 return fail(
                     f"network {i}, skeleton {skeleton}: balance from counts "
                     f"{counted} but on the complex {on_complex}",
+                    h,
+                )
+            table = poset_curvature_table(p, f)
+            if balance_numbers(table) != on_complex:
+                return fail(
+                    f"network {i}, skeleton {skeleton}: balance of the counted "
+                    f"table {balance_numbers(table)} but on the complex "
+                    f"{on_complex}",
+                    h,
+                )
+            rows = complex_rows(cut, cut_report.ricci)
+            if (table.edges, table.degrees) != (rows, list(cut._degrees)):
+                return fail(
+                    f"network {i}, skeleton {skeleton}: counted table "
+                    f"{table.edges} with degrees {table.degrees} but the "
+                    f"complex gives {rows} with degrees {list(cut._degrees)}",
+                    h,
+                )
+            steps = poset_curvature_filtration(table)
+            expected = curvature_filtration(cut, cut_report.ricci)
+            if steps != expected:
+                return fail(
+                    f"network {i}, skeleton {skeleton}: counted filtration "
+                    f"{steps} but on the complex {expected}",
                     h,
                 )
         for e in k.edges:
@@ -243,7 +286,8 @@ def main() -> int:
         f"chains, they and their 2-skeletons equal their checked builds, all "
         f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "
         f"the balance's curvature table, the per-edge definitional route and "
-        f"the closed form agree with the brute count, geometric chi "
+        f"the closed form agree with the brute count, the counted tables and "
+        f"filtrations equal the complex route at skeleton 0, 1 and 2, geometric chi "
         f"matches the face count, each report's JSON is what json.dumps "
         f"writes ({dt:.2f}s)"
     )

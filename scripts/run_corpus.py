@@ -20,7 +20,7 @@ def analyse(name: str, path: Path) -> bool:
     row = f"{name:32s} {len(a.poset):3d} elements  {ranked:10s} chi={chi:3d}  "
     if a.loaded.kind == "hypernetwork":
         row += f"geometric={a.chi['geometric']:3d}  "
-    residual = a.balance.residual
+    residual = a.table.residual
     print(f"{row}residual={residual}")
     return residual == 0
 

@@ -3,14 +3,18 @@
 Subcommands: validate, chi, curvature, gauss-bonnet, filtrate, report.
 Inputs are hypernetwork files (JSON or text) or poset JSON files (an
 object with an ``elements`` key); the pipeline is input -> inclusion
-poset -> face counts of its order complex -> 2-skeleton -> curvature,
-except that gauss-bonnet reads its balance from the face counts and the
-poset's up and down sizes and builds no complex.
+poset -> face counts of its order complex -> curvature. No command
+builds the complex: the per-edge curvature table, its balance and the
+filtration come from the poset's comparability bitsets and the face
+counts, gauss-bonnet reads its balance from the counts and the up and
+down sizes alone, and the triangle lines come from walking the chains
+x < y < z.
 Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
 subcommands only format what it holds. Exit codes: 0 success, 2 invalid
 input or configuration, 3 I/O failure (a stdout pipe whose reader has
-already closed included, with one ``error:`` line), 4 chain cap
+already closed and a closed stdout descriptor included, with one
+``error:`` line), 4 chain cap
 exceeded, 5 broken curvature/Euler balance.
 
 ``main(argv)`` can be called many times in one process: the argument
@@ -27,6 +31,7 @@ import argparse
 import csv
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -34,20 +39,21 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import hypernet
-from .complexes import SimplicialComplex, order_complex
+from .complexes import order_complex  # noqa: F401  not called here; perfbench/tracing.py patches it
 from .curvature import (
     TRIANGLE_TERM,
     CurvatureBalance,
-    CurvatureReport,
+    CurvatureTable,
     DirectedComplex,
     DirectedConfig,
     DirectionError,
     FiltrationStep,
-    _edge_term,
     _twice_vertex_term,
-    curvature_filtration,
+    curvature_filtration,  # noqa: F401  not called here; perfbench/tracing.py patches it
     forman_ricci_closed,  # noqa: F401  not called here; perfbench/tracing.py patches it
-    gauss_bonnet,
+    gauss_bonnet,  # noqa: F401  not called here; perfbench/tracing.py patches it
+    poset_curvature_filtration,
+    poset_curvature_table,
     poset_gauss_bonnet,
     two_skeleton,  # noqa: F401  not called here; perfbench/tracing.py patches it
     vertex_curvature,  # noqa: F401  not called here; perfbench/tracing.py patches it
@@ -196,49 +202,40 @@ class Analysis:
         return self.f_vector[:3]
 
     @cached_property
-    def skeleton(self) -> SimplicialComplex:
-        """The complex curvature operates on: the order complex built up
-        to the dimension its counts reach, 2 at most."""
-        return order_complex(
-            self.poset,
-            skeleton_dim=max(len(self.curvature_counts) - 1, 0),
-            chain_cap=self.args.chain_cap,
-        )
-
-    @cached_property
-    def balance(self) -> CurvatureReport:
-        return gauss_bonnet(self.skeleton)
-
-    @cached_property
     def counted_balance(self) -> CurvatureBalance:
-        """The balance of :attr:`balance`, from the counts and the poset
-        alone: no chain is listed and no complex is built."""
+        """The balance alone, from the counts and the up and down sizes:
+        what gauss-bonnet prints, with no per-edge work."""
         return poset_gauss_bonnet(self.poset, self.curvature_counts)
 
     @cached_property
-    def edge_rows(self) -> list[tuple[str, int, int, int, int]]:
-        """(label, triangles, parallel, ric, closed form) per edge.
-
-        One walk of the edge -> triangles index, next to the balance's
-        curvature, which was filled from the same index in the same
-        order. ``ric`` is the definitional value, so the parallel count
-        is T + 2 - ric; the closed form is evaluated from the degrees on
-        its own and stays an independent check.
-        """
-        k2 = self.skeleton
-        labels, degrees = k2.labels, k2._degrees
-        rows = []
-        for ((u, v), triangles), ric in zip(
-            k2._edge_triangles.items(), self.balance.ricci.values(), strict=True
-        ):
-            t = len(triangles)
-            closed = _edge_term(t, degrees[u], degrees[v])
-            rows.append((labels[u] + "|" + labels[v], t, t + 2 - ric, ric, closed))
-        return rows
+    def table(self) -> CurvatureTable:
+        """The per-edge curvature table and its balance, from the counts
+        and the comparability bitsets: no chain is listed and no complex
+        is built."""
+        return poset_curvature_table(self.poset, self.curvature_counts)
 
     @cached_property
     def filtration(self) -> list[FiltrationStep]:
-        return curvature_filtration(self.skeleton, self.balance.ricci)
+        return poset_curvature_filtration(self.table)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The label of each poset element, as the vertices print it."""
+        return tuple(map(self.poset.element_label, range(len(self.poset))))
+
+    def triangle_labels(self) -> Iterator[str]:
+        """The label of each triangle of the complex the table reads, in
+        the order :func:`order_complex` lists them: the chains x < y < z,
+        walked from the up sets."""
+        if self.table.dim < 2:
+            return
+        labels, above = self.labels, self.poset._above
+        for x, ups in enumerate(above):
+            head = labels[x] + "|"
+            for y in ups:
+                pair = head + labels[y] + "|"
+                for z in above[y]:
+                    yield pair + labels[z]
 
     @cached_property
     def chi(self) -> dict:
@@ -459,45 +456,47 @@ def chi_cell(value):
     return value
 
 
+def edge_rows(a: Analysis) -> Iterator[tuple[str, int, int, int, int]]:
+    """(label, triangles, parallel, ric, closed form) per edge of the
+    table."""
+    labels = a.labels
+    for x, y, t, p, r, c in a.table.edges:
+        yield labels[x] + "|" + labels[y], t, p, r, c
+
+
 def curvature_lines(a: Analysis) -> list[str]:
-    k2 = a.skeleton
-    labels = k2.labels
     lines = [
         f"edge {label}: triangles={t} parallel={p} ric={r} closed={c} "
         + ("ok" if r == c else "MISMATCH")
-        for label, t, p, r, c in a.edge_rows
+        for label, t, p, r, c in edge_rows(a)
     ]
     lines += [
         f"vertex {label}: {_half_decimal(_twice_vertex_term(d))}"
-        for label, d in zip(labels, k2._degrees)
+        for label, d in zip(a.labels, a.table.degrees)
     ]
-    lines += [
-        f"triangle {_face_text(labels, t)}: {TRIANGLE_TERM}" for t in k2.triangles
-    ]
+    lines += [f"triangle {t}: {TRIANGLE_TERM}" for t in a.triangle_labels()]
     return lines
 
 
 def curvature_obj(a: Analysis) -> dict:
     """The curvature table as JSON: the edge, vertex and triangle arrays,
-    each a :class:`_Rows` table read straight from ``edge_rows``, the
-    degree table and the stored triangles, with no per-row dict."""
-    k2 = a.skeleton
-    labels = k2.labels
+    each a :class:`_Rows` table read straight from the table's rows, its
+    degrees and the triangle walk, with no per-row dict."""
     return {
         "edges": _Rows(
             ("edge", "match", "parallel", "ric", "ric_closed", "triangles"),
-            [(label, r == c, p, r, c, t) for label, t, p, r, c in a.edge_rows],
+            [(label, r == c, p, r, c, t) for label, t, p, r, c in edge_rows(a)],
         ),
         "vertices": _Rows(
             ("term", "vertex"),
             [
                 (_half_exact(_twice_vertex_term(d)), label)
-                for label, d in zip(labels, k2._degrees)
+                for label, d in zip(a.labels, a.table.degrees)
             ],
         ),
         "triangles": _Rows(
             ("term", "triangle"),
-            [(TRIANGLE_TERM, _face_text(labels, t)) for t in k2.triangles],
+            [(TRIANGLE_TERM, t) for t in a.triangle_labels()],
         ),
     }
 
@@ -609,7 +608,7 @@ def cmd_curvature(a: Analysis) -> int:
         lambda: curvature_obj(a),
         lambda: (
             ("edge", "triangles", "parallel", "ric"),
-            [row[:4] for row in a.edge_rows],
+            [row[:4] for row in edge_rows(a)],
         ),
     )
     return EXIT_OK
@@ -687,7 +686,7 @@ def cmd_report(a: Analysis) -> int:
         }
     else:
         rank_obj = {"ranked": False, **a.rank_witness()}
-    report = a.balance
+    report = a.table
     obj = {
         "input": {**input_summary(a.loaded), "format": a.loaded.fmt},
         "config": {
@@ -868,6 +867,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if sys.stdout is None:
+        # the interpreter found no stdout descriptor at startup (``>&-``)
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_IO
     try:
         rc = args.func(Analysis(args))
         # a reader that closed the pipe shows up here, not at exit
@@ -886,6 +889,8 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     rc = main(sys.argv[1:])
+    if sys.stdout is None:
+        raise SystemExit(rc)
     try:
         sys.stdout.flush()
     except OSError:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -16,9 +17,13 @@ from hypothesis import strategies as st
 
 from hyperforman import (
     cli,
+    curvature_filtration,
     forman_ricci,
     forman_ricci_closed,
+    gauss_bonnet,
     order_complex,
+    parse,
+    poset_from_hypernetwork,
     random_hypernetwork,
     serialize,
 )
@@ -420,13 +425,14 @@ class TestCurvature:
             paths.append(path)
         for path in paths:
             a = cli.Analysis(cli.build_parser().parse_args(["curvature", str(path)]))
-            k = a.skeleton
+            # the oracle builds the 2-skeleton the table never builds
+            k = order_complex(a.poset, skeleton_dim=2)
             expected = []
             for e in k.edges:
                 t, ric = len(k.triangles_containing(e)), forman_ricci(k, e)
                 closed = forman_ricci_closed(k, e)
                 expected.append((k.face_label(e), t, t + 2 - ric, ric, closed))
-            assert a.edge_rows == expected, path.name
+            assert list(cli.edge_rows(a)) == expected, path.name
 
     def test_star_all_zero(self, capsys, corpus_dir):
         rc, out, _ = run(
@@ -770,10 +776,12 @@ class TestGaussBonnet:
     ):
         # the identity cannot fail on a real complex, so force a fake
         # report through the command to pin the exit path; gauss-bonnet
-        # takes its balance from the counts, report from the complex
+        # takes its balance from the counts, report from the counted table
         import hyperforman.cli as cli
 
-        name = "poset_gauss_bonnet" if command == "gauss-bonnet" else "gauss_bonnet"
+        name = (
+            "poset_gauss_bonnet" if command == "gauss-bonnet" else "poset_curvature_table"
+        )
         real = getattr(cli, name)
         monkeypatch.setattr(
             cli,
@@ -792,6 +800,34 @@ class TestGaussBonnet:
 
 
 class TestFiltrate:
+    def test_tower_at_skeleton_2_matches_the_complex(self, capsys, tmp_path):
+        # V_k = {t_1..t_k} for k = 1..60: the oracle lists 68440 triangles
+        path = tmp_path / "tower.hnet"
+        path.write_text(
+            "".join(
+                f"V{k}: " + " ".join(f"t{j}" for j in range(1, k + 1)) + "\n"
+                for k in range(1, 61)
+            )
+        )
+        k = order_complex(poset_from_hypernetwork(parse(path.read_text(), "text")), 2)
+        assert k.f_vector() == (119, 3540, 68440)
+        ricci = gauss_bonnet(k).ricci
+        rc, out, _ = run(capsys, "filtrate", path, "--skeleton", "2", "--output", "csv")
+        assert rc == 0
+        assert out.splitlines()[1:] == [
+            ",".join(map(str, (s.threshold, *s.f_vector, s.chi)))
+            for s in curvature_filtration(k, ricci)
+        ]
+        rc, out, _ = run(
+            capsys, "curvature", path, "--skeleton", "2", "--output", "csv"
+        )
+        assert rc == 0
+        expected = []
+        for e in k.edges:
+            t = len(k.triangles_containing(e))
+            expected.append([k.face_label(e), str(t), str(t + 2 - ricci[e]), str(ricci[e])])
+        assert list(csv.reader(io.StringIO(out)))[1:] == expected
+
     def test_tetrahedron_single_row(self, capsys, corpus_dir):
         rc, out, _ = run(
             capsys,
@@ -936,20 +972,29 @@ class TestReport:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("poset_from_hypernetwork", "order_complex", "gauss_bonnet"):
+        for name in (
+            "poset_from_hypernetwork",
+            "order_complex",
+            "gauss_bonnet",
+            "poset_curvature_table",
+            "poset_curvature_filtration",
+        ):
             counting(cli, name)
         counting(curvature, "forman_ricci")
         rc, out, _ = run(
             capsys, "report", corpus_path(corpus_dir, NET, "example.json")
         )
         assert rc == 0
-        edges = len(json.loads(out)["curvature"]["edges"])
-        assert edges == 9
-        # the curvature table is one walk of the edge index: no per-edge call
+        report = json.loads(out)
+        assert len(report["curvature"]["edges"]) == 9
+        assert len(report["curvature"]["triangles"]) == 4
+        # one counted table serves every section: no complex, no per-edge call
         assert calls == {
             "poset_from_hypernetwork": 1,
-            "order_complex": 1,
-            "gauss_bonnet": 1,
+            "order_complex": 0,
+            "gauss_bonnet": 0,
+            "poset_curvature_table": 1,
+            "poset_curvature_filtration": 1,
             "forman_ricci": 0,
         }
 
@@ -1216,6 +1261,26 @@ class TestParserReuse:
 
 
 class TestBrokenPipe:
+    @pytest.mark.parametrize("command", ["validate", "chi", "report"])
+    def test_closed_stdout_exits_3_with_one_line(self, corpus_dir, command):
+        # with descriptor 1 closed, the interpreter sets sys.stdout to None
+        proc = subprocess.run(
+            [
+                "sh",
+                "-c",
+                'exec "$0" -m hyperforman.cli "$1" "$2" >&-',
+                sys.executable,
+                command,
+                str(corpus_path(corpus_dir, NET, "example.json")),
+            ],
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (
+            3,
+            b"error: standard output is closed\n",
+        )
+
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", ["validate", "chi"])
     def test_closed_reader_exits_3_with_one_line(self, corpus_dir, command, unbuffered):

@@ -15,12 +15,15 @@ from hyperforman import (
     forman_ricci_closed,
     gauss_bonnet,
     order_complex,
+    poset_curvature_filtration,
+    poset_curvature_table,
     poset_from_hypernetwork,
     poset_gauss_bonnet,
     random_hypernetwork,
     two_skeleton,
     vertex_curvature,
 )
+from hyperforman.cli import load_input
 from hyperforman.curvature import DirectedComplex, DirectedConfig, DirectionError
 
 from conftest import ABSENT_EDGE_IDS, ABSENT_EDGES, complexes, hypernetworks
@@ -28,6 +31,7 @@ from helpers import (
     brute_balance_residual,
     brute_directed_formula,
     brute_filtration,
+    brute_parallel,
     brute_ricci,
 )
 
@@ -297,6 +301,91 @@ class TestPosetGaussBonnet:
         assert poset_gauss_bonnet(p, (f0, f1 + 1, f2)).residual == -3
         assert poset_gauss_bonnet(p, (f0, f1, f2 + 1)).residual == 9
         assert poset_gauss_bonnet(p, (f0 + 1, f1, f2)).residual == -1
+
+
+def assert_table_matches_the_complex(
+    p: Poset, skeleton: int | None, brute: bool = True
+) -> None:
+    """The counted table, balance and filtration of p at ``--skeleton``
+    equal the complex route on the order complex cut to dimension
+    min(skeleton, 2): gauss_bonnet, forman_ricci, forman_ricci_closed
+    and curvature_filtration, and with ``brute`` also the parallels
+    counted edge by edge and the threshold-by-threshold filtration."""
+    f = p.chain_counts(None if skeleton is None else skeleton + 1)
+    k = order_complex(p, 2 if skeleton is None else min(skeleton, 2))
+    report = gauss_bonnet(k)
+    table = poset_curvature_table(p, f)
+    assert balance_numbers(table) == balance_numbers(report)
+    assert table.residual == 0
+    assert table.degrees == list(k._degrees)
+    expected = []
+    for e in k.edges:
+        t, ric = len(k.triangles_containing(e)), forman_ricci(k, e)
+        assert ric == report.ricci[e]
+        if brute:
+            assert t + 2 - ric == len(brute_parallel(k, e))
+        expected.append((*e, t, t + 2 - ric, ric, forman_ricci_closed(k, e)))
+    assert table.edges == expected
+    steps = poset_curvature_filtration(table)
+    assert steps == curvature_filtration(k, report.ricci)
+    if brute:
+        assert steps == brute_filtration(k, report.ricci)
+
+
+def corpus_posets(corpus_dir):
+    """(name, poset) for every corpus file, networks with and without
+    their node singletons."""
+    for path in sorted(p for p in corpus_dir.rglob("*") if p.is_file()):
+        loaded = load_input(path, "auto")
+        if loaded.kind == "poset":
+            yield path.name, loaded.poset
+            continue
+        for singletons in (True, False):
+            p = poset_from_hypernetwork(loaded.network, include_singletons=singletons)
+            yield f"{path.name} singletons={singletons}", p
+
+
+class TestCountedTable:
+    @pytest.mark.parametrize("skeleton", SKELETONS)
+    def test_matches_the_complex_on_the_corpus(self, corpus_dir, skeleton):
+        for _, p in corpus_posets(corpus_dir):
+            assert_table_matches_the_complex(p, skeleton)
+
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_matches_the_complex_on_random_draws(self, singletons):
+        rng = random.Random(20261019 + singletons)
+        for _ in range(150):
+            p = poset_from_hypernetwork(
+                random_hypernetwork(rng, max_nodes=12, max_hypervertices=7),
+                include_singletons=singletons,
+            )
+            for skeleton in SKELETONS:
+                assert_table_matches_the_complex(p, skeleton, brute=False)
+
+    @given(hypernetworks(), st.booleans(), st.sampled_from(SKELETONS))
+    def test_matches_the_complex_on_drawn_networks(self, h, singletons, skeleton):
+        p = poset_from_hypernetwork(h, include_singletons=singletons)
+        assert_table_matches_the_complex(p, skeleton)
+
+    def test_the_residual_ties_the_bitsets_to_the_chain_counts(self):
+        # the sums come from the bitsets and chi from f, so a miscounted
+        # f moves the residual by -chi's change plus 10 per triangle
+        p = Poset.from_sets(frozenset(s) for s in ("a", "b", "ab", "abc"))
+        f0, f1, f2 = p.chain_counts(3)
+        assert poset_curvature_table(p, (f0, f1, f2)).residual == 0
+        assert poset_curvature_table(p, (f0, f1 + 1, f2)).residual == 1
+        assert poset_curvature_table(p, (f0, f1, f2 + 1)).residual == 9
+        assert poset_curvature_table(p, (f0 + 1, f1, f2)).residual == -1
+
+    def test_the_skeleton_is_read_from_the_length_of_f(self):
+        p = Poset.from_sets(frozenset(s) for s in ("a", "b", "ab", "abc"))
+        assert [poset_curvature_table(p, p.chain_counts(m)).dim for m in (0, 1, 2, 3)] == [
+            -1, 0, 1, 2
+        ]
+        no_edges = poset_curvature_table(p, p.chain_counts(1))
+        assert (no_edges.edges, no_edges.degrees) == ([], [0, 0, 0, 0])
+        no_triangles = poset_curvature_table(p, p.chain_counts(2))
+        assert {row[2] for row in no_triangles.edges} == {0}
 
 
 def filtration(k):
