@@ -207,9 +207,6 @@ class SimplicialComplex:
         is filled by walking the sorted :attr:`triangles`)."""
         return self._edge_entry(e)[1]
 
-    def vertex_label(self, v: int) -> str:
-        return self.labels[v]
-
     def face_label(self, f: Iterable[int]) -> str:
         return "|".join(map(self.labels.__getitem__, sorted(f)))
 

@@ -156,20 +156,37 @@ def gauss_bonnet(k: SimplicialComplex) -> CurvatureReport:
     k = two_skeleton(k)
     degrees = k._degrees
     ricci = {e: _ricci(e, ts, degrees) for e, ts in k._edge_triangles.items()}
+    return _balanced(
+        CurvatureReport, degrees, sum(ricci.values()), k.f_vector(), ricci=ricci
+    )
+
+
+def _balanced(cls, degrees, ricci_sum: int, f: Sequence[int], /, **fields):
+    """``cls`` holding the balance of the vertex terms of ``degrees``, the
+    edge sum ``ricci_sum`` and the triangle terms and chi of the face
+    counts f0..f2, with the given ``fields`` besides."""
+    f0, f1, f2 = (*f[:3], 0, 0, 0)[:3]
     # one Fraction: the terms are halves, so sum their doubles
     vertex_sum = Fraction(sum(map(_twice_vertex_term, degrees)), 2)
-    ricci_sum = sum(ricci.values())
-    triangle_sum = TRIANGLE_TERM * len(k.triangles)
-    chi = k.euler_characteristic()
-    residual = vertex_sum - ricci_sum + triangle_sum - chi
-    return CurvatureReport(
-        ricci=ricci,
+    triangle_sum = TRIANGLE_TERM * f2
+    chi = f0 - f1 + f2
+    return cls(
         vertex_sum=vertex_sum,
         ricci_sum=ricci_sum,
         triangle_sum=triangle_sum,
         chi=chi,
-        residual=residual,
+        residual=vertex_sum - ricci_sum + triangle_sum - chi,
+        **fields,
     )
+
+
+def _down_up(above: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """|below x| and |above x| for each element x, read from the up sets."""
+    up = list(map(len, above))
+    down = [0] * len(up)
+    for y in chain.from_iterable(above):
+        down[y] += 1
+    return down, up
 
 
 def poset_gauss_bonnet(p: "Poset", f: Sequence[int]) -> CurvatureBalance:
@@ -196,26 +213,12 @@ def poset_gauss_bonnet(p: "Poset", f: Sequence[int]) -> CurvatureBalance:
     two agree. Time is O(|P| + comparable pairs); the extra memory is
     two int lists of length |P|.
     """
-    f0, f1, f2 = (*f[:3], 0, 0, 0)[:3]
-    above = p._above
-    up = list(map(len, above))
-    down = [0] * len(up)
-    for y in chain.from_iterable(above):
-        down[y] += 1
+    down, up = _down_up(p._above)
     degrees = list(map(add, down, up)) if len(f) > 1 else [0] * len(up)
     triangles_on_edges = 3 * sum(map(mul, down, up)) if len(f) > 2 else 0
-    vertex_sum = Fraction(sum(map(_twice_vertex_term, degrees)), 2)
+    f1 = f[1] if len(f) > 1 else 0
     ricci_sum = 3 * triangles_on_edges + 4 * f1 - sum(d * d for d in degrees)
-    triangle_sum = TRIANGLE_TERM * f2
-    chi = f0 - f1 + f2
-    residual = vertex_sum - ricci_sum + triangle_sum - chi
-    return CurvatureBalance(
-        vertex_sum=vertex_sum,
-        ricci_sum=ricci_sum,
-        triangle_sum=triangle_sum,
-        chi=chi,
-        residual=residual,
-    )
+    return _balanced(CurvatureBalance, degrees, ricci_sum, f)
 
 
 # (x, y, triangles, parallels, ric, closed form) for the edge x < y
@@ -263,21 +266,23 @@ def poset_curvature_table(p: "Poset", f: Sequence[int]) -> CurvatureTable:
     has (no edges below 2 entries, no triangles below 3). The order
     complex is the clique complex of the comparability graph, since
     three pairwise comparable elements form a chain. So with N[x] the
-    neighbours of x, deg x = |N[x]|, and the triangles on an edge x < y
-    are its common neighbours, T = |N[x] & N[y]|. The parallels of x < y
-    are the edges meeting it in one vertex that lie in no triangle on
-    it: the neighbours of exactly one end, |N[x] ^ N[y]| - 2 (x and y
-    are in it), plus, without triangles, two edges per common
-    neighbour. Then ric = T - parallels + 2 by its definition, and the
-    closed form 3T + 4 - deg x - deg y is evaluated on its own from T
-    and the degrees, for the CLI's ``match`` column to compare.
+    neighbours of x, the triangles on an edge x < y are its common
+    neighbours, T = |N[x] & N[y]|. The parallels of x < y are the edges
+    meeting it in one vertex that lie in no triangle on it: the
+    neighbours of exactly one end, |N[x] ^ N[y]| - 2 (x and y are in
+    it), plus, without triangles, two edges per common neighbour. Then
+    ric = T - parallels + 2 by its definition. The degrees are taken
+    from the poset's up and down sizes, deg x = |below x| + |above x|,
+    not from the bitsets, and the closed form 3T + 4 - deg x - deg y is
+    evaluated from T and those degrees. The CLI's ``match`` column
+    compares the two, so it fails wherever N[x] or N[y] disagrees with
+    the store.
 
     The sums come from the table and chi and the triangle sum from f,
     so the residual is zero only when the bitsets agree with the chain
     counts. Time is O(f1 * |P| / 64) word operations and memory one
     row per edge and one |P|-bit int per element.
     """
-    f0, f1, f2 = (*f[:3], 0, 0, 0)[:3]
     above = p._above
     rows: list[EdgeRow] = []
     if len(f) < 2:
@@ -285,7 +290,7 @@ def poset_curvature_table(p: "Poset", f: Sequence[int]) -> CurvatureTable:
     else:
         triangles = len(f) > 2
         masks = _comparability_masks(above)
-        degrees = [m.bit_count() for m in masks]
+        degrees = list(map(add, *_down_up(above)))
         append = rows.append
         for x, ups in enumerate(above):
             mx, dx = masks[x], degrees[x]
@@ -297,17 +302,11 @@ def poset_curvature_table(p: "Poset", f: Sequence[int]) -> CurvatureTable:
                     parallels, t = parallels + 2 * t, 0
                 ric = t - parallels + 2
                 append((x, y, t, parallels, ric, _edge_term(t, dx, degrees[y])))
-    vertex_sum = Fraction(sum(map(_twice_vertex_term, degrees)), 2)
-    ricci_sum = sum([row[4] for row in rows])
-    triangle_sum = TRIANGLE_TERM * f2
-    chi = f0 - f1 + f2
-    residual = vertex_sum - ricci_sum + triangle_sum - chi
-    return CurvatureTable(
-        vertex_sum=vertex_sum,
-        ricci_sum=ricci_sum,
-        triangle_sum=triangle_sum,
-        chi=chi,
-        residual=residual,
+    return _balanced(
+        CurvatureTable,
+        degrees,
+        sum([row[4] for row in rows]),
+        f,
         degrees=degrees,
         edges=rows,
         dim=min(len(f), 3) - 1,

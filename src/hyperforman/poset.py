@@ -5,9 +5,10 @@ by strict inclusion. That covers all three sources we care about: the
 canonical poset of a hypernetwork (singletons, hypervertex sets, and
 hyperedge unions), face posets of simplicial complexes (faces as vertex
 sets), and hand-built fixtures. The cover relation is always the
-transitive reduction of inclusion, so it never needs to be supplied.
-One pass of :meth:`Poset.from_sets` finds it, and the poset keeps it
-per element: the covers above each element and its whole up set.
+transitive reduction of inclusion, so it is never supplied: one pass
+of :meth:`Poset.from_sets`, the only way to build a poset, finds it,
+and the poset keeps it per element: the covers above each element and
+its whole up set.
 """
 
 from __future__ import annotations
@@ -90,13 +91,6 @@ def _canonical_key(s: frozenset):
     return (len(s), tuple(sorted(s)))
 
 
-def _cover_pair(entry) -> tuple[int, int]:
-    """A raw cover entry as an index pair, or a ValueError naming it."""
-    if isinstance(entry, (tuple, list)) and [type(i) for i in entry] == [int, int]:
-        return tuple(entry)
-    raise ValueError(f"cover entry {entry!r} is not a pair of int indices")
-
-
 @dataclass(frozen=True, init=False)
 class Poset:
     """Distinct finite sets under strict inclusion.
@@ -110,52 +104,21 @@ class Poset:
     The covers are the transitive reduction of inclusion, so the
     elements determine them: equality and hashing go by ``elements``.
 
-    The raw constructor ``Poset(elements, covers)`` takes any iterable
-    of index pairs. It rejects an entry that is not a pair of ``int``
-    indices, repeated elements and any cover set other than the one
-    :meth:`from_sets` finds, whose store it then takes over in its own
-    element order.
+    :meth:`from_sets` is the only way to build one, so the canonical
+    order always holds; calling ``Poset(...)`` raises ``TypeError``.
     """
 
     elements: tuple[frozenset, ...]
 
-    def __init__(self, elements: Iterable[frozenset], covers: Iterable):
-        # _trusted skips this; every other construction runs it
-        elements = tuple(elements)
-        n = len(elements)
-        pairs = frozenset(map(_cover_pair, covers))
-        for q, p in pairs:
-            if not (0 <= q < n and 0 <= p < n):
-                raise ValueError(f"cover pair ({q}, {p}) out of range")
-            if q >= p:
-                raise ValueError(f"cover pair ({q}, {p}) does not go up in index")
-            if not elements[q] < elements[p]:
-                raise ValueError(f"cover pair ({q}, {p}) does not respect inclusion")
-        where = {e: i for i, e in enumerate(elements)}
-        if len(where) != n:
-            raise ValueError("poset elements repeat a set")
-        found = Poset.from_sets(elements)
-        at = [where[e] for e in found.elements]
-        children, above = [()] * n, [()] * n
-        for i, (ps, up) in enumerate(zip(found._children, found._above)):
-            children[at[i]] = tuple(sorted(at[p] for p in ps))
-            above[at[i]] = tuple(sorted(at[p] for p in up))
-        expected = {(q, p) for q, ps in enumerate(children) for p in ps}
-        extra, missing = pairs - expected, expected - pairs
-        if extra:
-            raise ValueError(
-                f"cover pair {min(extra)} is not a cover: an element lies between"
-            )
-        if missing:
-            raise ValueError(f"covers lack the cover pair {min(missing)}")
-        self.__dict__.update(elements=elements, covers=pairs)
-        self.__dict__.update(_children=tuple(children), _above=tuple(above))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Poset with Poset.from_sets")
 
     @classmethod
     def _trusted(cls, elements, children, above) -> "Poset":
-        """Build without checks from distinct elements in canonical order
-        and, per element, its covers and its complete up set, ascending:
-        the ``_children`` and ``_above`` tables."""
+        """Build without checks, and without ``__init__``, from distinct
+        elements in canonical order and, per element, its covers and its
+        complete up set, ascending: the ``_children`` and ``_above``
+        tables."""
         p = object.__new__(cls)
         p.__dict__.update(elements=elements, _children=children, _above=above)
         return p

@@ -34,10 +34,11 @@ def brute_covers(elements) -> set[tuple[int, int]]:
     }
 
 
-def pairwise_poset(sets) -> Poset:
-    """The inclusion poset by testing every pair of elements for subset,
-    then dropping each comparable pair that admits an intermediate
-    element; elements are in the library's canonical order."""
+def pairwise_poset(sets) -> tuple[tuple[frozenset, ...], frozenset]:
+    """The elements and covers of the inclusion poset, by testing every
+    pair of elements for subset, then dropping each comparable pair that
+    admits an intermediate element; elements are in the library's
+    canonical order, to compare with ``(p.elements, p.covers)``."""
     elements = tuple(
         sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
     )
@@ -52,13 +53,17 @@ def pairwise_poset(sets) -> Poset:
     covers = frozenset(
         (i, j) for i in range(n) for j in up[i] if not (up[i] & dn[j])
     )
-    return Poset(elements, covers)
+    return elements, covers
 
 
-def codim1_face_poset(k: SimplicialComplex) -> Poset:
-    """Face poset of a complex with the codimension-1 containments as
-    covers, which are the transitive reduction because the complex is
-    downward closed; no subset test is made."""
+def codim1_face_poset(
+    k: SimplicialComplex,
+) -> tuple[tuple[frozenset, ...], frozenset]:
+    """The elements and covers of the face poset of a complex, with the
+    codimension-1 containments as covers, which are the transitive
+    reduction because the complex is downward closed; no subset test is
+    made. Elements are in the library's canonical order, to compare with
+    ``(p.elements, p.covers)``."""
     faces = [f for dim_faces in k.faces_by_dim for f in dim_faces]
     elements = tuple(
         sorted((frozenset(f) for f in faces), key=lambda s: (len(s), sorted(s)))
@@ -70,7 +75,7 @@ def codim1_face_poset(k: SimplicialComplex) -> Poset:
         if len(f) > 1
         for sub in combinations(f, len(f) - 1)
     }
-    return Poset(elements, frozenset(covers))
+    return elements, frozenset(covers)
 
 
 def brute_chains(elements, max_length=None) -> set[tuple[int, ...]]:
