@@ -13,9 +13,9 @@ Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
 subcommands only format what it holds. Exit codes: 0 success, 2 invalid
 input or configuration, 3 I/O failure (a stdout pipe whose reader has
-already closed and a closed stdout descriptor included, with one
-``error:`` line), 4 chain cap
-exceeded, 5 broken curvature/Euler balance.
+closed, before or during the write, and a closed stdout descriptor
+included, with one ``error:`` line), 4 chain cap exceeded, 5 broken
+curvature/Euler balance.
 
 ``main(argv)`` can be called many times in one process: the argument
 parser is built on the first call and reused, and :func:`build_parser`
@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -117,13 +119,17 @@ def _poset_from_json_obj(obj) -> Poset:
         sets.append(s)
     p = Poset.from_sets(sets)
     if "covers" in obj:
-        try:
-            pairs = [(q, r) for q, r in obj["covers"]]
-        except (TypeError, ValueError) as ex:
-            raise InputError(f"malformed 'covers' array: {ex}") from ex
-        for i in (i for pair in pairs for i in pair):
-            if type(i) is not int or not 0 <= i < len(sets):
-                raise InputError(f"malformed 'covers' array: {i!r} is not an index")
+        pairs = obj["covers"]
+        if not isinstance(pairs, list):
+            raise InputError("'covers' must be an array")
+        for n, pair in enumerate(pairs):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InputError(
+                    f"malformed 'covers' array: entry {n} is not a pair of indices"
+                )
+            for i in pair:
+                if type(i) is not int or not 0 <= i < len(sets):
+                    raise InputError(f"malformed 'covers' array: {i!r} is not an index")
         translated = {(p.index_of(sets[q]), p.index_of(sets[r])) for q, r in pairs}
         if translated != set(p.covers):
             raise InputError("'covers' does not match the inclusion order")
@@ -320,6 +326,73 @@ def _scalar(value) -> str:
     raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
+# the JSON text of each value of one exact type, one C call per value;
+# an int or str subclass and None take the checked route of _scalar
+_TEXT_OF = {int: int.__repr__, str: _quote, bool: {True: "true", False: "false"}.get}
+
+
+def _one_type(values) -> type | None:
+    """The exact type all of ``values`` share, or None."""
+    kinds = set(map(type, values))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _array(texts, indent: str) -> str:
+    """A non-empty JSON array at ``indent`` from its items' texts."""
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+
+
+def _list_text(items, indent: str) -> str | None:
+    """``items`` as a JSON array at ``indent``, with no Python call per
+    item, when they are scalars of one exact type of :data:`_TEXT_OF`
+    (one ``join``) or non-empty lists or tuples whose scalars all share
+    such a type (one ``join`` per list); None for anything else, which
+    the writer walks item by item."""
+    if not items:
+        return "[]"
+    to_text = _TEXT_OF.get(_one_type(items))
+    if to_text is not None:
+        return _array(map(to_text, items), indent)
+    if not set(map(type, items)) <= {list, tuple} or not all(items):
+        return None
+    to_text = _TEXT_OF.get(_one_type(chain.from_iterable(items)))
+    if to_text is None:
+        return None
+    inner = indent + "  "
+    texts = map((",\n" + inner + "  ").join, map(map, repeat(to_text), items))
+    return _array(map(("[\n" + inner + "  %s\n" + inner + "]").__mod__, texts), indent)
+
+
+def _rows_text(table: _Rows, indent: str) -> str:
+    """A row table as the JSON array of objects it stands for, a column
+    at a time: exact ints go into the row template as ``%d``, every
+    other column is converted to JSON text in one ``map``, and each row
+    fills the one ``%`` template."""
+    rows, keys = table.rows, table.keys
+    if not rows:
+        return "[]"
+    widths = set(map(len, rows))
+    if widths != {len(keys)}:
+        raise TypeError(f"row table rows must have {len(keys)} values, not {widths}")
+    if not keys:
+        return _array(["{}"] * len(rows), indent)
+    fields, columns = [], []
+    for key, column in zip(keys, zip(*rows)):
+        kind = _one_type(column)
+        field = _quote(key).replace("%", "%%") + ": "
+        if kind is int:
+            fields.append(field + "%d")
+            columns.append(column)
+        else:
+            fields.append(field + "%s")
+            columns.append(map(_TEXT_OF.get(kind, _scalar), column))
+    inner = indent + "  "
+    sep = ",\n" + inner + "  "
+    fmt = "{\n" + inner + "  " + sep.join(fields) + "\n" + inner + "}"
+    return _array(map(fmt.__mod__, zip(*columns)), indent)
+
+
 def _json_text(obj) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
     plus a newline, byte for byte.
@@ -328,10 +401,18 @@ def _json_text(obj) -> str:
     pretty-prints in pure Python; this writer is shorter work for the same
     bytes. It takes what the reports hold: dicts with ``str`` keys, lists,
     tuples, strings, ints, booleans, None and :class:`_Rows` tables,
-    written as the list of dicts they stand for. A table's rows go
-    through one ``%`` template, built once per table at its indent, so
-    no per-row dict is built or walked. Anything else, floats included,
-    is a TypeError.
+    written as the list of dicts they stand for.
+
+    The bulk of a report is written a column at a time, with no Python
+    call per scalar. A table is transposed once: a column of exact ints
+    goes into the row template as ``%d``, any other column is converted
+    in one ``map`` (of a C function when its values share one exact
+    type, of :func:`_scalar` otherwise), and each row fills the one
+    ``%`` template built at the table's indent. A list of scalars of
+    one exact type is one ``join``, and a list of such lists one
+    ``join`` per inner list. Only dicts and mixed lists are walked item
+    by item. Anything else, floats included, is a TypeError, and so are
+    a table's rows of the wrong width.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -351,8 +432,9 @@ def _json_text(obj) -> str:
                 sep = ",\n" + inner
             append("\n" + indent + "}")
         elif isinstance(value, (list, tuple)):
-            if not value:
-                append("[]")
+            text = _list_text(value, indent)
+            if text is not None:
+                append(text)
                 return
             inner = indent + "  "
             sep = "[\n" + inner
@@ -362,16 +444,7 @@ def _json_text(obj) -> str:
                 sep = ",\n" + inner
             append("\n" + indent + "]")
         elif isinstance(value, _Rows):
-            inner = indent + "  "
-            fields = ",\n".join(
-                inner + "  " + _quote(k).replace("%", "%%") + ": %s" for k in value.keys
-            )
-            fmt = "{\n" + fields + "\n" + inner + "}" if fields else "{}"
-            rows = [fmt % tuple(map(_scalar, row)) for row in value.rows]
-            if not rows:
-                append("[]")
-                return
-            append("[\n" + inner + (",\n" + inner).join(rows) + "\n" + indent + "]")
+            append(_rows_text(value, indent))
         else:
             append(_scalar(value))
 
@@ -380,20 +453,44 @@ def _json_text(obj) -> str:
     return "".join(chunks)
 
 
+def _write_out(text: str) -> None:
+    """Write ``text`` to stdout, all of it or an OSError.
+
+    A text stream over a binary one drops the short count its buffer's
+    ``write`` returns when a pipe's reader closes mid-write, so the rest
+    of the output would be lost with no error. Here the text layer is
+    flushed, and the encoded bytes go to the buffer until every byte is
+    out; a closed reader then raises BrokenPipeError. A stream with no
+    binary buffer under it (``io.StringIO``) takes the text as it is.
+    """
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        # a non-blocking raw stream returns None for "nothing written yet"
+        data = data[buffer.write(data) or 0:]
+
+
 def emit(args, human, json_obj, csv_table) -> None:
     """Write the report in the ``--output`` format. Each payload is a
     zero-argument callable and only the chosen one is called: ``human``
     gives the lines, ``json_obj`` the object, ``csv_table`` the header
     and the rows."""
     if args.output == "json":
-        sys.stdout.write(_json_text(json_obj()))
+        _write_out(_json_text(json_obj()))
     elif args.output == "csv":
         header, rows = csv_table()
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        _write_out(text.getvalue())
     else:
-        sys.stdout.write("\n".join(human()) + "\n")
+        _write_out("\n".join(human()) + "\n")
 
 
 # -- formatting helpers ------------------------------------------------------
@@ -482,10 +579,14 @@ def curvature_obj(a: Analysis) -> dict:
     """The curvature table as JSON: the edge, vertex and triangle arrays,
     each a :class:`_Rows` table read straight from the table's rows, its
     degrees and the triangle walk, with no per-row dict."""
+    labels = a.labels
     return {
         "edges": _Rows(
             ("edge", "match", "parallel", "ric", "ric_closed", "triangles"),
-            [(label, r == c, p, r, c, t) for label, t, p, r, c in edge_rows(a)],
+            [
+                (labels[x] + "|" + labels[y], r == c, p, r, c, t)
+                for x, y, t, p, r, c in a.table.edges
+            ],
         ),
         "vertices": _Rows(
             ("term", "vertex"),
@@ -719,7 +820,7 @@ def cmd_report(a: Analysis) -> int:
         _, obj["directed"], _ = _directed_section(
             a.loaded.network, _directed_config(args)
         )
-    sys.stdout.write(_json_text(obj))
+    _write_out(_json_text(obj))
     return balance_status(report)
 
 

@@ -153,11 +153,6 @@ def _edge(eid: str, tail: str, head: str, directed: bool) -> Hyperedge:
 # -- JSON ------------------------------------------------------------------
 
 
-def _expect(cond: bool, msg: str):
-    if not cond:
-        raise ParseError(msg)
-
-
 def repeated(items) -> object | None:
     """The first item that occurs a second time, or None."""
     seen = set()
@@ -169,54 +164,58 @@ def repeated(items) -> object | None:
 
 
 def from_json_obj(obj) -> Hypernetwork:
-    _expect(isinstance(obj, dict), "top level must be a JSON object")
-    _expect("nodes" in obj, "missing required key 'nodes'")
+    # plain ifs, not a check(cond, message) helper, which would format
+    # every message, f-strings included, on the success path too
+    if not isinstance(obj, dict):
+        raise ParseError("top level must be a JSON object")
+    if "nodes" not in obj:
+        raise ParseError("missing required key 'nodes'")
     nodes = obj["nodes"]
-    _expect(
-        isinstance(nodes, list) and all(isinstance(n, str) for n in nodes),
-        "'nodes' must be an array of strings",
-    )
+    if not (isinstance(nodes, list) and all(isinstance(n, str) for n in nodes)):
+        raise ParseError("'nodes' must be an array of strings")
     dup = repeated(nodes)
-    _expect(dup is None, f"duplicate node '{dup}'")
+    if dup is not None:
+        raise ParseError(f"duplicate node '{dup}'")
     directed = obj.get("directed", False)
-    _expect(isinstance(directed, bool), "'directed' must be a boolean")
+    if not isinstance(directed, bool):
+        raise ParseError("'directed' must be a boolean")
 
     raw_hvs = obj.get("hypervertices", [])
-    _expect(isinstance(raw_hvs, list), "'hypervertices' must be an array")
+    if not isinstance(raw_hvs, list):
+        raise ParseError("'hypervertices' must be an array")
     hvs = []
     for i, raw in enumerate(raw_hvs):
-        _expect(isinstance(raw, dict), f"hypervertices[{i}] must be an object")
-        _expect(
-            isinstance(raw.get("id"), str), f"hypervertices[{i}].id must be a string"
-        )
+        if not isinstance(raw, dict):
+            raise ParseError(f"hypervertices[{i}] must be an object")
+        if not isinstance(raw.get("id"), str):
+            raise ParseError(f"hypervertices[{i}].id must be a string")
         members = raw.get("nodes")
-        _expect(
-            isinstance(members, list) and all(isinstance(n, str) for n in members),
-            f"hypervertices[{i}].nodes must be an array of strings",
-        )
+        if not (isinstance(members, list) and all(isinstance(n, str) for n in members)):
+            raise ParseError(f"hypervertices[{i}].nodes must be an array of strings")
         dup = repeated(members)
-        _expect(dup is None, f"hypervertices[{i}].nodes repeats node '{dup}'")
+        if dup is not None:
+            raise ParseError(f"hypervertices[{i}].nodes repeats node '{dup}'")
         hvs.append(Hypervertex(raw["id"], frozenset(members)))
 
     raw_edges = obj.get("hyperedges", [])
-    _expect(isinstance(raw_edges, list), "'hyperedges' must be an array")
+    if not isinstance(raw_edges, list):
+        raise ParseError("'hyperedges' must be an array")
     edges = []
     for i, raw in enumerate(raw_edges):
-        _expect(isinstance(raw, dict), f"hyperedges[{i}] must be an object")
+        if not isinstance(raw, dict):
+            raise ParseError(f"hyperedges[{i}] must be an object")
         for banned in ("nodes", "members", "hypervertices"):
-            _expect(
-                banned not in raw,
-                f"hyperedges[{i}]: hyperedges connect exactly two hypervertices "
-                f"(unexpected key '{banned}')",
-            )
+            if banned in raw:
+                raise ParseError(
+                    f"hyperedges[{i}]: hyperedges connect exactly two hypervertices "
+                    f"(unexpected key '{banned}')"
+                )
         for k in ("id", "tail", "head"):
-            _expect(
-                isinstance(raw.get(k), str), f"hyperedges[{i}].{k} must be a string"
-            )
+            if not isinstance(raw.get(k), str):
+                raise ParseError(f"hyperedges[{i}].{k} must be a string")
         e_directed = raw.get("directed", False)
-        _expect(
-            isinstance(e_directed, bool), f"hyperedges[{i}].directed must be a boolean"
-        )
+        if not isinstance(e_directed, bool):
+            raise ParseError(f"hyperedges[{i}].directed must be a boolean")
         edges.append(_edge(raw["id"], raw["tail"], raw["head"], e_directed))
 
     return Hypernetwork(frozenset(nodes), tuple(hvs), tuple(edges), directed)
