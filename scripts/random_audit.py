@@ -23,10 +23,12 @@ closed form and a brute count made here from the edges and triangles
 alone. It also
 checks that the network's geometric chi (the signed intersection walk
 on node bitmasks) equals a count made here of every face of the simplex
-view, and that ``report`` on the network, run through the CLI, exits 0
-with the bytes ``json.dumps(..., indent=2, sort_keys=True)`` writes for
-the object it parses to, so the CLI's JSON writer and its row tables
-are held to the standard library on every draw. The first failure is
+view, that the facets that walk covers the view with are the maximal
+elements of the network's inclusion poset, and that ``report`` on the
+network, run through the CLI, exits 0 with the bytes
+``json.dumps(..., indent=2, sort_keys=True)`` writes for the object it
+parses to, so the CLI's JSON writer and its row tables are held to the
+standard library on every draw. The first failure is
 printed with its network and the script exits 1."""
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from hyperforman import (
     serialize,
 )
 from hyperforman.cli import main as cli_main
+from hyperforman.hypernet import _facets
 
 
 def fail(message: str, h) -> int:
@@ -138,6 +141,24 @@ def face_count_chi(h) -> int:
     return sum(1 if len(f) % 2 else -1 for f in faces)
 
 
+def facet_mismatch(h) -> str | None:
+    """Say how the facets geometric chi walks differ from the maximal
+    elements of the network's inclusion poset (singletons included), or
+    None if they are the same sets."""
+    labels = sorted(h.nodes)
+    facets = {
+        frozenset(n for i, n in enumerate(labels) if m >> i & 1) for m in _facets(h)
+    }
+    p = poset_from_hypernetwork(h)
+    maximal = {e for e, up in zip(p.elements, p._above) if not up}
+    if facets == maximal:
+        return None
+    return (
+        f"facets {sorted(map(sorted, facets))} but the maximal poset elements "
+        f"are {sorted(map(sorted, maximal))}"
+    )
+
+
 def report_fault(h, include_singletons: bool) -> str | None:
     """Run ``report`` on h through the CLI; say what is wrong if it does
     not exit 0 with the bytes ``json.dumps(obj, indent=2,
@@ -185,6 +206,9 @@ def main() -> int:
                 f"gives {faces}",
                 h,
             )
+        mismatch = facet_mismatch(h)
+        if mismatch is not None:
+            return fail(f"network {i}: {mismatch}", h)
         include_singletons = i % 4 != 3
         p = poset_from_hypernetwork(h, include_singletons=include_singletons)
         less, covers = brute_order(p.elements)
@@ -287,8 +311,8 @@ def main() -> int:
         f"the balance's curvature table, the per-edge definitional route and "
         f"the closed form agree with the brute count, the counted tables and "
         f"filtrations equal the complex route at skeleton 0, 1 and 2, geometric chi "
-        f"matches the face count, each report's JSON is what json.dumps "
-        f"writes ({dt:.2f}s)"
+        f"matches the face count, its facets are the maximal poset elements, "
+        f"each report's JSON is what json.dumps writes ({dt:.2f}s)"
     )
     return 0
 

@@ -84,11 +84,12 @@ class Hypernetwork:
             seen_hv.add(hv.id)
             if not hv.nodes:
                 raise HypernetworkError(f"empty hypervertex '{hv.id}'")
-            for n in sorted(hv.nodes):
-                if n not in self.nodes:
-                    raise HypernetworkError(
-                        f"hypervertex '{hv.id}' references unknown node '{n}'"
-                    )
+            if not hv.nodes <= self.nodes:
+                # the least unknown node, whatever the set order
+                n = min(hv.nodes - self.nodes)
+                raise HypernetworkError(
+                    f"hypervertex '{hv.id}' references unknown node '{n}'"
+                )
         seen_he: set[str] = set()
         seen_pairs: dict[object, str] = {}
         for e in self.hyperedges:
@@ -304,8 +305,9 @@ def to_text(h: Hypernetwork) -> str:
             "use the JSON format"
         )
     for hv in h.hypervertices:
-        tokens = [hv.id, *hv.nodes]
-        for tok in tokens:
+        # sorted, so the first unwritable node named is the same under
+        # every hash seed
+        for tok in (hv.id, *sorted(hv.nodes)):
             if tok.startswith("#") or any(b in tok for b in _TOKEN_BREAKERS):
                 raise ValueError(f"token {tok!r} cannot be written in text format")
         if hv.id in ("E", "E>"):
@@ -412,38 +414,82 @@ def serialize(h: Hypernetwork, fmt: str) -> str:
 # -- geometric view --------------------------------------------------------
 
 
+def _facets(h: Hypernetwork) -> list[int]:
+    """The facets of the simplex view as node bitmasks (one bit per node
+    in sorted order), by size, then by mask.
+
+    The view is spanned by the hypervertices, the hyperedge unions and
+    the node singletons, and its facets are the spanning sets that no
+    other one strictly contains. Only three kinds can be facets: edge
+    unions, hypervertices with no incident edge (one with an edge lies
+    inside that edge's union) and the singletons of nodes in no
+    hypervertex.
+
+    Candidates go largest first, so one that lies inside another lies
+    inside a facet kept before it. ``holding[b]`` has bit k set when
+    the k-th kept facet holds node bit b, so the facets holding all of
+    a candidate's bits are the AND of its rows: no candidate is tested
+    against the facets one by one.
+    """
+    bit = {n: 1 << i for i, n in enumerate(sorted(h.nodes))}
+    by_id = {hv.id: sum(map(bit.__getitem__, hv.nodes)) for hv in h.hypervertices}
+    candidates = {by_id[e.tail] | by_id[e.head] for e in h.hyperedges}
+    linked = {ref for e in h.hyperedges for ref in (e.tail, e.head)}
+    candidates.update(m for i, m in by_id.items() if i not in linked)
+    covered = 0
+    for m in by_id.values():
+        covered |= m
+    candidates.update(b for b in bit.values() if not b & covered)
+    facets = []
+    holding: dict[int, int] = {}
+    for m in sorted(candidates, key=int.bit_count, reverse=True):
+        bits = []
+        inside = -1
+        rest = m
+        while rest:
+            b = rest & -rest
+            bits.append(b)
+            inside &= holding.get(b, 0)
+            rest ^= b
+        if inside:
+            continue
+        k = 1 << len(facets)
+        facets.append(m)
+        for b in bits:
+            holding[b] = holding.get(b, 0) | k
+    facets.sort(key=lambda m: (m.bit_count(), m))
+    return facets
+
+
 def geometric_euler_characteristic(h: Hypernetwork, cap: int | None = None) -> int:
     """Euler characteristic of the full-dimensional simplex view.
 
-    By the nerve theorem for the cover by generator simplices (node
-    singletons included), chi counts the generator families with a
-    common node, +1 for each odd family and -1 for each even one.
-    ``signed[x]`` holds that count over the families whose intersection
-    is exactly x, so the work is at most generators times distinct
-    intersections, and every intersection is a face of the view.
+    By the nerve theorem for the cover by facet simplices, chi counts
+    the facet families with a common node, +1 for each odd family and
+    -1 for each even one; the cover by every spanning set gives the
+    same chi, but with more families. ``signed[x]`` holds that count
+    over the families whose intersection is exactly x, so the work is
+    at most facets times distinct intersections, and every intersection
+    is a face of the view.
 
-    Node sets are ``int`` bitmasks, one bit per node in sorted order,
-    built on each call: a meet is ``x & mask`` and allocates no set.
-    Masks match node sets one to one, so the intersections, and the
-    visits below, are those of the same walk over sets. Generators are
-    taken by size, then by sorted members.
+    Node sets are ``int`` bitmasks from :func:`_facets`: a meet is
+    ``x & mask`` and allocates no set. Masks match node sets one to
+    one, so the intersections, and the visits below, are those of the
+    same walk over sets, with the facets taken in the same order.
 
-    The work is counted as the (generator, live intersection) pairs
+    The work is counted as the (facet, live intersection) pairs
     visited. Once that count passes ``cap`` (unbounded by default), the
     walk stops with :class:`ChainCapExceeded`.
     """
-    bit = {n: 1 << i for i, n in enumerate(sorted(h.nodes))}
-    gens = {*h.generator_sets(), *(frozenset({n}) for n in h.nodes)}
     signed: dict[int, int] = {}
     visited = 0
-    for g in sorted(gens, key=lambda s: (len(s), sorted(s))):
+    for mask in _facets(h):
         visited += len(signed)
         if cap is not None and visited > cap:
             raise ChainCapExceeded(
                 f"geometric chi visited {visited} intersections", visited, cap
             )
-        mask = sum(map(bit.__getitem__, g))
-        # g alone, and g joined to every earlier family it meets
+        # the facet alone, and joined to every earlier family it meets
         delta = {mask: 1}
         for x, count in signed.items():
             meet = x & mask

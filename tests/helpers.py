@@ -198,13 +198,25 @@ def geometric_generators(h) -> set[frozenset]:
     return gens
 
 
+def brute_geometric_facets(h) -> set[frozenset]:
+    """Generators that no generator strictly contains."""
+    gens = geometric_generators(h)
+    return {g for g in gens if not any(g < other for other in gens)}
+
+
 def frozenset_geometric_walk(h) -> tuple[int, int]:
     """Geometric chi by the signed intersection walk on node frozensets,
-    and the (generator, live intersection) pairs it visits; generators
-    come by size, then by sorted members."""
+    and the (facet, live intersection) pairs it visits. Facets come by
+    size, then by the sum of 2^i over their members' places i in the
+    sorted node list."""
+    place = {n: i for i, n in enumerate(sorted(h.nodes))}
+
+    def order(s):
+        return len(s), sum(1 << place[n] for n in s)
+
     signed: dict[frozenset, int] = {}
     visited = 0
-    for g in sorted(geometric_generators(h), key=lambda s: (len(s), sorted(s))):
+    for g in sorted(brute_geometric_facets(h), key=order):
         visited += len(signed)
         delta = {g: 1}
         for x, count in signed.items():

@@ -321,7 +321,7 @@ class TestChi:
             rc, out, err = run(capsys, command, f, "--chain-cap", "100000")
         assert (rc, out) == (4, "")
         assert err == (
-            "error: geometric chi visited 131355 intersections, "
+            "error: geometric chi visited 131054 intersections, "
             "over the chain cap of 100000\n"
         )
 

@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +16,11 @@ from hyperforman import (
     ParseError,
     geometric_euler_characteristic,
     parse,
+    poset_from_hypernetwork,
     random_hypernetwork,
     serialize,
 )
-from hyperforman.hypernet import _edge
+from hyperforman.hypernet import _edge, _facets
 
 from conftest import (
     dense_shaped,
@@ -29,6 +33,7 @@ from conftest import (
 from helpers import (
     brute_geometric_chi,
     brute_geometric_faces,
+    brute_geometric_facets,
     clique_expansion,
     frozenset_geometric_walk,
     geometric_complex,
@@ -190,6 +195,38 @@ class TestParsing:
         assert (h.hyperedges[0].tail, h.hyperedges[0].head) == ("A", "Z")
 
 
+# two unwritable nodes and three unknown ones; each error must name the
+# least of them, not the one that set order happens to put first
+NAMING_SCRIPT = """
+from hyperforman import Hypernetwork, HypernetworkError, Hypervertex, serialize
+nodes = ["c:d", "a b", "q", "x", "y", "z"]
+h = Hypernetwork(frozenset(nodes), (Hypervertex("V", frozenset(nodes)),))
+try:
+    serialize(h, "text")
+except ValueError as ex:
+    print(ex)
+try:
+    Hypernetwork(frozenset("q"), (Hypervertex("V", frozenset("qzyx")),))
+except HypernetworkError as ex:
+    print(ex)
+"""
+
+
+def test_errors_name_the_same_node_under_every_hash_seed():
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", NAMING_SCRIPT], capture_output=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs == [
+        b"token 'a b' cannot be written in text format\n"
+        b"hypervertex 'V' references unknown node 'x'\n"
+    ] * 2
+
+
 class TestRoundTrip:
     @given(hypernetworks())
     def test_json_round_trip(self, h):
@@ -297,6 +334,111 @@ class TestGeometricComplex:
             geometric_complex(h).faces(1)
         )
         assert clique_expansion(h).labels == geometric_complex(h).labels
+
+
+def facet_sets(h: Hypernetwork) -> list[frozenset]:
+    """``_facets(h)`` as node sets, in its order."""
+    labels = sorted(h.nodes)
+    return [
+        frozenset(n for i, n in enumerate(labels) if m >> i & 1) for m in _facets(h)
+    ]
+
+
+def maximal_poset_elements(h: Hypernetwork) -> set[frozenset]:
+    """The elements of the network's inclusion poset with an empty up set."""
+    p = poset_from_hypernetwork(h)
+    return {e for e, up in zip(p.elements, p._above) if not up}
+
+
+def vertex(hv_id: str, nodes: str) -> Hypervertex:
+    return Hypervertex(hv_id, frozenset(nodes))
+
+
+class TestFacets:
+    """``_facets`` against the generators no generator strictly contains
+    and against the maximal elements of the inclusion poset."""
+
+    def assert_facets(self, h):
+        masks = _facets(h)
+        assert masks == sorted(set(masks), key=lambda m: (m.bit_count(), m))
+        found = facet_sets(h)
+        assert set(found) == brute_geometric_facets(h) == maximal_poset_elements(h)
+        return found
+
+    @pytest.mark.parametrize(
+        "h, expected",
+        [
+            (Hypernetwork(), []),
+            # an isolated node is a facet of its own
+            (Hypernetwork(frozenset("abc"), (vertex("V", "ab"),)), ["c", "ab"]),
+            # an edgeless hypervertex inside another one is no facet
+            (
+                Hypernetwork(frozenset("abc"), (vertex("V", "abc"), vertex("W", "ab"))),
+                ["abc"],
+            ),
+            # a hypervertex equal to an edge union counts once
+            (
+                Hypernetwork(
+                    frozenset("abcd"),
+                    (
+                        vertex("A", "a"),
+                        vertex("B", "b"),
+                        vertex("U", "ab"),
+                        vertex("W", "cd"),
+                    ),
+                    (_edge("E1", "A", "B", False),),
+                ),
+                ["ab", "cd"],
+            ),
+            # nested endpoints: the union is the outer hypervertex
+            (
+                Hypernetwork(
+                    frozenset("abcd"),
+                    (vertex("A", "abc"), vertex("B", "ab"), vertex("C", "d")),
+                    (_edge("E1", "A", "B", False), _edge("E2", "B", "C", False)),
+                ),
+                ["abc", "abd"],
+            ),
+            # directed edges, both ways, span the same unions
+            (
+                Hypernetwork(
+                    frozenset("abcd"),
+                    (vertex("A", "ab"), vertex("B", "bc"), vertex("C", "d")),
+                    (
+                        _edge("E1", "A", "B", True),
+                        _edge("E2", "B", "A", True),
+                        _edge("E3", "C", "B", True),
+                    ),
+                    directed=True,
+                ),
+                ["abc", "bcd"],
+            ),
+        ],
+        ids=[
+            "empty",
+            "isolated-node",
+            "hypervertex-in-hypervertex",
+            "hypervertex-equals-union",
+            "nested-endpoints",
+            "directed",
+        ],
+    )
+    def test_hand_made(self, h, expected):
+        assert self.assert_facets(h) == [frozenset(f) for f in expected]
+
+    @pytest.mark.parametrize(
+        "draw, count",
+        [(random_hypernetwork, 250), (dense_shaped, 40), (wide_shaped, 10)],
+        ids=["random", "dense", "wide"],
+    )
+    def test_seeded_draws(self, draw, count):
+        rng = random.Random(f"facets-{draw.__name__}")
+        for _ in range(count):
+            self.assert_facets(draw(rng))
+
+    @given(hypernetworks())
+    def test_hypothesis_draws(self, h):
+        self.assert_facets(h)
 
 
 class TestGeometricChi:
