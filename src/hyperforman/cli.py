@@ -4,11 +4,11 @@ Subcommands: validate, chi, curvature, gauss-bonnet, filtrate, report.
 Inputs are hypernetwork files (JSON or text) or poset JSON files (an
 object with an ``elements`` key); the pipeline is input -> inclusion
 poset -> face counts of its order complex -> curvature. No command
-builds the complex: the per-edge curvature table, its balance and the
-filtration come from the poset's comparability bitsets and the face
+builds the order complex: the per-edge curvature table, its balance and
+the filtration come from the poset's comparability bitsets and the face
 counts, gauss-bonnet reads its balance from the counts and the up and
 down sizes alone, and the triangle lines come from walking the chains
-x < y < z.
+x < y < z. ``--directed`` builds its directed graph complex once.
 Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
 subcommands only format what it holds. Exit codes: 0 success, 2 invalid
@@ -264,6 +264,12 @@ class Analysis:
             self.loaded.network, cap=self.args.chain_cap
         )
 
+    @cached_property
+    def directed(self) -> DirectedComplex:
+        """The directed-graph reading of the network, whose faces count
+        against the chain cap before any triangle is listed."""
+        return directed_graph_complex(self.loaded.network, self.args.chain_cap)
+
     def rank_witness(self) -> dict:
         return {
             "witness": self.poset.element_label(self.rank.element_index),
@@ -271,10 +277,10 @@ class Analysis:
         }
 
 
-def directed_graph_complex(h: Hypernetwork) -> DirectedComplex:
-    """Directed-graph reading of a hypernetwork: single-node hypervertices
-    joined by directed hyperedges, with every 3-clique a triangle face.
-    The caller has already checked that every hyperedge is directed."""
+def directed_graph_complex(h: Hypernetwork, cap: int | None = None) -> DirectedComplex:
+    """Directed-graph reading of a hypernetwork under ``cap``: single-node
+    hypervertices joined by directed hyperedges, with every 3-clique a
+    triangle face. The caller has checked that every hyperedge is directed."""
     for hv in h.hypervertices:
         if len(hv.nodes) > 1:
             raise InputError(
@@ -285,7 +291,7 @@ def directed_graph_complex(h: Hypernetwork) -> DirectedComplex:
     idx = {n: i for i, n in enumerate(labels)}
     node_of = {hv.id: next(iter(hv.nodes)) for hv in h.hypervertices}
     arcs = [(idx[node_of[e.tail]], idx[node_of[e.head]]) for e in h.hyperedges]
-    return DirectedComplex.from_arcs(labels, arcs)
+    return DirectedComplex.from_arcs(labels, arcs, cap)
 
 
 @dataclass(frozen=True)
@@ -403,16 +409,10 @@ def _json_text(obj) -> str:
     tuples, strings, ints, booleans, None and :class:`_Rows` tables,
     written as the list of dicts they stand for.
 
-    The bulk of a report is written a column at a time, with no Python
-    call per scalar. A table is transposed once: a column of exact ints
-    goes into the row template as ``%d``, any other column is converted
-    in one ``map`` (of a C function when its values share one exact
-    type, of :func:`_scalar` otherwise), and each row fills the one
-    ``%`` template built at the table's indent. A list of scalars of
-    one exact type is one ``join``, and a list of such lists one
-    ``join`` per inner list. Only dicts and mixed lists are walked item
-    by item. Anything else, floats included, is a TypeError, and so are
-    a table's rows of the wrong width.
+    Tables go through :func:`_rows_text` and lists through
+    :func:`_list_text`, with no Python call per scalar where they allow
+    it; dicts and mixed lists are walked item by item. Anything else,
+    floats included, is a TypeError.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -643,40 +643,46 @@ def cmd_chi(a: Analysis) -> int:
     return EXIT_OK
 
 
-def _directed_section(h: Hypernetwork, cfg: DirectedConfig) -> tuple[list, dict, list]:
-    dc = directed_graph_complex(h)
-    degs = dc.io_degrees(cfg.degree_mode)
-    chosen = dc.directed_triangles(cfg.triangle_mode)
-    formula = dc.directed_euler_formula(cfg)
-    count = dc.directed_euler_count(cfg)
-    labels = dc.complex.labels
-    human = [
-        f"{cfg.degree_mode}-degree {labels[v]} = {degs[v]}"
-        for v in range(len(labels))
-    ]
-    human.append(f"triangles[{cfg.triangle_mode}] = {len(chosen)}")
-    human.append(f"chi_directed[formula] = {_decimal(formula)}")
-    human.append(f"chi_directed[count] = {count}")
-    obj = {
-        "degree_mode": cfg.degree_mode,
-        "triangle_mode": cfg.triangle_mode,
-        "degrees": {labels[v]: degs[v] for v in range(len(labels))},
-        "chosen_triangles": [_face_text(labels, t) for t in chosen],
-        "chi_formula": _exact(formula),
-        "chi_count": count,
-    }
-    rows = [("degree", labels[v], degs[v]) for v in range(len(labels))]
-    rows.append(("triangles", cfg.triangle_mode, len(chosen)))
-    rows.append(("chi_formula", "", str(formula)))
-    rows.append(("chi_count", "", count))
+def _directed_section(a: Analysis) -> tuple:
+    """The directed report of :attr:`Analysis.directed`: the human lines,
+    the JSON object and the CSV rows, each a zero-argument callable for
+    :func:`emit`. Only the JSON object lists the chosen triangles."""
+    args, dc = a.args, a.directed
+    cfg = DirectedConfig(args.degree or "out", args.triangles or "transitive")
+    labels, mode = dc.complex.labels, cfg.triangle_mode
+    degs = list(dc.io_degrees(cfg.degree_mode).values())
+    chosen = dc._chosen_count(mode)
+    formula, count = dc.directed_euler_formula(cfg), dc.directed_euler_count(cfg)
+
+    def human() -> list[str]:
+        return [
+            *(f"{cfg.degree_mode}-degree {x} = {d}" for x, d in zip(labels, degs)),
+            f"triangles[{mode}] = {chosen}",
+            f"chi_directed[formula] = {_decimal(formula)}",
+            f"chi_directed[count] = {count}",
+        ]
+
+    def obj() -> dict:
+        return {
+            "degree_mode": cfg.degree_mode,
+            "triangle_mode": mode,
+            "degrees": dict(zip(labels, degs)),
+            "chosen_triangles": [
+                _face_text(labels, t) for t in dc.directed_triangles(mode)
+            ],
+            "chi_formula": _exact(formula),
+            "chi_count": count,
+        }
+
+    def rows() -> list[tuple]:
+        return [
+            *(("degree", x, d) for x, d in zip(labels, degs)),
+            ("triangles", mode, chosen),
+            ("chi_formula", "", str(formula)),
+            ("chi_count", "", count),
+        ]
+
     return human, obj, rows
-
-
-def _directed_config(args) -> DirectedConfig:
-    return DirectedConfig(
-        degree_mode=args.degree or "out",
-        triangle_mode=args.triangles or "transitive",
-    )
 
 
 def _check_directed_flags(args, loaded: Loaded) -> None:
@@ -694,12 +700,12 @@ def cmd_curvature(a: Analysis) -> int:
     args = a.args
     _check_directed_flags(args, a.loaded)
     if args.directed:
-        human, obj, rows = _directed_section(a.loaded.network, _directed_config(args))
+        human, obj, rows = _directed_section(a)
         emit(
             args,
-            lambda: human,
-            lambda: {"directed": obj},
-            lambda: (("metric", "key", "value"), rows),
+            human,
+            lambda: {"directed": obj()},
+            lambda: (("metric", "key", "value"), rows()),
         )
         return EXIT_OK
 
@@ -817,9 +823,7 @@ def cmd_report(a: Analysis) -> int:
         "filtration": filtration_obj(a),
     }
     if args.directed:
-        _, obj["directed"], _ = _directed_section(
-            a.loaded.network, _directed_config(args)
-        )
+        obj["directed"] = _directed_section(a)[1]()
     _write_out(_json_text(obj))
     return balance_status(report)
 
@@ -885,8 +889,10 @@ def _add_common(
             default=DEFAULT_CHAIN_CAP,
             metavar="N",
             help="cap on the faces of the order complex at the requested "
-            "skeleton, counted before any face is built, and on the "
-            "intersections geometric chi visits (default: %(default)s)",
+            "skeleton, counted before any face is built, on the faces of "
+            "the --directed complex, counted before any triangle is listed, "
+            "and on the intersections geometric chi visits "
+            "(default: %(default)s)",
         )
 
 

@@ -4,14 +4,10 @@ curvature needs.
 Faces are increasing tuples of vertex indices, held in one sorted tuple
 per dimension, so membership is a bisection and the edges and triangles
 are buckets 1 and 2 as they stand; the edge-to-triangle index is a
-dict. Complexes are immutable once built. The raw constructor and
-:meth:`SimplicialComplex.from_faces` check their faces, since these come
-from callers. :func:`order_complex` and :meth:`SimplicialComplex.skeleton`
-build without checking. The order complex is built one dimension at a
-time, each level extending the chains of the one below by the elements
-above their last one, which keeps every bucket sorted, distinct and
-downward closed; a skeleton is a prefix of a complex that was checked
-when it was built.
+dict. Complexes are immutable once built. Callers build them with
+:meth:`SimplicialComplex.from_faces`, which checks and closes their
+faces; the builders in the package make sorted, distinct, closed
+buckets by construction and do not check them again.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import TYPE_CHECKING, Iterable
 
 from .poset import DEFAULT_CHAIN_CAP, ChainCapExceeded
@@ -30,53 +26,23 @@ if TYPE_CHECKING:
 Simplex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimplicialComplex:
     """Faces stratified by dimension, downward closed.
 
     ``faces_by_dim[d]`` is the sorted tuple of the d-faces, each a tuple
     of d + 1 increasing vertex indices. Every index 0..len(labels)-1 is a
-    vertex of the complex; labels are only used for reporting. The raw
-    constructor sorts each bucket it is given and checks the face shapes,
-    repeats, closure, that the top bucket is not empty, and that its
-    vertices are exactly the label indices; :meth:`from_faces` accepts
-    arbitrary faces and closes them.
+    vertex of the complex; labels are only used for reporting.
+    :meth:`from_faces` is the only way to build one from outside the
+    package, so these always hold; calling ``SimplicialComplex(...)``
+    raises ``TypeError``.
     """
 
     labels: tuple[str, ...]
     faces_by_dim: tuple[tuple[Simplex, ...], ...]
 
-    def __post_init__(self):
-        # _trusted skips this; every other construction runs it
-        buckets = tuple(tuple(sorted(map(tuple, b))) for b in self.faces_by_dim)
-        object.__setattr__(self, "faces_by_dim", buckets)
-        for d, bucket in enumerate(buckets):
-            for f in bucket:
-                if len(f) != d + 1 or f != tuple(sorted(set(f))):
-                    raise ValueError(
-                        f"face {f} is not {d + 1} strictly increasing vertices"
-                    )
-            for f, g in zip(bucket, bucket[1:]):
-                if f == g:
-                    raise ValueError(f"face {f} is listed twice")
-        if buckets and not buckets[-1]:
-            # the same faces would otherwise make complexes of two dimensions
-            raise ValueError(f"top bucket (dimension {len(buckets) - 1}) is empty")
-        # codimension-1 closure implies full closure by induction
-        for d in range(1, len(buckets)):
-            below = set(buckets[d - 1])
-            for f in buckets[d]:
-                for sub in combinations(f, d):
-                    if sub not in below:
-                        raise ValueError(
-                            f"complex is not downward closed: {f} lacks {sub}"
-                        )
-        # with closure, this keeps every face in range
-        vertices = buckets[0] if buckets else ()
-        if vertices != tuple((i,) for i in range(len(self.labels))):
-            raise ValueError(
-                f"complex vertices do not match its {len(self.labels)} labels"
-            )
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a SimplicialComplex with SimplicialComplex.from_faces")
 
     @classmethod
     def from_faces(
@@ -84,7 +50,8 @@ class SimplicialComplex:
     ) -> "SimplicialComplex":
         """Build a complex from arbitrary faces and all their subfaces.
 
-        All labels become vertices.
+        All labels become vertices. An empty face, a repeated vertex and
+        a vertex outside the labels raise :class:`ValueError`.
         """
         labels = tuple(labels)
         n = len(labels)
@@ -102,22 +69,20 @@ class SimplicialComplex:
             for m in range(1, len(f)):
                 norm.update(combinations(f, m))
         norm.update((i,) for i in range(n))
-        top = max(map(len, norm), default=0)
-        buckets: list[list[Simplex]] = [[] for _ in range(top)]
-        for f in norm:
-            buckets[len(f) - 1].append(f)
-        return cls(labels, tuple(buckets))
+        # closed, so every dimension up to the top one has faces
+        ordered = sorted(norm, key=lambda f: (len(f), f))
+        return cls._trusted(labels, tuple(tuple(b) for _, b in groupby(ordered, len)))
 
     @classmethod
     def _trusted(
         cls, labels: tuple[str, ...], faces_by_dim: tuple[tuple[Simplex, ...], ...]
     ) -> "SimplicialComplex":
-        """Build without checks from sorted buckets of increasing faces,
-        known to be distinct and downward closed, with every label index
-        as a vertex."""
+        """Build without checks, and without ``__init__``, from sorted
+        buckets of increasing faces, known to be distinct and downward
+        closed, with every label index as a vertex and a non-empty top
+        bucket."""
         k = object.__new__(cls)
-        object.__setattr__(k, "labels", labels)
-        object.__setattr__(k, "faces_by_dim", faces_by_dim)
+        k.__dict__.update(labels=labels, faces_by_dim=faces_by_dim)
         return k
 
     @property
@@ -148,7 +113,7 @@ class SimplicialComplex:
 
     def skeleton(self, d: int) -> "SimplicialComplex":
         """Subcomplex of all faces of dimension <= d: a slice of the
-        buckets of this already checked complex, not checked again."""
+        buckets of this complex."""
         if d < 0:
             raise ValueError("skeleton dimension must be >= 0")
         if d >= self.dim:

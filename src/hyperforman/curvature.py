@@ -37,11 +37,13 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
-from operator import add, itemgetter, mul
+from functools import cached_property
+from itertools import chain, compress
+from operator import add, itemgetter, mul, not_
 from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
+from .poset import ChainCapExceeded
 
 if TYPE_CHECKING:
     from .poset import Poset
@@ -429,9 +431,7 @@ class DirectedComplex:
                     f"undirected edge encountered: {self.complex.face_label(e)}"
                 )
             if tuple(sorted(arc)) != e:
-                raise DirectionError(
-                    f"direction {arc} does not match edge {e}"
-                )
+                raise DirectionError(f"direction {arc} does not match edge {e}")
         extra = set(self.directions) - set(self.complex.edges)
         if extra:
             raise DirectionError(f"directions given for non-edges: {sorted(extra)}")
@@ -441,21 +441,28 @@ class DirectedComplex:
         cls,
         labels: Iterable[str],
         arcs: Iterable[tuple[int, int]],
+        cap: int | None = None,
     ) -> "DirectedComplex":
         """Build from directed vertex pairs; every 3-clique of the arc
         graph becomes a 2-face. Loops and antiparallel arc pairs are
         rejected, since a single edge cannot carry two directions; the
         error names the vertices by label. An arc naming a vertex outside
         ``labels`` raises :class:`ValueError`.
+
+        The 3-cliques over the edge u < v are the common neighbours above
+        v, counted on int bitsets: more than ``cap`` faces (None means no
+        cap) raises :class:`ChainCapExceeded` before any triangle is
+        listed. The triangles come out sorted, as the edges are.
         """
         labels = tuple(labels)
+        n = len(labels)
         directions: dict[Simplex, tuple[int, int]] = {}
         for tail, head in arcs:
-            if not (0 <= tail < len(labels) and 0 <= head < len(labels)):
+            if not (0 <= tail < n and 0 <= head < n):
                 raise ValueError(f"arc {(tail, head)} references a node out of range")
             if tail == head:
                 raise DirectionError(f"loop arc at node '{labels[tail]}'")
-            e = tuple(sorted((tail, head)))
+            e = (tail, head) if tail < head else (head, tail)
             if e in directions:
                 if directions[e] != (tail, head):
                     (u, v), (t, h) = e, directions[e]
@@ -465,15 +472,23 @@ class DirectedComplex:
                     )
                 continue
             directions[e] = (tail, head)
-        faces: set[tuple[int, ...]] = set(directions)
-        neighbours: dict[int, set[int]] = {i: set() for i in range(len(labels))}
-        for u, v in directions:
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-        for u, v in directions:
-            faces.update((u, v, w) for w in neighbours[u] & neighbours[v] if w > v)
-        cx = SimplicialComplex.from_faces(labels, faces)
-        return cls(cx, directions)
+        edges = tuple(sorted(directions))
+        up_bits, up = [0] * n, [set() for _ in range(n)]
+        for u, v in edges:
+            up_bits[u] |= 1 << v
+            up[u].add(v)
+        total = n + len(edges)
+        total += sum([(up_bits[u] & up_bits[v]).bit_count() for u, v in edges])
+        if cap is not None and total > cap:
+            raise ChainCapExceeded(f"directed complex has {total} faces", total, cap)
+        triangles = tuple(
+            [(u, v, w) for u, v in edges for w in sorted(up[u] & up[v])]
+        )
+        buckets = (tuple((i,) for i in range(n)), edges, triangles)
+        k = SimplicialComplex._trusted(labels, buckets[: sum(map(bool, buckets))])
+        dc = object.__new__(cls)
+        dc.__dict__.update(complex=k, directions=directions)
+        return dc
 
     def io_degrees(self, mode: DegreeMode) -> dict[int, int]:
         """Number of edges entering (``in``) or leaving (``out``) each vertex."""
@@ -485,39 +500,51 @@ class DirectedComplex:
             degs[arc[pick]] += 1
         return degs
 
-    def _orientation(self, t: Simplex) -> TriangleMode:
-        outdeg = {v: 0 for v in t}
-        for e in combinations(t, 2):
-            outdeg[self.directions[e][0]] += 1
-        return "cyclic" if set(outdeg.values()) == {1} else "transitive"
+    @cached_property
+    def _cyclic(self) -> tuple[bool, ...]:
+        """Whether each triangle, in the order of ``complex.triangles``,
+        is cyclic; the others are transitive. A sorted triangle u < v < w
+        is cyclic when u-v and v-w point the same way along the order
+        and u-w points against them."""
+        up = {e: arc[0] == e[0] for e, arc in self.directions.items()}
+        triangles = self.complex.triangles
+        return tuple([up[u, v] == up[v, w] != up[u, w] for u, v, w in triangles])
+
+    def _chosen_count(self, mode: TriangleMode) -> int:
+        """The number of triangles :meth:`directed_triangles` lists."""
+        cyclic = self._cyclic.count(True)
+        return cyclic if _is_cyclic(mode) else len(self._cyclic) - cyclic
 
     def directed_triangles(self, mode: TriangleMode) -> list[Simplex]:
         """Triangle faces whose edges orient coherently in the given mode:
         u->v, v->w, u->w for transitive, u->v, v->w, w->u for cyclic."""
-        if mode not in ("transitive", "cyclic"):
-            raise ValueError(
-                f"triangle mode must be 'transitive' or 'cyclic', not {mode!r}"
-            )
-        return [t for t in self.complex.triangles if self._orientation(t) == mode]
+        flags = self._cyclic if _is_cyclic(mode) else map(not_, self._cyclic)
+        return list(compress(self.complex.triangles, flags))
 
     def directed_euler_formula(self, cfg: DirectedConfig) -> Fraction:
-        """Directed vertex/edge/triangle combination, evaluated verbatim.
+        """Directed vertex/edge/triangle combination, from counts.
 
-        Vertex terms use the configured one-sided degrees, edge terms
-        count only the chosen triangles, and the chosen triangles enter
-        through a flat 28 per triangle.
+        Vertex terms use the one-sided degrees d, the edge u-v carries
+        3 * (chosen triangles on it) + 4 - d(u) - d(v), and each chosen
+        triangle a flat 28. The edge terms sum exactly to
+        9 C + 4 E - sum d(v) deg(v) over C chosen triangles and E edges.
         """
-        degs = self.io_degrees(cfg.degree_mode)
-        chosen = self.directed_triangles(cfg.triangle_mode)
-        above: dict[Simplex, int] = {e: 0 for e in self.complex.edges}
-        for t in chosen:
-            for e in combinations(t, 2):
-                above[e] += 1
-        vertex_sum = sum(map(_vertex_term, degs.values()), Fraction(0))
-        edge_sum = sum(_edge_term(above[(u, v)], degs[u], degs[v]) for u, v in above)
-        return vertex_sum - edge_sum + 28 * len(chosen)
+        degs = self.io_degrees(cfg.degree_mode).values()
+        chosen = self._chosen_count(cfg.triangle_mode)
+        vertex_sum = Fraction(sum(map(_twice_vertex_term, degs)), 2)
+        edges, degrees = len(self.complex.edges), self.complex._degrees
+        edge_sum = 9 * chosen + 4 * edges - sum(map(mul, degs, degrees))
+        return vertex_sum - edge_sum + 28 * chosen
 
     def directed_euler_count(self, cfg: DirectedConfig) -> int:
         """Face count form: vertices - edges + chosen triangles."""
-        chosen = self.directed_triangles(cfg.triangle_mode)
-        return self.complex.n_vertices - len(self.complex.edges) + len(chosen)
+        chosen = self._chosen_count(cfg.triangle_mode)
+        return self.complex.n_vertices - len(self.complex.edges) + chosen
+
+
+def _is_cyclic(mode: TriangleMode) -> bool:
+    if mode not in ("transitive", "cyclic"):
+        raise ValueError(
+            f"triangle mode must be 'transitive' or 'cyclic', not {mode!r}"
+        )
+    return mode == "cyclic"

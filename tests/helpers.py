@@ -263,19 +263,46 @@ def brute_geometric_chi(h) -> int:
     return sum((-1) ** (len(f) - 1) for f in brute_geometric_faces(h))
 
 
+def brute_orientation(dc: DirectedComplex, t) -> str:
+    """The orientation of the triangle t from the out-degrees its three
+    edges give its vertices: a cyclic triangle gives each vertex one
+    outgoing edge, a transitive one gives them 2, 1 and 0."""
+    outdeg = {v: 0 for v in t}
+    for e in combinations(sorted(t), 2):
+        outdeg[dc.directions[e][0]] += 1
+    return "cyclic" if sorted(outdeg.values()) == [1, 1, 1] else "transitive"
+
+
+def brute_directed_triangles(dc: DirectedComplex, mode: str) -> list[tuple[int, ...]]:
+    """The triangles of the complex whose orientation is ``mode``."""
+    return [t for t in dc.complex.faces(2) if brute_orientation(dc, t) == mode]
+
+
 def brute_directed_formula(dc: DirectedComplex, cfg: DirectedConfig) -> Fraction:
-    """Direct Fraction evaluation of the directed combination."""
-    degs = dc.io_degrees(cfg.degree_mode)
-    chosen = [set(t) for t in dc.directed_triangles(cfg.triangle_mode)]
+    """Direct Fraction evaluation of the directed combination, edge by
+    edge, with the one-sided degrees counted from the arcs and the
+    chosen triangles from :func:`brute_orientation`."""
+    end = 1 if cfg.degree_mode == "in" else 0
+    arcs = list(dc.directions.values())
+    chosen = [set(t) for t in brute_directed_triangles(dc, cfg.triangle_mode)]
     total = Fraction(0)
     for v in range(dc.complex.n_vertices):
-        d = degs[v]
+        d = sum(1 for arc in arcs if arc[end] == v)
         total += 1 + Fraction(3, 2) * d - d * d
     for e in dc.complex.faces(1):
         above = sum(1 for t in chosen if set(e) <= t)
-        total -= 4 + 3 * above - sum(degs[v] for v in e)
+        degrees = sum(1 for arc in arcs for v in e if arc[end] == v)
+        total -= 4 + 3 * above - degrees
     total += 28 * len(chosen)
     return total
+
+
+def brute_cliques(n: int, edges) -> list[tuple[int, int, int]]:
+    """Every triple of the n vertices whose three pairs are all edges."""
+    pairs = {tuple(sorted(e)) for e in edges}
+    return [
+        t for t in combinations(range(n), 3) if all(p in pairs for p in combinations(t, 2))
+    ]
 
 
 def flag_two_complex(n: int, edges) -> SimplicialComplex:

@@ -56,6 +56,19 @@ def corpus_path(corpus_dir, tier, name):
     return corpus_dir / tier / name
 
 
+def tournament_hnet(n: int, seed: int) -> str:
+    """A complete tournament as ``.hnet`` text: n one-node hypervertices,
+    each pair joined by one directed hyperedge of random direction. Its
+    directed complex has n + C(n, 2) + C(n, 3) faces."""
+    rng = random.Random(seed)
+    lines = [f"V{i}: n{i}" for i in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            tail, head = (u, v) if rng.random() < 0.5 else (v, u)
+            lines.append(f"E>: V{tail} V{head}")
+    return "\n".join(lines) + "\n"
+
+
 def utf8_stdout() -> io.TextIOWrapper:
     """A stdout that, like a real UTF-8 terminal or pipe, cannot take a
     string that does not encode."""
@@ -736,6 +749,42 @@ class TestCurvature:
         f.write_text("\n".join(lines) + "\n")
         rc, out, err = run(capsys, command, f, "--directed")
         assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("output", ["human", "csv"])
+    def test_directed_human_and_csv_label_no_triangle(
+        self, capsys, monkeypatch, tmp_path, output
+    ):
+        f = tmp_path / "tournament.hnet"
+        f.write_text(tournament_hnet(12, 1))
+        argv = ["curvature", f, "--directed", "--triangles", "cyclic"]
+        expected = run(capsys, *argv, "--output", output)
+        assert expected[0] == 0
+
+        def refuse(*args):
+            raise AssertionError("a triangle label was written")
+
+        monkeypatch.setattr(cli, "_face_text", refuse)
+        assert run(capsys, *argv, "--output", output) == expected
+        with pytest.raises(AssertionError, match="triangle label"):
+            run(capsys, *argv, "--output", "json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["curvature"], ["report", "--chi-method", "delta"]],
+        ids=["curvature", "report"],
+    )
+    def test_directed_tournament_over_the_cap_exits_4(self, capsys, tmp_path, argv):
+        # 200 + 19900 edges + 1313400 triangles, counted before any is listed
+        f = tmp_path / "tournament.hnet"
+        f.write_text(tournament_hnet(200, 0))
+        with time_limit(5):
+            result = run(capsys, *argv, f, "--directed", "--chain-cap", "100000")
+        assert result == (
+            4,
+            "",
+            "error: directed complex has 1333500 faces, "
+            "over the chain cap of 100000\n",
+        )
 
 
 class TestGaussBonnet:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperforman import (
+    ChainCapExceeded,
     Poset,
     SimplicialComplex,
     curvature_filtration,
@@ -29,7 +30,9 @@ from hyperforman.curvature import DirectedComplex, DirectedConfig, DirectionErro
 from conftest import ABSENT_EDGE_IDS, ABSENT_EDGES, complexes, hypernetworks
 from helpers import (
     brute_balance_residual,
+    brute_cliques,
     brute_directed_formula,
+    brute_directed_triangles,
     brute_filtration,
     brute_parallel,
     brute_ricci,
@@ -496,6 +499,92 @@ def square_chord_fixture() -> DirectedComplex:
     arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
     cx = SimplicialComplex.from_faces(["a", "b", "c", "d"], arcs)
     return DirectedComplex(cx, {tuple(sorted(a)): a for a in arcs})
+
+
+def random_arcs(rng, n: int, density: float) -> list[tuple[int, int]]:
+    """Each pair of the n vertices joined with probability ``density`` by
+    one arc of random direction, in random order, some listed twice."""
+    arcs = [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u, v in combinations(range(n), 2)
+        if rng.random() < density
+    ]
+    arcs += rng.sample(arcs, len(arcs) // 4)
+    rng.shuffle(arcs)
+    return arcs
+
+
+def seeded_arc_sets(seed: int, count: int):
+    """(labels, arcs) draws: the empty network first, then random graphs
+    of up to 8 vertices at every density, tournaments included."""
+    rng = random.Random(seed)
+    yield [], []
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        density = rng.choice([0.0, 0.3, 0.6, 1.0])
+        yield [f"x{i}" for i in range(n)], random_arcs(rng, n, density)
+
+
+def random_non_clique_complex(rng) -> DirectedComplex:
+    """A directed 2-complex through the raw constructor whose triangles
+    are a random subset of the 3-cliques of its edges."""
+    n = rng.randint(1, 7)
+    arcs = random_arcs(rng, n, rng.choice([0.4, 0.7, 1.0]))
+    cliques = brute_cliques(n, arcs)
+    kept = [t for t in cliques if rng.random() < 0.5]
+    cx = SimplicialComplex.from_faces([f"y{i}" for i in range(n)], arcs + kept)
+    return DirectedComplex(cx, {tuple(sorted(a)): a for a in arcs})
+
+
+CONFIGS = [
+    DirectedConfig(degree_mode, triangle_mode)
+    for degree_mode in ("in", "out")
+    for triangle_mode in ("transitive", "cyclic")
+]
+
+
+class TestDirectedOracles:
+    def test_from_arcs_matches_from_faces(self):
+        for labels, arcs in seeded_arc_sets(3, 150):
+            dc = DirectedComplex.from_arcs(labels, arcs)
+            cliques = brute_cliques(len(labels), arcs)
+            expected = SimplicialComplex.from_faces(labels, arcs + cliques)
+            assert dc.complex == expected, (labels, arcs)
+            assert dc.directions == {tuple(sorted(a)): a for a in arcs}
+
+    def test_triangles_match_the_orientation_oracle(self):
+        rng = random.Random(5)
+        draws = [DirectedComplex.from_arcs(*d) for d in seeded_arc_sets(5, 100)]
+        draws += [random_non_clique_complex(rng) for _ in range(100)]
+        for dc in draws:
+            for mode in ("transitive", "cyclic"):
+                assert dc.directed_triangles(mode) == brute_directed_triangles(dc, mode)
+
+    def test_formula_matches_the_oracle_on_non_clique_complexes(self):
+        rng = random.Random(9)
+        for _ in range(150):
+            dc = random_non_clique_complex(rng)
+            for cfg in CONFIGS:
+                chosen = brute_directed_triangles(dc, cfg.triangle_mode)
+                assert dc.directed_euler_formula(cfg) == brute_directed_formula(dc, cfg)
+                assert dc.directed_euler_count(cfg) == (
+                    dc.complex.n_vertices - len(dc.complex.edges) + len(chosen)
+                )
+
+    def test_the_cap_counts_every_face(self):
+        for labels, arcs in seeded_arc_sets(13, 100):
+            dc = DirectedComplex.from_arcs(labels, arcs)
+            faces = sum(dc.complex.f_vector())
+            assert DirectedComplex.from_arcs(labels, arcs, faces) == dc
+            if faces == 0:
+                continue
+            with pytest.raises(ChainCapExceeded) as caught:
+                DirectedComplex.from_arcs(labels, arcs, faces - 1)
+            assert (caught.value.count, caught.value.cap) == (faces, faces - 1)
+            assert str(caught.value) == (
+                f"directed complex has {faces} faces, "
+                f"over the chain cap of {faces - 1}"
+            )
 
 
 class TestDirected:
