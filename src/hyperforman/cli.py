@@ -32,7 +32,7 @@ import csv
 import io
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -229,19 +229,26 @@ class Analysis:
         """The label of each poset element, as the vertices print it."""
         return tuple(map(self.poset.element_label, range(len(self.poset))))
 
-    def triangle_labels(self) -> Iterator[str]:
-        """The label of each triangle of the complex the table reads, in
-        the order :func:`order_complex` lists them: the chains x < y < z,
-        walked from the up sets."""
+    @cached_property
+    def quoted_labels(self) -> tuple[str, ...]:
+        """Each label JSON-escaped, without its quotes. Escaping goes
+        character by character, so the bodies of two labels joined by
+        ``|`` are the body of the joined label."""
+        return tuple(_quote(label)[1:-1] for label in self.labels)
+
+    def triangles(self, labels: tuple[str, ...]) -> Iterator[tuple[str, str, str]]:
+        """The three labels, from ``labels``, of each triangle of the
+        complex the table reads, in the order :func:`order_complex` lists
+        them: the chains x < y < z, walked from the up sets."""
         if self.table.dim < 2:
             return
-        labels, above = self.labels, self.poset._above
+        above = self.poset._above
         for x, ups in enumerate(above):
-            head = labels[x] + "|"
+            first = labels[x]
             for y in ups:
-                pair = head + labels[y] + "|"
+                second = labels[y]
                 for z in above[y]:
-                    yield pair + labels[z]
+                    yield first, second, labels[z]
 
     @cached_property
     def chi(self) -> dict:
@@ -296,19 +303,33 @@ def directed_graph_complex(h: Hypernetwork, cap: int | None = None) -> DirectedC
 
 @dataclass(frozen=True)
 class _Rows:
-    """A JSON array of objects that all have the keys ``keys``: one tuple
-    of scalars per object, in key order. ``keys`` must be distinct
-    ``str`` in sorted order, the order ``sort_keys`` writes them in."""
+    """A JSON array whose items share one shape, written with one ``%``
+    template for them all.
 
-    keys: tuple[str, ...]
-    rows: list[tuple]
+    ``item`` is that shape. A dict, with distinct ``str`` keys in sorted
+    order (the order ``sort_keys`` writes), stands for objects; a ``str``
+    stands for arrays of any length, each entry of which it writes. Each
+    value of the dict, and the ``str``, is a ``%`` field giving the JSON
+    text of a value: ``"%d"`` for an int, ``'"%s"'`` for a string from its
+    escaped body, ``'"%s|%s"'`` for two bodies joined, ``"%s"`` for a JSON
+    text, or a constant's text with every ``%`` doubled. Each row is the
+    tuple that fills one item's fields in order; a row of the wrong width
+    is a TypeError. The values are not checked: each must be what its
+    field says, since ``%d`` writes a float truncated.
+    """
+
+    item: dict[str, str] | str
+    rows: Iterable[tuple]
 
     def __post_init__(self) -> None:
-        keys = self.keys
-        if not all(isinstance(k, str) for k in keys):
-            raise TypeError(f"row table keys must be str, not {keys!r}")
+        item = self.item
+        if isinstance(item, str):
+            return
+        if not isinstance(item, dict) or not all(isinstance(k, str) for k in item):
+            raise TypeError(f"row table item must be str or have str keys: {item!r}")
+        keys = list(item)
         if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise TypeError(f"row table keys must be sorted and distinct: {keys!r}")
+            raise TypeError(f"row table keys must be sorted: {keys!r}")
 
 
 def _scalar(value) -> str:
@@ -337,12 +358,6 @@ def _scalar(value) -> str:
 _TEXT_OF = {int: int.__repr__, str: _quote, bool: {True: "true", False: "false"}.get}
 
 
-def _one_type(values) -> type | None:
-    """The exact type all of ``values`` share, or None."""
-    kinds = set(map(type, values))
-    return kinds.pop() if len(kinds) == 1 else None
-
-
 def _array(texts, indent: str) -> str:
     """A non-empty JSON array at ``indent`` from its items' texts."""
     inner = indent + "  "
@@ -350,53 +365,41 @@ def _array(texts, indent: str) -> str:
 
 
 def _list_text(items, indent: str) -> str | None:
-    """``items`` as a JSON array at ``indent``, with no Python call per
-    item, when they are scalars of one exact type of :data:`_TEXT_OF`
-    (one ``join``) or non-empty lists or tuples whose scalars all share
-    such a type (one ``join`` per list); None for anything else, which
-    the writer walks item by item."""
+    """``items`` as a JSON array at ``indent``, as one ``join`` with no
+    Python call per item, when they are scalars of one exact type of
+    :data:`_TEXT_OF`; None for anything else, which the writer walks item
+    by item."""
     if not items:
         return "[]"
-    to_text = _TEXT_OF.get(_one_type(items))
-    if to_text is not None:
-        return _array(map(to_text, items), indent)
-    if not set(map(type, items)) <= {list, tuple} or not all(items):
-        return None
-    to_text = _TEXT_OF.get(_one_type(chain.from_iterable(items)))
-    if to_text is None:
-        return None
+    kinds = set(map(type, items))
+    to_text = _TEXT_OF.get(kinds.pop()) if len(kinds) == 1 else None
+    return None if to_text is None else _array(map(to_text, items), indent)
+
+
+def _template(item, indent: str) -> str:
+    """The ``%`` template of one object (a dict of fields) or one array (a
+    tuple of fields) at ``indent``."""
+    if not item:
+        return "{}" if isinstance(item, dict) else "[]"
     inner = indent + "  "
-    texts = map((",\n" + inner + "  ").join, map(map, repeat(to_text), items))
-    return _array(map(("[\n" + inner + "  %s\n" + inner + "]").__mod__, texts), indent)
+    if isinstance(item, dict):
+        fields = [_quote(k).replace("%", "%%") + ": " + v for k, v in item.items()]
+        return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
+    return "[\n" + inner + (",\n" + inner).join(item) + "\n" + indent + "]"
 
 
 def _rows_text(table: _Rows, indent: str) -> str:
-    """A row table as the JSON array of objects it stands for, a column
-    at a time: exact ints go into the row template as ``%d``, every
-    other column is converted to JSON text in one ``map``, and each row
-    fills the one ``%`` template."""
-    rows, keys = table.rows, table.keys
-    if not rows:
-        return "[]"
-    widths = set(map(len, rows))
-    if widths != {len(keys)}:
-        raise TypeError(f"row table rows must have {len(keys)} values, not {widths}")
-    if not keys:
-        return _array(["{}"] * len(rows), indent)
-    fields, columns = [], []
-    for key, column in zip(keys, zip(*rows)):
-        kind = _one_type(column)
-        field = _quote(key).replace("%", "%%") + ": "
-        if kind is int:
-            fields.append(field + "%d")
-            columns.append(column)
-        else:
-            fields.append(field + "%s")
-            columns.append(map(_TEXT_OF.get(kind, _scalar), column))
-    inner = indent + "  "
-    sep = ",\n" + inner + "  "
-    fmt = "{\n" + inner + "  " + sep.join(fields) + "\n" + inner + "}"
-    return _array(map(fmt.__mod__, zip(*columns)), indent)
+    """A row table as the JSON array it stands for: the item's template is
+    built once at the array's inner indent (once per length for arrays),
+    and each row fills it with one ``%``."""
+    inner, item = indent + "  ", table.item
+    if isinstance(item, dict):
+        texts = list(map(_template(item, inner).__mod__, table.rows))
+    else:
+        rows = list(table.rows)
+        fill = {n: _template((item,) * n, inner) for n in set(map(len, rows))}
+        texts = list(map(str.__mod__, map(fill.__getitem__, map(len, rows)), rows))
+    return _array(texts, indent) if texts else "[]"
 
 
 def _json_text(obj) -> str:
@@ -407,12 +410,12 @@ def _json_text(obj) -> str:
     pretty-prints in pure Python; this writer is shorter work for the same
     bytes. It takes what the reports hold: dicts with ``str`` keys, lists,
     tuples, strings, ints, booleans, None and :class:`_Rows` tables,
-    written as the list of dicts they stand for.
+    written as the array they stand for.
 
-    Tables go through :func:`_rows_text` and lists through
-    :func:`_list_text`, with no Python call per scalar where they allow
-    it; dicts and mixed lists are walked item by item. Anything else,
-    floats included, is a TypeError.
+    Tables go through :func:`_rows_text`, one template per table, and
+    lists of one scalar type through :func:`_list_text`, one ``join``;
+    dicts and other lists are walked item by item. Anything else, floats
+    included, is a TypeError.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -571,34 +574,60 @@ def curvature_lines(a: Analysis) -> list[str]:
         f"vertex {label}: {_half_decimal(_twice_vertex_term(d))}"
         for label, d in zip(a.labels, a.table.degrees)
     ]
-    lines += [f"triangle {t}: {TRIANGLE_TERM}" for t in a.triangle_labels()]
+    lines += [
+        f"triangle {x}|{y}|{z}: {TRIANGLE_TERM}" for x, y, z in a.triangles(a.labels)
+    ]
     return lines
+
+
+# one item of each curvature array, as :class:`_Rows` fields
+_EDGE = {
+    "edge": '"%s|%s"',
+    "match": "%s",
+    "parallel": "%d",
+    "ric": "%d",
+    "ric_closed": "%d",
+    "triangles": "%d",
+}
+_VERTEX = {"term": "%s", "vertex": '"%s"'}
+_TRIANGLE = {"term": _scalar(TRIANGLE_TERM), "triangle": '"%s|%s|%s"'}
+_MATCH = ("false", "true")
 
 
 def curvature_obj(a: Analysis) -> dict:
     """The curvature table as JSON: the edge, vertex and triangle arrays,
-    each a :class:`_Rows` table read straight from the table's rows, its
-    degrees and the triangle walk, with no per-row dict."""
-    labels = a.labels
+    each a :class:`_Rows` table filled straight from the table's index
+    rows, its degrees and the triangle walk with the escaped labels, with
+    no per-row dict and no label joined before the template joins it."""
+    q = a.quoted_labels
     return {
         "edges": _Rows(
-            ("edge", "match", "parallel", "ric", "ric_closed", "triangles"),
+            _EDGE,
             [
-                (labels[x] + "|" + labels[y], r == c, p, r, c, t)
+                (q[x], q[y], _MATCH[r == c], p, r, c, t)
                 for x, y, t, p, r, c in a.table.edges
             ],
         ),
         "vertices": _Rows(
-            ("term", "vertex"),
+            _VERTEX,
             [
-                (_half_exact(_twice_vertex_term(d)), label)
-                for label, d in zip(a.labels, a.table.degrees)
+                (_scalar(_half_exact(_twice_vertex_term(d))), label)
+                for label, d in zip(q, a.table.degrees)
             ],
         ),
-        "triangles": _Rows(
-            ("term", "triangle"),
-            [(TRIANGLE_TERM, t) for t in a.triangle_labels()],
-        ),
+        "triangles": _Rows(_TRIANGLE, a.triangles(q)),
+    }
+
+
+def poset_obj(p: Poset) -> dict:
+    """The poset as JSON: each element as its sorted node names, every
+    name escaped once, and the cover pairs ``[q, p]``, p covering q, in
+    index order; each a :class:`_Rows` table."""
+    names = {x: _quote(x)[1:-1] for x in set(chain.from_iterable(p.elements))}
+    members = map(map, repeat(names.__getitem__), map(sorted, p.elements))
+    return {
+        "elements": _Rows('"%s"', map(tuple, members)),
+        "covers": _Rows("%d", [(q, c) for q, cs in enumerate(p._children) for c in cs]),
     }
 
 
@@ -715,7 +744,7 @@ def cmd_curvature(a: Analysis) -> int:
         lambda: curvature_obj(a),
         lambda: (
             ("edge", "triangles", "parallel", "ric"),
-            [row[:4] for row in edge_rows(a)],
+            (row[:4] for row in edge_rows(a)),
         ),
     )
     return EXIT_OK
@@ -801,7 +830,7 @@ def cmd_report(a: Analysis) -> int:
             "skeleton": "full" if args.skeleton is None else args.skeleton,
             "chain_cap": args.chain_cap,
         },
-        "poset": a.poset.to_json_obj(),
+        "poset": poset_obj(a.poset),
         "rank": rank_obj,
         "chi": a.chi,
         "complex": {

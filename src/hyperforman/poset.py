@@ -280,13 +280,6 @@ class Poset:
                     for j in reversed(above[chain[-1]]):
                         work.append(chain + (j,))
 
-    def to_json_obj(self) -> dict:
-        """Elements (as sorted label lists) and cover pairs."""
-        return {
-            "elements": [sorted(str(x) for x in e) for e in self.elements],
-            "covers": [[q, p] for q, ps in enumerate(self._children) for p in ps],
-        }
-
 
 def poset_from_hypernetwork(
     h: "Hypernetwork", include_singletons: bool = True

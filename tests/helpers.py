@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from hyperforman import NotRanked, Poset, RankFunction, SimplicialComplex
+from hyperforman import TRIANGLE_TERM, NotRanked, Poset, RankFunction, SimplicialComplex
 from hyperforman.curvature import DirectedComplex, DirectedConfig, FiltrationStep
 
 
@@ -348,3 +348,56 @@ def clique_expansion(h) -> SimplicialComplex:
                 a, b = sorted((idx[u], idx[w]))
                 edges.add((a, b))
     return SimplicialComplex.from_faces(labels, edges)
+
+
+def plain_label(s) -> str:
+    """A set's label as the reports print it: its sorted members, joined
+    by commas, in braces."""
+    return "{" + ",".join(sorted(s)) + "}"
+
+
+def plain_poset_section(p: Poset) -> dict:
+    """The report's poset section as plain lists: each element's sorted
+    node names, and the cover pairs, found by the triple loop of
+    :func:`brute_covers`, in index order."""
+    return {
+        "elements": [sorted(e) for e in p.elements],
+        "covers": [list(c) for c in sorted(brute_covers(p.elements))],
+    }
+
+
+def plain_curvature_section(p: Poset, table) -> dict:
+    """The edge, vertex and triangle arrays of ``table``, the curvature
+    table of ``p``, as plain dicts, one per row, with every label built
+    and joined per row. The triangles are the chains x < y < z found by
+    :func:`brute_chains`, in index order, when the table reaches
+    dimension 2; each vertex term is 1 + 3d/2 - d^2 of its degree d."""
+    labels = [plain_label(e) for e in p.elements]
+    triangles = []
+    if table.dim >= 2:
+        triangles = sorted(c for c in brute_chains(p.elements, 3) if len(c) == 3)
+    terms = [Fraction(2 + 3 * d - 2 * d * d, 2) for d in table.degrees]
+    return {
+        "edges": [
+            {
+                "edge": labels[x] + "|" + labels[y],
+                "match": r == c,
+                "parallel": par,
+                "ric": r,
+                "ric_closed": c,
+                "triangles": t,
+            }
+            for x, y, t, par, r, c in table.edges
+        ],
+        "vertices": [
+            {
+                "term": term.numerator if term.denominator == 1 else str(term),
+                "vertex": label,
+            }
+            for label, term in zip(labels, terms)
+        ],
+        "triangles": [
+            {"term": TRIANGLE_TERM, "triangle": "|".join(labels[i] for i in t)}
+            for t in triangles
+        ],
+    }

@@ -9,12 +9,14 @@ import re
 import subprocess
 import sys
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
 
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperforman import (
@@ -29,6 +31,7 @@ from hyperforman import (
     random_hypernetwork,
     serialize,
 )
+from hyperforman.hypernet import to_json_obj as network_json_obj
 from hyperforman.cli import (
     _decimal,
     _exact,
@@ -39,7 +42,8 @@ from hyperforman.cli import (
     main,
 )
 
-from conftest import coatoms, hub_star, time_limit, tower_poset_json
+from conftest import coatoms, hub_star, hypernetworks, time_limit, tower_poset_json
+from helpers import plain_curvature_section, plain_poset_section
 
 NET = "networks"
 SCAF = "scaffolds"
@@ -1035,6 +1039,9 @@ class TestReport:
         assert obj["rank"]["ranked"] is True
         assert obj["rank"]["level_counts"] == [3, 2, 1]
         assert obj["poset"]["elements"][0] == ["a"]
+        assert obj["poset"]["elements"][5] == ["a", "b", "c"]
+        assert [0, 3] in obj["poset"]["covers"]
+        assert len(obj["poset"]["covers"]) == 6
 
     def test_report_directed_section(self, capsys, corpus_dir):
         rc, out, _ = run(
@@ -1136,6 +1143,78 @@ class TestReport:
         assert outs[0] == outs[1] == outs[2]
 
 
+# node names the JSON writer must escape, or that a "%" template or the
+# "{a,b}" and "a|b" labels could misread
+NODE_NAMES = st.lists(
+    st.sampled_from(
+        ['"', "\\", "%", "%s", "|", "{", ",", "\u00e9", "\u2028", "\U0001f600", "a"]
+    ),
+    min_size=1,
+    max_size=3,
+).map("".join)
+
+
+@st.composite
+def hostile_inputs(draw):
+    """A hypernetwork or poset input object whose node names are drawn
+    from :data:`NODE_NAMES`."""
+    if draw(st.booleans()):
+        obj = network_json_obj(draw(hypernetworks()))
+        n = len(obj["nodes"])
+        names = draw(st.lists(NODE_NAMES, min_size=n, max_size=n, unique=True))
+        rename = dict(zip(obj["nodes"], names))
+        obj["nodes"] = names
+        for hv in obj["hypervertices"]:
+            hv["nodes"] = [rename[x] for x in hv["nodes"]]
+        return obj
+    names = draw(st.lists(NODE_NAMES, min_size=1, max_size=5, unique=True))
+    sets = st.frozensets(st.sampled_from(names))
+    elements = draw(st.lists(sets, unique=True, max_size=6))
+    return {"elements": [sorted(e) for e in elements]}
+
+
+TOWER = {
+    "nodes": ["a", "b", "c"],
+    "hypervertices": [
+        {"id": "V1", "nodes": ["a", "b"]},
+        {"id": "V2", "nodes": ["a", "b", "c"]},
+    ],
+}
+
+
+class TestWriterReference:
+    """``report`` and ``curvature --output json`` against the sections
+    built as plain dicts and lists and written by ``json.dumps``."""
+
+    @example({"elements": []}, None)
+    @example({"elements": [["a"]]}, None)
+    @example({"elements": [[], ["%s"]]}, None)
+    @example({"nodes": ["a", "b"], "hypervertices": [], "hyperedges": []}, None)
+    @example(TOWER, 1)
+    @given(hostile_inputs(), st.sampled_from([None, 0, 1, 2]))
+    @settings(deadline=None)
+    def test_json_sections_match_the_plain_reference(self, obj, skeleton):
+        flags = [] if skeleton is None else ["--skeleton", str(skeleton)]
+        with TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "input.json")
+            Path(path).write_text(json.dumps(obj))
+            outs = []
+            for argv in (["report", path], ["curvature", path, "--output", "json"]):
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    assert main(argv + flags) == 0
+                outs.append(out.getvalue())
+            with redirect_stderr(io.StringIO()):
+                a = cli.Analysis(cli._parser().parse_args(["curvature", path, *flags]))
+                curvature = plain_curvature_section(a.poset, a.table)
+        report, curvature_text = outs
+        expected = json.loads(report)
+        expected["poset"] = plain_poset_section(a.poset)
+        expected["curvature"].update(curvature)
+        assert report == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert curvature_text == json.dumps(curvature, indent=2, sort_keys=True) + "\n"
+
+
 class TestPosetInput:
     def test_covers_verified_when_present(self, capsys, tmp_path):
         mismatch = "error: 'covers' does not match the inclusion order\n"
@@ -1212,28 +1291,75 @@ JSON_VALUES = st.recursive(
 )
 
 # row tables: sorted distinct keys that need escaping, or that a "%"
-# template would misread, with scalars past 2**63
+# template would misread
 ROW_KEYS = st.lists(
     st.text(st.one_of(st.sampled_from('"{}|%\n\\\u00e9\u2028\ud800'), st.characters())),
     unique=True,
     max_size=5,
 ).map(lambda keys: tuple(sorted(keys)))
-ROW_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(2**200), max_value=2**200)
-    | JSON_TEXT
-)
-ROW_TABLES = ROW_KEYS.flatmap(
-    lambda keys: st.lists(st.tuples(*[ROW_SCALARS] * len(keys)), max_size=4).map(
-        lambda rows: _Rows(keys, rows)
+BIG_INTS = st.integers(min_value=-(2**200), max_value=2**200)
+ROW_SCALARS = st.none() | st.booleans() | BIG_INTS | JSON_TEXT
+
+
+def body(text: str) -> str:
+    """The JSON string of ``text`` without its quotes."""
+    return json.dumps(text)[1:-1]
+
+
+# one field of an object table and its cells: each cell is the values
+# that fill the field and the plain value they stand for; an int past
+# 2**63, a string or two joined from their escaped bodies, a JSON text,
+# or a constant with its "%" doubled
+ROW_FIELDS = st.sampled_from(
+    [
+        ("%d", BIG_INTS.map(lambda n: ((n,), n))),
+        ('"%s"', JSON_TEXT.map(lambda t: ((body(t),), t))),
+        (
+            '"%s|%s"',
+            st.tuples(JSON_TEXT, JSON_TEXT).map(
+                lambda ts: ((body(ts[0]), body(ts[1])), ts[0] + "|" + ts[1])
+            ),
+        ),
+        ("%s", ROW_SCALARS.map(lambda v: ((json.dumps(v),), v))),
+    ]
+) | ROW_SCALARS.map(lambda v: (json.dumps(v).replace("%", "%%"), st.just(((), v))))
+
+
+@st.composite
+def object_tables(draw):
+    """A row table of objects and the plain list of dicts it stands for."""
+    keys = draw(ROW_KEYS)
+    fields = [draw(ROW_FIELDS) for _ in keys]
+    rows = draw(st.lists(st.tuples(*[cells for _, cells in fields]), max_size=4))
+    table = _Rows(
+        {k: field for k, (field, _) in zip(keys, fields)},
+        [tuple(x for fill, _ in row for x in fill) for row in rows],
     )
+    return table, [{k: v for k, (_, v) in zip(keys, row)} for row in rows]
+
+
+# row tables of arrays of any length, the empty one included: strings
+# from their escaped bodies, or ints past 2**63
+ARRAY_TABLES = st.lists(st.lists(JSON_TEXT, max_size=4), max_size=5).map(
+    lambda rows: (_Rows('"%s"', [tuple(map(body, r)) for r in rows]), rows)
+) | st.lists(st.lists(BIG_INTS, max_size=3), max_size=5).map(
+    lambda rows: (_Rows("%d", list(map(tuple, rows))), rows)
 )
+
+
+def _pairs_list(pairs, kind):
+    return kind(v for v, _ in pairs), [plain for _, plain in pairs]
+
+
+# (value, plain value) pairs: row tables nested at random depths, with
+# the lists and dicts they stand for
 VALUES_WITH_TABLES = st.recursive(
-    ROW_SCALARS | ROW_TABLES,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ROW_SCALARS.map(lambda v: (v, v)) | object_tables() | ARRAY_TABLES,
+    lambda inner: st.lists(inner, max_size=4).map(lambda ps: _pairs_list(ps, list))
+    | st.lists(inner, max_size=4).map(lambda ps: _pairs_list(ps, tuple))
+    | st.dictionaries(JSON_TEXT, inner, max_size=4).map(
+        lambda d: ({k: v for k, (v, _) in d.items()}, {k: p for k, (_, p) in d.items()})
+    ),
     max_leaves=12,
 )
 
@@ -1247,10 +1373,10 @@ class Label(str):
     """A str subclass: written as its text, like a str."""
 
 
-# one exact type per column or list, which the writer converts in one
-# pass: text with quotes, "%" and surrogates, ints past 2**63, booleans,
-# and the columns that must take the checked route (bool mixed with int,
-# an IntEnum, a str subclass)
+# one exact type per list, which the writer converts in one pass: text
+# with quotes, "%" and surrogates, ints past 2**63, booleans, and the
+# lists that must take the checked route (bool mixed with int, an
+# IntEnum, a str subclass)
 TYPED_TEXT = st.text(
     st.one_of(st.sampled_from('"% %s%d\\\ud800\udfff\u00e9'), st.characters())
 )
@@ -1264,16 +1390,11 @@ ONE_TYPE = st.sampled_from(
         TYPED_TEXT.map(Label),
     ]
 )
-TYPED_TABLES = ROW_KEYS.flatmap(
-    lambda keys: st.tuples(*[ONE_TYPE] * len(keys))
-    .flatmap(lambda columns: st.lists(st.tuples(*columns), max_size=6))
-    .map(lambda rows: _Rows(keys, rows))
-)
 TYPED_LISTS = ONE_TYPE.flatmap(
     lambda scalars: st.lists(scalars, max_size=6)
     | st.lists(st.lists(scalars, max_size=4) | st.tuples(scalars, scalars), max_size=6)
 )
-# shaped like Poset.to_json_obj(): sorted label lists and index pairs
+# shaped like the report's poset section: sorted label lists and index pairs
 POSET_SHAPED = st.fixed_dictionaries(
     {
         "elements": st.lists(st.lists(TYPED_TEXT, max_size=4).map(sorted), max_size=6),
@@ -1286,22 +1407,11 @@ POSET_SHAPED = st.fixed_dictionaries(
     }
 )
 TYPED_VALUES = st.recursive(
-    TYPED_TABLES | TYPED_LISTS | POSET_SHAPED,
+    TYPED_LISTS | POSET_SHAPED,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(JSON_TEXT, inner, max_size=3),
     max_leaves=6,
 )
-
-
-def expanded(value):
-    """``value`` with each row table replaced by its list of dicts."""
-    if isinstance(value, _Rows):
-        return [dict(zip(value.keys, row, strict=True)) for row in value.rows]
-    if isinstance(value, dict):
-        return {k: expanded(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [expanded(v) for v in value]
-    return value
 
 
 class TestHalfTerms:
@@ -1328,57 +1438,80 @@ class TestJsonText:
             {1: "a"},
             [0.5, 1.5],
             [[0.5], [1.5]],
-            _Rows(("a",), [(0.5,), (1.5,)]),
+            _Rows({"a": "%d"}, [("x",)]),
         ],
-        ids=["float", "set", "int-key", "float-list", "float-lists", "float-column"],
+        ids=[
+            "float", "set", "int-key", "float-list", "float-lists", "text-in-int-field"
+        ],
     )
     def test_other_types_are_type_errors(self, value):
         with pytest.raises(TypeError):
             _json_text(value)
 
     @given(VALUES_WITH_TABLES)
-    def test_row_tables_match_the_stdlib_pretty_printer(self, value):
-        expected = json.dumps(expanded(value), indent=2, sort_keys=True) + "\n"
-        assert _json_text(value) == expected
+    def test_row_tables_match_the_stdlib_pretty_printer(self, pair):
+        value, plain = pair
+        assert _json_text(value) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
-    @example(_Rows(("a", "b", "c"), [(True, 1, "x"), (False, -(2**70), "%s")]))
+    @example([[True, 1, "x"], [False, -(2**70), "%s"]])
     @example({"covers": [[0, 1], [1, 2]], "elements": [["a"], [], ["%", "\ud800"]]})
     @example([[], (), [True], (1, 2)])
     @given(TYPED_VALUES)
-    def test_one_type_columns_and_lists_match_the_stdlib_pretty_printer(self, value):
-        expected = json.dumps(expanded(value), indent=2, sort_keys=True) + "\n"
-        assert _json_text(value) == expected
+    def test_one_type_lists_match_the_stdlib_pretty_printer(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
-        "value",
+        "value, plain",
         [
-            _Rows(("a", "b"), []),
-            _Rows((), [(), ()]),
-            _Rows(("edge", "match", "ric"), [("a|b", True, -(2**70))]),
-            {"x": [_Rows(("%s", "k"), [(None, "%d")]), _Rows(("a",), [])]},
+            (_Rows({"a": "%d", "b": "%d"}, []), []),
+            (_Rows({}, [(), ()]), [{}, {}]),
+            (
+                _Rows(
+                    {"edge": '"%s|%s"', "match": "%s", "ric": "%d"},
+                    [("a", "b", "true", -(2**70))],
+                ),
+                [{"edge": "a|b", "match": True, "ric": -(2**70)}],
+            ),
+            (
+                {
+                    "x": [
+                        _Rows({"%s": "%s", "k": '"%s"'}, [("null", "%d")]),
+                        _Rows("%d", []),
+                    ]
+                },
+                {"x": [[{"%s": None, "k": "%d"}], []]},
+            ),
+            (_Rows('"%s"', [(), ("a",), ("b", "%s")]), [[], ["a"], ["b", "%s"]]),
+            (_Rows("%d", iter([(0, 1), (2**70, -1)])), [[0, 1], [2**70, -1]]),
         ],
-        ids=["empty", "no-keys", "one-row-top-level", "nested"],
+        ids=[
+            "empty", "no-keys", "one-row-top-level", "nested", "arrays", "iterator-pairs"
+        ],
     )
-    def test_row_table_cases(self, value):
-        expected = json.dumps(expanded(value), indent=2, sort_keys=True) + "\n"
-        assert _json_text(value) == expected
+    def test_row_table_cases(self, value, plain):
+        assert _json_text(value) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
-        "row", [(1.5, 1), (Fraction(1, 2), 1), ({1}, 1), (1,), (1, 2, 3)],
-        ids=["float", "fraction", "set", "short", "long"],
+        "row", [("x", 1), (None, 1), ({1}, 1), (1,), (1, 2, 3)],
+        ids=["text", "none", "set", "short", "long"],
     )
     def test_row_values_of_other_types_are_type_errors(self, row):
         with pytest.raises(TypeError):
-            _json_text({"t": _Rows(("a", "b"), [(1, 2), row])})
+            _json_text({"t": _Rows({"a": "%d", "b": "%d"}, [(1, 2), row])})
+
+    def test_rows_of_two_widths_are_a_type_error(self):
+        # together they hold as many values as two rows of the right width
+        with pytest.raises(TypeError):
+            _json_text(_Rows({"a": "%d", "b": "%d"}, [(1,), (2, 3, 4)]))
 
     @pytest.mark.parametrize(
-        "keys",
-        [("b", "a"), ("a", "a"), ("a", 1), (b"a",)],
-        ids=["unsorted", "repeated", "int-key", "bytes-key"],
+        "item",
+        [{"b": "%d", "a": "%d"}, ("a",), {"a": "%d", 1: "%d"}, {b"a": "%d"}],
+        ids=["unsorted", "tuple-item", "int-key", "bytes-key"],
     )
-    def test_bad_keys_are_type_errors(self, keys):
+    def test_bad_items_are_type_errors(self, item):
         with pytest.raises(TypeError):
-            _Rows(keys, [])
+            _Rows(item, [])
 
 
 def run_to_exit(capsys, *argv) -> tuple[int, str, str]:

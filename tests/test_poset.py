@@ -336,13 +336,3 @@ class TestChainCounts:
             assert_counts_match_oracles(
                 poset_from_hypernetwork(h, include_singletons=singletons)
             )
-
-
-class TestSerialization:
-    def test_json_obj_shape(self, example_net):
-        p = poset_from_hypernetwork(example_net)
-        obj = p.to_json_obj()
-        assert obj["elements"][0] == ["a"]
-        assert obj["elements"][5] == ["a", "b", "c"]
-        assert [0, 3] in obj["covers"]
-        assert len(obj["covers"]) == 6
