@@ -30,7 +30,16 @@ elements of the network's inclusion poset, and that ``report`` on the
 network, run through the CLI, exits 0 with the bytes
 ``json.dumps(..., indent=2, sort_keys=True)`` writes for the object it
 parses to, so the CLI's JSON writer and its row tables are held to the
-standard library on every draw. The first failure is
+standard library on every draw. On every draw it also builds
+``DirectedComplex.from_arcs`` over a random arc set on the network's
+nodes and checks that its walked triangles are the 3-cliques of the
+arcs and, per mode, the transitive or cyclic ones, and that its
+transitive and cyclic counts, its count form and its Fraction formula
+under both degree modes equal brute counts made here from the arcs
+alone; then it runs ``report --directed`` with random ``--degree`` and
+``--triangles`` through the CLI on the directed network of those arcs
+(one single-node hypervertex per node, one directed hyperedge per arc)
+and holds it to ``json.dumps`` in the same way. The first failure is
 printed with its network and the script exits 1."""
 
 from __future__ import annotations
@@ -46,7 +55,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, combinations
 from pathlib import Path
 
+from fractions import Fraction
+
 from hyperforman import (
+    DirectedComplex,
+    DirectedConfig,
+    Hypernetwork,
+    Hypervertex,
     SimplicialComplex,
     curvature_filtration,
     forman_ricci,
@@ -62,7 +77,7 @@ from hyperforman import (
     serialize,
 )
 from hyperforman.cli import main as cli_main
-from hyperforman.hypernet import _facets
+from hyperforman.hypernet import _edge, _facets
 
 
 def fail(message: str, h) -> int:
@@ -161,20 +176,84 @@ def facet_mismatch(h) -> str | None:
     )
 
 
-def report_fault(h, include_singletons: bool) -> str | None:
-    """Run ``report`` on h through the CLI; say what is wrong if it does
-    not exit 0 with the bytes ``json.dumps(obj, indent=2,
-    sort_keys=True)`` writes for the object ``obj`` it parses to."""
+def random_arcs(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """One arc of random direction on each pair of the n vertices, kept
+    with a density drawn per call; density 1 gives a tournament."""
+    density = rng.choice([0.3, 0.6, 1.0])
+    return [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u, v in combinations(range(n), 2)
+        if rng.random() < density
+    ]
+
+
+def directed_fault(labels: list[str], arcs: list[tuple[int, int]]) -> str | None:
+    """Say how ``DirectedComplex.from_arcs`` over the arcs differs from
+    brute counts made here, or None: its walked triangles against the
+    3-cliques of the arcs, split by the out-degrees each clique's arcs
+    give its vertices (1, 1, 1 is cyclic), and its counts and formula
+    against the same split, summed edge by edge in Fractions."""
+    dc = DirectedComplex.from_arcs(labels, arcs)
+    n, arc_set = len(labels), set(arcs)
+    edges = {frozenset(a) for a in arcs}
+    by_mode: dict[str, list[tuple[int, ...]]] = {"transitive": [], "cyclic": []}
+    for t in combinations(range(n), 3):
+        if all(frozenset(e) in edges for e in combinations(t, 2)):
+            outdeg = sorted(sum((u, v) in arc_set for v in t) for u in t)
+            by_mode["cyclic" if outdeg == [1, 1, 1] else "transitive"].append(t)
+    for mode, chosen in by_mode.items():
+        expected = [tuple(labels[v] for v in t) for t in chosen]
+        got = list(dc.directed_triangles(mode))
+        if got != expected:
+            return f"{mode} triangles walked {got} but the arcs give {expected}"
+        for end, degree_mode in ((1, "in"), (0, "out")):
+            cfg = DirectedConfig(degree_mode, mode)
+            d = [sum(1 for a in arcs if a[end] == v) for v in range(n)]
+            formula = sum(1 + Fraction(3, 2) * x - x * x for x in d)
+            for e in edges:
+                u, v = e
+                on_e = sum(1 for t in chosen if u in t and v in t)
+                formula -= 4 + 3 * on_e - d[u] - d[v]
+            formula += 28 * len(chosen)
+            counts = (
+                dc._chosen_count(mode),
+                dc.directed_euler_count(cfg),
+                dc.directed_euler_formula(cfg),
+            )
+            expected_counts = (len(chosen), n - len(edges) + len(chosen), formula)
+            if counts != expected_counts:
+                return (
+                    f"{degree_mode}/{mode}: count, chi count and formula "
+                    f"{counts} but the arcs give {expected_counts}"
+                )
+    return None
+
+
+def directed_network(labels: list[str], arcs: list[tuple[int, int]]) -> Hypernetwork:
+    """The directed network of the arcs: one single-node hypervertex per
+    label and one directed hyperedge per arc."""
+    hvs = tuple(Hypervertex(f"H{i}", frozenset({x})) for i, x in enumerate(labels))
+    edges = tuple(
+        _edge(f"A{k}", f"H{t}", f"H{h}", directed=True) for k, (t, h) in enumerate(arcs)
+    )
+    return Hypernetwork(frozenset(labels), hvs, edges, directed=True)
+
+
+def report_fault(h, flags: list[str]) -> str | None:
+    """Run ``report`` on h with ``flags`` through the CLI; say what is
+    wrong if it does not exit 0 with the bytes ``json.dumps(obj,
+    indent=2, sort_keys=True)`` writes for the object ``obj`` it parses
+    to."""
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "network.json"
         path.write_text(serialize(h, "json"), encoding="utf-8")
-        argv = ["report", str(path)] + ([] if include_singletons else ["--no-singletons"])
+        argv = ["report", str(path), *flags]
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             rc = cli_main(argv)
     text = out.getvalue()
     if rc != 0:
-        return f"report exits {rc}"
+        return f"report {' '.join(flags)} exits {rc}"
     try:
         canonical = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     except ValueError as ex:
@@ -193,6 +272,8 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    # a stream of its own, so the networks drawn do not depend on the arcs
+    arc_rng = random.Random(f"arcs-{args.seed}")
     t0 = time.perf_counter()
     edges_checked = 0
     for i in range(args.count):
@@ -302,9 +383,19 @@ def main() -> int:
                     h,
                 )
             edges_checked += 1
-        fault = report_fault(h, include_singletons)
+        fault = report_fault(h, [] if include_singletons else ["--no-singletons"])
         if fault is not None:
             return fail(f"network {i}: {fault}", h)
+        labels = sorted(h.nodes)
+        arcs = random_arcs(arc_rng, len(labels))
+        directed = directed_network(labels, arcs)
+        fault = directed_fault(labels, arcs)
+        if fault is None:
+            flags = ["--directed", "--degree", arc_rng.choice(["in", "out"])]
+            flags += ["--triangles", arc_rng.choice(["transitive", "cyclic"])]
+            fault = report_fault(directed, flags)
+        if fault is not None:
+            return fail(f"network {i}, directed: {fault}", directed)
     dt = time.perf_counter() - t0
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
@@ -316,7 +407,9 @@ def main() -> int:
         f"the closed form agree with the brute count, the counted tables and "
         f"filtrations equal the complex route at skeleton 0, 1 and 2, geometric chi "
         f"matches the face count, its facets are the maximal poset elements, "
-        f"each report's JSON is what json.dumps writes ({dt:.2f}s)"
+        f"each report's JSON is what json.dumps writes, and so is each "
+        f"directed report's, whose complex's triangles, counts and formula "
+        f"match brute counts on random arcs ({dt:.2f}s)"
     )
     return 0
 

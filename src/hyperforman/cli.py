@@ -8,7 +8,8 @@ builds the order complex: the per-edge curvature table, its balance and
 the filtration come from the poset's comparability bitsets and the face
 counts, gauss-bonnet reads its balance from the counts and the up and
 down sizes alone, and the triangle lines come from walking the chains
-x < y < z. ``--directed`` builds its directed graph complex once.
+x < y < z. ``--directed`` builds its directed graph complex once, as
+neighbour bitsets, and reads its counts.
 Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
 subcommands only format what it holds. Exit codes: 0 success, 2 invalid
@@ -273,8 +274,8 @@ class Analysis:
 
     @cached_property
     def directed(self) -> DirectedComplex:
-        """The directed-graph reading of the network, whose faces count
-        against the chain cap before any triangle is listed."""
+        """The directed-graph reading of the network, whose faces are
+        counted, not listed, against the chain cap."""
         return directed_graph_complex(self.loaded.network, self.args.chain_cap)
 
     def rank_witness(self) -> dict:
@@ -285,9 +286,10 @@ class Analysis:
 
 
 def directed_graph_complex(h: Hypernetwork, cap: int | None = None) -> DirectedComplex:
-    """Directed-graph reading of a hypernetwork under ``cap``: single-node
-    hypervertices joined by directed hyperedges, with every 3-clique a
-    triangle face. The caller has checked that every hyperedge is directed."""
+    """Directed-graph reading of a hypernetwork under ``cap``: the clique
+    complex :meth:`DirectedComplex.from_arcs` builds of one arc per
+    hyperedge between single-node hypervertices (a larger one raises
+    :class:`InputError`). The caller has checked that every hyperedge is directed."""
     for hv in h.hypervertices:
         if len(hv.nodes) > 1:
             raise InputError(
@@ -520,11 +522,6 @@ def _half_exact(t: int) -> int | str:
     return t // 2 if t % 2 == 0 else f"{t}/2"
 
 
-def _face_text(labels: tuple[str, ...], f) -> str:
-    """The label of a stored face, whose vertices are already increasing."""
-    return "|".join(map(labels.__getitem__, f))
-
-
 def input_summary(loaded: Loaded) -> dict:
     """Size counts of the input, as validate and report print them."""
     if loaded.kind == "poset":
@@ -624,7 +621,7 @@ def poset_obj(p: Poset) -> dict:
     name escaped once, and the cover pairs ``[q, p]``, p covering q, in
     index order; each a :class:`_Rows` table."""
     names = {x: _quote(x)[1:-1] for x in set(chain.from_iterable(p.elements))}
-    members = map(map, repeat(names.__getitem__), map(sorted, p.elements))
+    members = map(map, repeat(names.__getitem__), p._members)
     return {
         "elements": _Rows('"%s"', map(tuple, members)),
         "covers": _Rows("%d", [(q, c) for q, cs in enumerate(p._children) for c in cs]),
@@ -675,10 +672,11 @@ def cmd_chi(a: Analysis) -> int:
 def _directed_section(a: Analysis) -> tuple:
     """The directed report of :attr:`Analysis.directed`: the human lines,
     the JSON object and the CSV rows, each a zero-argument callable for
-    :func:`emit`. Only the JSON object lists the chosen triangles."""
+    :func:`emit`. All three read the complex's counts; only the JSON
+    object walks the chosen triangles, for their labels."""
     args, dc = a.args, a.directed
     cfg = DirectedConfig(args.degree or "out", args.triangles or "transitive")
-    labels, mode = dc.complex.labels, cfg.triangle_mode
+    labels, mode = dc.labels, cfg.triangle_mode
     degs = list(dc.io_degrees(cfg.degree_mode).values())
     chosen = dc._chosen_count(mode)
     formula, count = dc.directed_euler_formula(cfg), dc.directed_euler_count(cfg)
@@ -696,9 +694,7 @@ def _directed_section(a: Analysis) -> tuple:
             "degree_mode": cfg.degree_mode,
             "triangle_mode": mode,
             "degrees": dict(zip(labels, degs)),
-            "chosen_triangles": [
-                _face_text(labels, t) for t in dc.directed_triangles(mode)
-            ],
+            "chosen_triangles": list(map("|".join, dc.directed_triangles(mode))),
             "chi_formula": _exact(formula),
             "chi_count": count,
         }

@@ -26,21 +26,20 @@ counts alone. :func:`poset_curvature_table` and
 and the filtration of that order complex from comparability bitsets,
 with no triangle listed.
 
-The directed variants accept a 2-complex whose every edge carries a
-direction; triangles whose edge orientations are coherent (transitive or
-cyclic) play the role of the chosen triangle set.
+The directed variants work on the clique complex of an arc set, read
+from its neighbour bitsets by counting: its transitive or its cyclic
+triangles play the role of the chosen triangle set.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress
-from operator import add, itemgetter, mul, not_
-from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Sequence
+from itertools import chain
+from operator import add, itemgetter, mul, or_
+from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .poset import ChainCapExceeded
@@ -408,33 +407,22 @@ class DirectedConfig:
     triangle_mode: TriangleMode = "transitive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DirectedComplex:
-    """A 2-complex whose every edge carries a direction.
-
-    ``directions`` maps each edge (as a sorted vertex pair) to the
-    ordered pair (tail, head). Triangles are faces of the underlying
-    complex; their orientation pattern is always a tournament on three
-    vertices, hence either transitive or cyclic.
+    """The directed clique complex of an arc set: the vertices, one edge
+    per arc and every 3-clique of the arcs as a triangle, which is either
+    transitive or cyclic. ``directions`` maps each edge (as a sorted
+    vertex pair) to its arc (tail, head). The complex is kept as int
+    bitsets, the heads ``_out[v]`` and tails ``_in[v]`` of the arcs at v,
+    and read by counting. :meth:`from_arcs` is the only way to build one;
+    calling ``DirectedComplex(...)`` raises ``TypeError``.
     """
 
-    complex: SimplicialComplex
-    directions: Mapping[Simplex, tuple[int, int]] = field(default_factory=dict)
+    labels: tuple[str, ...]
+    directions: Mapping[tuple[int, int], tuple[int, int]]
 
-    def __post_init__(self):
-        if self.complex.dim > 2:
-            raise ValueError("directed curvature requires dimension <= 2")
-        for e in self.complex.edges:
-            arc = self.directions.get(e)
-            if arc is None:
-                raise DirectionError(
-                    f"undirected edge encountered: {self.complex.face_label(e)}"
-                )
-            if tuple(sorted(arc)) != e:
-                raise DirectionError(f"direction {arc} does not match edge {e}")
-        extra = set(self.directions) - set(self.complex.edges)
-        if extra:
-            raise DirectionError(f"directions given for non-edges: {sorted(extra)}")
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a DirectedComplex with DirectedComplex.from_arcs")
 
     @classmethod
     def from_arcs(
@@ -443,20 +431,23 @@ class DirectedComplex:
         arcs: Iterable[tuple[int, int]],
         cap: int | None = None,
     ) -> "DirectedComplex":
-        """Build from directed vertex pairs; every 3-clique of the arc
-        graph becomes a 2-face. Loops and antiparallel arc pairs are
-        rejected, since a single edge cannot carry two directions; the
-        error names the vertices by label. An arc naming a vertex outside
-        ``labels`` raises :class:`ValueError`.
+        """The directed clique complex of the arcs over ``labels``. Loops
+        and antiparallel arc pairs are rejected, since a single edge
+        cannot carry two directions; the error names the vertices by
+        label. An arc naming a vertex outside ``labels`` raises
+        :class:`ValueError`.
 
-        The 3-cliques over the edge u < v are the common neighbours above
-        v, counted on int bitsets: more than ``cap`` faces (None means no
-        cap) raises :class:`ChainCapExceeded` before any triangle is
-        listed. The triangles come out sorted, as the edges are.
+        With N[v] the neighbours of v, summing |N[u] & N[v]| over the
+        edges counts each triangle three times; more than ``cap`` faces
+        (None means no cap) raises :class:`ChainCapExceeded`. A
+        transitive triangle has exactly one source, whose two
+        out-neighbours are joined, so summing |out(s) & N[h]| over the
+        arcs s -> h counts each one twice; the rest are cyclic.
         """
         labels = tuple(labels)
         n = len(labels)
-        directions: dict[Simplex, tuple[int, int]] = {}
+        directions: dict[tuple[int, int], tuple[int, int]] = {}
+        out, into = [0] * n, [0] * n
         for tail, head in arcs:
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValueError(f"arc {(tail, head)} references a node out of range")
@@ -472,54 +463,55 @@ class DirectedComplex:
                     )
                 continue
             directions[e] = (tail, head)
-        edges = tuple(sorted(directions))
-        up_bits, up = [0] * n, [set() for _ in range(n)]
-        for u, v in edges:
-            up_bits[u] |= 1 << v
-            up[u].add(v)
-        total = n + len(edges)
-        total += sum([(up_bits[u] & up_bits[v]).bit_count() for u, v in edges])
+            out[tail] |= 1 << head
+            into[head] |= 1 << tail
+        nbrs = list(map(or_, out, into))
+        kept = directions.values()
+        triangles = sum([(nbrs[t] & nbrs[h]).bit_count() for t, h in kept]) // 3
+        total = n + len(directions) + triangles
         if cap is not None and total > cap:
             raise ChainCapExceeded(f"directed complex has {total} faces", total, cap)
-        triangles = tuple(
-            [(u, v, w) for u, v in edges for w in sorted(up[u] & up[v])]
-        )
-        buckets = (tuple((i,) for i in range(n)), edges, triangles)
-        k = SimplicialComplex._trusted(labels, buckets[: sum(map(bool, buckets))])
+        transitive = sum([(out[t] & nbrs[h]).bit_count() for t, h in kept]) // 2
         dc = object.__new__(cls)
-        dc.__dict__.update(complex=k, directions=directions)
+        dc.__dict__.update(
+            labels=labels,
+            directions=directions,
+            _out=out,
+            _in=into,
+            _triangle_counts=(transitive, triangles - transitive),
+        )
         return dc
 
     def io_degrees(self, mode: DegreeMode) -> dict[int, int]:
         """Number of edges entering (``in``) or leaving (``out``) each vertex."""
         if mode not in ("in", "out"):
             raise ValueError(f"degree mode must be 'in' or 'out', not {mode!r}")
-        degs = {v: 0 for v in range(self.complex.n_vertices)}
-        pick = 1 if mode == "in" else 0
-        for arc in self.directions.values():
-            degs[arc[pick]] += 1
-        return degs
-
-    @cached_property
-    def _cyclic(self) -> tuple[bool, ...]:
-        """Whether each triangle, in the order of ``complex.triangles``,
-        is cyclic; the others are transitive. A sorted triangle u < v < w
-        is cyclic when u-v and v-w point the same way along the order
-        and u-w points against them."""
-        up = {e: arc[0] == e[0] for e, arc in self.directions.items()}
-        triangles = self.complex.triangles
-        return tuple([up[u, v] == up[v, w] != up[u, w] for u, v, w in triangles])
+        bits = self._in if mode == "in" else self._out
+        return dict(enumerate(map(int.bit_count, bits)))
 
     def _chosen_count(self, mode: TriangleMode) -> int:
-        """The number of triangles :meth:`directed_triangles` lists."""
-        cyclic = self._cyclic.count(True)
-        return cyclic if _is_cyclic(mode) else len(self._cyclic) - cyclic
+        """The number of triangles :meth:`directed_triangles` yields."""
+        return self._triangle_counts[_is_cyclic(mode)]
 
-    def directed_triangles(self, mode: TriangleMode) -> list[Simplex]:
-        """Triangle faces whose edges orient coherently in the given mode:
-        u->v, v->w, u->w for transitive, u->v, v->w, w->u for cyclic."""
-        flags = self._cyclic if _is_cyclic(mode) else map(not_, self._cyclic)
-        return list(compress(self.complex.triangles, flags))
+    def directed_triangles(self, mode: TriangleMode) -> Iterator[tuple[str, str, str]]:
+        """The three labels of each triangle u < v < w, in sorted order,
+        whose edges orient coherently in the given mode: u->v, v->w, u->w
+        for transitive, u->v, v->w, w->u for cyclic.
+
+        Walked from the bitsets: the third vertices over the edge u < v
+        are the common neighbours above v, and those that close a cycle
+        are the heads of v and tails of u when u -> v, the tails of v
+        and heads of u when v -> u.
+        """
+        cyclic = _is_cyclic(mode)
+        labels, out, into = self.labels, self._out, self._in
+        for u, (out_u, in_u) in enumerate(zip(out, into)):
+            above_u = (out_u | in_u) >> (u + 1) << (u + 1)
+            for v in _bits(above_u):
+                common = above_u & (out[v] | into[v]) >> (v + 1) << (v + 1)
+                closing = out[v] & in_u if out_u >> v & 1 else into[v] & out_u
+                for w in _bits(common & closing if cyclic else common & ~closing):
+                    yield labels[u], labels[v], labels[w]
 
     def directed_euler_formula(self, cfg: DirectedConfig) -> Fraction:
         """Directed vertex/edge/triangle combination, from counts.
@@ -532,14 +524,22 @@ class DirectedComplex:
         degs = self.io_degrees(cfg.degree_mode).values()
         chosen = self._chosen_count(cfg.triangle_mode)
         vertex_sum = Fraction(sum(map(_twice_vertex_term, degs)), 2)
-        edges, degrees = len(self.complex.edges), self.complex._degrees
-        edge_sum = 9 * chosen + 4 * edges - sum(map(mul, degs, degrees))
+        degrees = map(int.bit_count, map(or_, self._out, self._in))
+        edge_sum = 9 * chosen + 4 * len(self.directions) - sum(map(mul, degs, degrees))
         return vertex_sum - edge_sum + 28 * chosen
 
     def directed_euler_count(self, cfg: DirectedConfig) -> int:
         """Face count form: vertices - edges + chosen triangles."""
         chosen = self._chosen_count(cfg.triangle_mode)
-        return self.complex.n_vertices - len(self.complex.edges) + chosen
+        return len(self.labels) - len(self.directions) + chosen
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _is_cyclic(mode: TriangleMode) -> bool:

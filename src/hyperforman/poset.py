@@ -87,17 +87,15 @@ def set_label(s: frozenset) -> str:
     return "{" + ",".join(map(str, sorted(s))) + "}"
 
 
-def _canonical_key(s: frozenset):
-    return (len(s), tuple(sorted(s)))
-
-
 @dataclass(frozen=True, init=False)
 class Poset:
     """Distinct finite sets under strict inclusion.
 
     ``elements`` are stored in a canonical order (by size, then sorted
-    members) so indices are stable regardless of construction order.
-    The order is kept per element, as filled in by :meth:`from_sets`:
+    members) so indices are stable regardless of construction order,
+    and ``_members[i]`` holds the members of element i as that sorted
+    tuple, which labels and output read. The order is kept per element,
+    as filled in by :meth:`from_sets`:
     ``_children[q]`` lists, ascending, the p that cover q (so q < p),
     and ``_above[q]`` every p above q. :attr:`covers` gives the same
     cover relation as index pairs ``(q, p)``, built when first read.
@@ -114,13 +112,15 @@ class Poset:
         raise TypeError("build a Poset with Poset.from_sets")
 
     @classmethod
-    def _trusted(cls, elements, children, above) -> "Poset":
+    def _trusted(cls, elements, members, children, above) -> "Poset":
         """Build without checks, and without ``__init__``, from distinct
-        elements in canonical order and, per element, its covers and its
-        complete up set, ascending: the ``_children`` and ``_above``
-        tables."""
+        elements in canonical order and, per element, its sorted members,
+        its covers and its complete up set, ascending: the ``_members``,
+        ``_children`` and ``_above`` tables."""
         p = object.__new__(cls)
-        p.__dict__.update(elements=elements, _children=children, _above=above)
+        p.__dict__.update(
+            elements=elements, _members=members, _children=children, _above=above
+        )
         return p
 
     @classmethod
@@ -138,7 +138,10 @@ class Poset:
         order, and the up sets merged on the way are the ``_above`` table.
         """
         uniq = {frozenset(s) for s in sets}
-        elements = tuple(sorted(uniq, key=_canonical_key))
+        # by size, then by sorted members: sets of two sizes are never compared
+        keyed = sorted([(len(s), tuple(sorted(s)), s) for s in uniq])
+        members = tuple([m for _, m, _ in keyed])
+        elements = tuple([s for _, _, s in keyed])
         n = len(elements)
         postings: dict[object, list[int]] = {}
         for i, e in enumerate(elements):
@@ -161,13 +164,13 @@ class Poset:
         # in place, so each set is freed as its tuple is built
         for i, up in enumerate(above):
             above[i] = tuple(sorted(up))
-        return cls._trusted(elements, tuple(children), tuple(above))
+        return cls._trusted(elements, members, tuple(children), tuple(above))
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def element_label(self, i: int) -> str:
-        return set_label(self.elements[i])
+        return "{" + ",".join(map(str, self._members[i])) + "}"
 
     def index_of(self, s: Iterable) -> int:
         return self._index[frozenset(s)]

@@ -274,8 +274,9 @@ def brute_orientation(dc: DirectedComplex, t) -> str:
 
 
 def brute_directed_triangles(dc: DirectedComplex, mode: str) -> list[tuple[int, ...]]:
-    """The triangles of the complex whose orientation is ``mode``."""
-    return [t for t in dc.complex.faces(2) if brute_orientation(dc, t) == mode]
+    """The 3-cliques of the complex's edges whose orientation is ``mode``."""
+    cliques = brute_cliques(len(dc.labels), dc.directions)
+    return [t for t in cliques if brute_orientation(dc, t) == mode]
 
 
 def brute_directed_formula(dc: DirectedComplex, cfg: DirectedConfig) -> Fraction:
@@ -286,10 +287,10 @@ def brute_directed_formula(dc: DirectedComplex, cfg: DirectedConfig) -> Fraction
     arcs = list(dc.directions.values())
     chosen = [set(t) for t in brute_directed_triangles(dc, cfg.triangle_mode)]
     total = Fraction(0)
-    for v in range(dc.complex.n_vertices):
+    for v in range(len(dc.labels)):
         d = sum(1 for arc in arcs if arc[end] == v)
         total += 1 + Fraction(3, 2) * d - d * d
-    for e in dc.complex.faces(1):
+    for e in dc.directions:
         above = sum(1 for t in chosen if set(e) <= t)
         degrees = sum(1 for arc in arcs for v in e if arc[end] == v)
         total -= 4 + 3 * above - degrees

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperforman import (
+    SimplicialComplex,
     cli,
     curvature_filtration,
     forman_ricci,
@@ -765,12 +766,37 @@ class TestCurvature:
         assert expected[0] == 0
 
         def refuse(*args):
-            raise AssertionError("a triangle label was written")
+            raise AssertionError("the triangles were walked")
 
-        monkeypatch.setattr(cli, "_face_text", refuse)
+        monkeypatch.setattr(cli.DirectedComplex, "directed_triangles", refuse)
         assert run(capsys, *argv, "--output", output) == expected
-        with pytest.raises(AssertionError, match="triangle label"):
+        with pytest.raises(AssertionError, match="triangles were walked"):
             run(capsys, *argv, "--output", "json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curvature", "--output", "human"],
+            ["curvature", "--output", "json"],
+            ["curvature", "--output", "csv"],
+            ["report"],
+        ],
+        ids=["human", "json", "csv", "report"],
+    )
+    def test_directed_builds_no_simplicial_complex(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        f = tmp_path / "tournament.hnet"
+        f.write_text(tournament_hnet(12, 1))
+        expected = run(capsys, *argv, f, "--directed", "--triangles", "cyclic")
+        assert expected[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SimplicialComplex was built")
+
+        monkeypatch.setattr(SimplicialComplex, "from_faces", refuse)
+        monkeypatch.setattr(SimplicialComplex, "_trusted", refuse)
+        assert run(capsys, *argv, f, "--directed", "--triangles", "cyclic") == expected
 
     @pytest.mark.parametrize(
         "argv",

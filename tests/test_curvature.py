@@ -493,14 +493,6 @@ def cycle_fixture() -> DirectedComplex:
     return DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
 
 
-def square_chord_fixture() -> DirectedComplex:
-    # 1-dimensional by construction: the raw constructor fills no
-    # triangle, though the chord closes two 3-cliques
-    arcs = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
-    cx = SimplicialComplex.from_faces(["a", "b", "c", "d"], arcs)
-    return DirectedComplex(cx, {tuple(sorted(a)): a for a in arcs})
-
-
 def random_arcs(rng, n: int, density: float) -> list[tuple[int, int]]:
     """Each pair of the n vertices joined with probability ``density`` by
     one arc of random direction, in random order, some listed twice."""
@@ -514,26 +506,23 @@ def random_arcs(rng, n: int, density: float) -> list[tuple[int, int]]:
     return arcs
 
 
-def seeded_arc_sets(seed: int, count: int):
+def seeded_arc_sets(seed: int, count: int, max_nodes: int = 8):
     """(labels, arcs) draws: the empty network first, then random graphs
-    of up to 8 vertices at every density, tournaments included."""
+    of up to ``max_nodes`` vertices at every density, tournaments
+    included."""
     rng = random.Random(seed)
     yield [], []
     for _ in range(count):
-        n = rng.randint(1, 8)
+        n = rng.randint(1, max_nodes)
         density = rng.choice([0.0, 0.3, 0.6, 1.0])
         yield [f"x{i}" for i in range(n)], random_arcs(rng, n, density)
 
 
-def random_non_clique_complex(rng) -> DirectedComplex:
-    """A directed 2-complex through the raw constructor whose triangles
-    are a random subset of the 3-cliques of its edges."""
-    n = rng.randint(1, 7)
-    arcs = random_arcs(rng, n, rng.choice([0.4, 0.7, 1.0]))
-    cliques = brute_cliques(n, arcs)
-    kept = [t for t in cliques if rng.random() < 0.5]
-    cx = SimplicialComplex.from_faces([f"y{i}" for i in range(n)], arcs + kept)
-    return DirectedComplex(cx, {tuple(sorted(a)): a for a in arcs})
+def walked(dc: DirectedComplex, mode: str) -> list[tuple[int, ...]]:
+    """The triangles :meth:`DirectedComplex.directed_triangles` walks, as
+    vertex triples."""
+    index = {x: i for i, x in enumerate(dc.labels)}
+    return [tuple(map(index.__getitem__, t)) for t in dc.directed_triangles(mode)]
 
 
 CONFIGS = [
@@ -544,37 +533,48 @@ CONFIGS = [
 
 
 class TestDirectedOracles:
-    def test_from_arcs_matches_from_faces(self):
+    def test_walked_triangles_are_the_cliques(self):
         for labels, arcs in seeded_arc_sets(3, 150):
             dc = DirectedComplex.from_arcs(labels, arcs)
-            cliques = brute_cliques(len(labels), arcs)
-            expected = SimplicialComplex.from_faces(labels, arcs + cliques)
-            assert dc.complex == expected, (labels, arcs)
+            both = walked(dc, "transitive") + walked(dc, "cyclic")
+            assert sorted(both) == brute_cliques(len(labels), arcs), (labels, arcs)
+            assert dc.labels == tuple(labels)
             assert dc.directions == {tuple(sorted(a)): a for a in arcs}
 
     def test_triangles_match_the_orientation_oracle(self):
-        rng = random.Random(5)
-        draws = [DirectedComplex.from_arcs(*d) for d in seeded_arc_sets(5, 100)]
-        draws += [random_non_clique_complex(rng) for _ in range(100)]
-        for dc in draws:
+        for labels, arcs in seeded_arc_sets(5, 150):
+            dc = DirectedComplex.from_arcs(labels, arcs)
             for mode in ("transitive", "cyclic"):
-                assert dc.directed_triangles(mode) == brute_directed_triangles(dc, mode)
+                assert walked(dc, mode) == brute_directed_triangles(dc, mode)
 
-    def test_formula_matches_the_oracle_on_non_clique_complexes(self):
-        rng = random.Random(9)
-        for _ in range(150):
-            dc = random_non_clique_complex(rng)
+    def test_counts_match_the_orientation_oracle(self):
+        draws = list(seeded_arc_sets(9, 150, max_nodes=12))
+        rng = random.Random(11)
+        draws += [
+            ([f"t{i}" for i in range(n)], random_arcs(rng, n, 1.0))
+            for n in range(13)
+        ]
+        for labels, arcs in draws:
+            dc = DirectedComplex.from_arcs(labels, arcs)
             for cfg in CONFIGS:
                 chosen = brute_directed_triangles(dc, cfg.triangle_mode)
+                assert dc._chosen_count(cfg.triangle_mode) == len(chosen)
                 assert dc.directed_euler_formula(cfg) == brute_directed_formula(dc, cfg)
                 assert dc.directed_euler_count(cfg) == (
-                    dc.complex.n_vertices - len(dc.complex.edges) + len(chosen)
+                    len(labels) - len(dc.directions) + len(chosen)
                 )
+
+    def test_only_from_arcs_builds_a_directed_complex(self):
+        with pytest.raises(TypeError, match="from_arcs"):
+            DirectedComplex(("a", "b"), {(0, 1): (0, 1)})
+        with pytest.raises(TypeError, match="from_arcs"):
+            DirectedComplex(labels=("a",), directions={})
 
     def test_the_cap_counts_every_face(self):
         for labels, arcs in seeded_arc_sets(13, 100):
             dc = DirectedComplex.from_arcs(labels, arcs)
-            faces = sum(dc.complex.f_vector())
+            edges = {tuple(sorted(a)) for a in arcs}
+            faces = len(labels) + len(edges) + len(brute_cliques(len(labels), edges))
             assert DirectedComplex.from_arcs(labels, arcs, faces) == dc
             if faces == 0:
                 continue
@@ -600,18 +600,20 @@ class TestDirected:
 
     def test_directed_triangles_dag(self):
         dc = dag_fixture()
-        assert dc.directed_triangles("transitive") == [(0, 1, 2)]
-        assert dc.directed_triangles("cyclic") == []
+        assert list(dc.directed_triangles("transitive")) == [("a", "b", "c")]
+        assert list(dc.directed_triangles("cyclic")) == []
 
     def test_directed_triangles_cycle(self):
         dc = cycle_fixture()
-        assert dc.directed_triangles("transitive") == []
-        assert dc.directed_triangles("cyclic") == [(0, 1, 2)]
+        assert list(dc.directed_triangles("transitive")) == []
+        assert list(dc.directed_triangles("cyclic")) == [("a", "b", "c")]
 
     def test_no_faces_no_directed_triangles(self):
-        dc = square_chord_fixture()
-        assert dc.directed_triangles("transitive") == []
-        assert dc.directed_triangles("cyclic") == []
+        # a square without a chord has no 3-clique
+        arcs = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        dc = DirectedComplex.from_arcs(["a", "b", "c", "d"], arcs)
+        assert list(dc.directed_triangles("transitive")) == []
+        assert list(dc.directed_triangles("cyclic")) == []
 
     def test_formula_on_dag(self):
         dc = dag_fixture()
@@ -660,8 +662,8 @@ class TestDirected:
 
     def test_every_filled_triangle_is_transitive_or_cyclic(self):
         dc = dag_fixture()
-        both = dc.directed_triangles("transitive") + dc.directed_triangles("cyclic")
-        assert sorted(both) == list(dc.complex.triangles)
+        both = walked(dc, "transitive") + walked(dc, "cyclic")
+        assert sorted(both) == brute_cliques(3, dc.directions) == [(0, 1, 2)]
 
     def test_conflicting_directions_rejected(self):
         with pytest.raises(DirectionError, match=r"conflicting .* a\|b: a->b and b->a"):
@@ -677,17 +679,12 @@ class TestDirected:
         with pytest.raises(ValueError, match=message):
             DirectedComplex.from_arcs(["a", "b"], [(0, 1), arc])
 
-    def test_missing_direction_rejected(self):
-        cx = SimplicialComplex.from_faces(["a", "b"], [(0, 1)])
-        with pytest.raises(DirectionError, match="undirected edge"):
-            DirectedComplex(cx, {})
-
     def test_bad_modes_rejected(self):
         dc = dag_fixture()
         with pytest.raises(ValueError):
             dc.io_degrees("sideways")
         with pytest.raises(ValueError):
-            dc.directed_triangles("rotational")
+            list(dc.directed_triangles("rotational"))
 
 
 class TestRandomizedBalance:

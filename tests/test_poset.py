@@ -60,6 +60,14 @@ class TestConstruction:
         ]
         assert len(p.covers) == 2
 
+    def test_labels_read_each_element_sorted_once(self):
+        # ints sort numerically, and only sets of one size are compared
+        p = Poset.from_sets([{10, 9}, {"b"}, {2, 10, 9}])
+        assert p._members == (("b",), (9, 10), (2, 9, 10))
+        assert p.elements == tuple(map(frozenset, p._members))
+        labels = [p.element_label(i) for i in range(len(p))]
+        assert labels == ["{b}", "{9,10}", "{2,9,10}"]
+
     def test_duplicate_sets_are_merged(self):
         p = Poset.from_sets([F("a"), F("a")])
         assert len(p) == 1
