@@ -21,10 +21,9 @@ closed form and ``curvature_filtration`` on that skeleton, and that on
 every edge of the order complex's
 2-skeleton the balance's curvature (filled in one walk of the edge
 index) equals the per-edge definitional route ``forman_ricci``, the
-closed form and a brute count made here from the edges and triangles
-alone. It also
-checks that the network's geometric chi (the signed intersection walk
-on node bitmasks) equals a count made here of every face of the simplex
+closed form and a brute count from the edges and triangles alone. It
+also checks that the network's geometric chi (the signed intersection
+walk on node bitmasks) equals a count of every face of the simplex
 view, that the facets that walk covers the view with are the maximal
 elements of the network's inclusion poset, and that ``report`` on the
 network, run through the CLI, exits 0 with the bytes
@@ -32,15 +31,19 @@ network, run through the CLI, exits 0 with the bytes
 parses to, so the CLI's JSON writer and its row tables are held to the
 standard library on every draw. On every draw it also builds
 ``DirectedComplex.from_arcs`` over a random arc set on the network's
-nodes and checks that its walked triangles are the 3-cliques of the
-arcs and, per mode, the transitive or cyclic ones, and that its
+nodes and checks that its directions are the arcs, that its in- and
+out-degrees are those the arcs give, that its walked triangles are, per
+mode, the transitive or cyclic 3-cliques of the arcs, and that its
 transitive and cyclic counts, its count form and its Fraction formula
-under both degree modes equal brute counts made here from the arcs
-alone; then it runs ``report --directed`` with random ``--degree`` and
-``--triangles`` through the CLI on the directed network of those arcs
-(one single-node hypervertex per node, one directed hyperedge per arc)
-and holds it to ``json.dumps`` in the same way. The first failure is
-printed with its network and the script exits 1."""
+under both degree modes equal brute counts; then it runs ``report
+--directed`` with random ``--degree`` and ``--triangles`` through the
+CLI on the directed network of those arcs (one single-node hypervertex
+per node, one directed hyperedge per arc) and holds it to
+``json.dumps`` in the same way. The brute-force oracles (every pair,
+the chain listing, the edge and face counts and the directed counts)
+are those of ``tests/helpers.py``, which the tests pin their expected
+values with. The first failure is printed with its network and the
+script exits 1."""
 
 from __future__ import annotations
 
@@ -54,8 +57,6 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, combinations
 from pathlib import Path
-
-from fractions import Fraction
 
 from hyperforman import (
     DirectedComplex,
@@ -79,21 +80,23 @@ from hyperforman import (
 from hyperforman.cli import main as cli_main
 from hyperforman.hypernet import _edge, _facets
 
+# the oracles live with the tests, in the sibling tests/ directory
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import (  # noqa: E402
+    brute_covers,
+    brute_directed_formula,
+    brute_directed_triangles,
+    brute_geometric_chi,
+    brute_less,
+    brute_ricci,
+    grouped_chains,
+)
+
 
 def fail(message: str, h) -> int:
     """Report a failed check with the network that broke it; exit status 1."""
     print(f"{message}\n{serialize(h, 'json')}", file=sys.stderr)
     return 1
-
-
-def brute_order(elements) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    """Strict inclusion as index pairs (i, j), elements i inside j, and
-    its transitive reduction: the pairs with no element strictly between
-    them."""
-    below = [{i for i, a in enumerate(elements) if a < b} for b in elements]
-    less = {(i, j) for j, under in enumerate(below) for i in under}
-    covers = {(i, j) for i, j in less if not any(i in below[k] for k in below[j])}
-    return less, covers
 
 
 def store_pairs(table) -> set[tuple[int, int]] | None:
@@ -102,30 +105,6 @@ def store_pairs(table) -> set[tuple[int, int]] | None:
     if any(list(row) != sorted(set(row)) for row in table):
         return None
     return {(q, r) for q, row in enumerate(table) for r in row}
-
-
-def grouped_chains(p) -> tuple:
-    """The chains ``Poset.chains`` lists, one tuple per size in the order
-    they are listed, shaped like ``SimplicialComplex.faces_by_dim``."""
-    buckets: list[list[tuple[int, ...]]] = []
-    for c in p.chains():
-        while len(buckets) < len(c):
-            buckets.append([])
-        buckets[len(c) - 1].append(c)
-    return tuple(map(tuple, buckets))
-
-
-def brute_ricci(k, e) -> int:
-    """Triangles on e minus its parallels plus 2, by scanning every edge:
-    a parallel meets e in exactly one vertex and lies in no triangle
-    with it."""
-    on_e = [set(t) for t in k.triangles if set(e) <= set(t)]
-    parallels = sum(
-        1
-        for f in k.edges
-        if len(set(e) & set(f)) == 1 and not any(set(f) <= t for t in on_e)
-    )
-    return len(on_e) - parallels + 2
 
 
 def complex_rows(k, ricci) -> list[tuple[int, ...]]:
@@ -140,22 +119,6 @@ def complex_rows(k, ricci) -> list[tuple[int, ...]]:
 
 def balance_numbers(rep) -> tuple:
     return (rep.vertex_sum, rep.ricci_sum, rep.triangle_sum, rep.chi, rep.residual)
-
-
-def face_count_chi(h) -> int:
-    """Euler characteristic of the simplex view from its listed faces:
-    every nonempty subset of a hypervertex, of a hyperedge's endpoint
-    union or of a node singleton, each counted once."""
-    by_id = {hv.id: hv.nodes for hv in h.hypervertices}
-    gens = [hv.nodes for hv in h.hypervertices]
-    gens += [by_id[e.tail] | by_id[e.head] for e in h.hyperedges]
-    gens += [frozenset({n}) for n in h.nodes]
-    faces = set()
-    for g in gens:
-        members = sorted(g)
-        for size in range(1, len(members) + 1):
-            faces.update(combinations(members, size))
-    return sum(1 if len(f) % 2 else -1 for f in faces)
 
 
 def facet_mismatch(h) -> str | None:
@@ -189,38 +152,39 @@ def random_arcs(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 def directed_fault(labels: list[str], arcs: list[tuple[int, int]]) -> str | None:
     """Say how ``DirectedComplex.from_arcs`` over the arcs differs from
-    brute counts made here, or None: its walked triangles against the
-    3-cliques of the arcs, split by the out-degrees each clique's arcs
-    give its vertices (1, 1, 1 is cyclic), and its counts and formula
-    against the same split, summed edge by edge in Fractions."""
+    them, or None: its directions and in- and out-degrees against the
+    arcs, then, with the directions so checked, its walked triangles,
+    counts and formula against the brute oracles' clique split and
+    Fraction sum."""
     dc = DirectedComplex.from_arcs(labels, arcs)
-    n, arc_set = len(labels), set(arcs)
-    edges = {frozenset(a) for a in arcs}
-    by_mode: dict[str, list[tuple[int, ...]]] = {"transitive": [], "cyclic": []}
-    for t in combinations(range(n), 3):
-        if all(frozenset(e) in edges for e in combinations(t, 2)):
-            outdeg = sorted(sum((u, v) in arc_set for v in t) for u in t)
-            by_mode["cyclic" if outdeg == [1, 1, 1] else "transitive"].append(t)
-    for mode, chosen in by_mode.items():
+    n, directions = len(labels), {tuple(sorted(a)): a for a in arcs}
+    if dc.directions != directions:
+        return f"directions {dc.directions} but the arcs give {directions}"
+    for end, degree_mode in ((1, "in"), (0, "out")):
+        counted = {v: sum(a[end] == v for a in arcs) for v in range(n)}
+        if dc.io_degrees(degree_mode) != counted:
+            return (
+                f"{degree_mode}-degrees {dc.io_degrees(degree_mode)} but the "
+                f"arcs give {counted}"
+            )
+    for mode in ("transitive", "cyclic"):
+        chosen = brute_directed_triangles(dc, mode)
         expected = [tuple(labels[v] for v in t) for t in chosen]
         got = list(dc.directed_triangles(mode))
         if got != expected:
             return f"{mode} triangles walked {got} but the arcs give {expected}"
-        for end, degree_mode in ((1, "in"), (0, "out")):
+        for degree_mode in ("in", "out"):
             cfg = DirectedConfig(degree_mode, mode)
-            d = [sum(1 for a in arcs if a[end] == v) for v in range(n)]
-            formula = sum(1 + Fraction(3, 2) * x - x * x for x in d)
-            for e in edges:
-                u, v = e
-                on_e = sum(1 for t in chosen if u in t and v in t)
-                formula -= 4 + 3 * on_e - d[u] - d[v]
-            formula += 28 * len(chosen)
             counts = (
                 dc._chosen_count(mode),
                 dc.directed_euler_count(cfg),
                 dc.directed_euler_formula(cfg),
             )
-            expected_counts = (len(chosen), n - len(edges) + len(chosen), formula)
+            expected_counts = (
+                len(chosen),
+                n - len(directions) + len(chosen),
+                brute_directed_formula(dc, cfg),
+            )
             if counts != expected_counts:
                 return (
                     f"{degree_mode}/{mode}: count, chi count and formula "
@@ -282,7 +246,7 @@ def main() -> int:
             max_nodes=args.max_nodes,
             max_hypervertices=args.max_hypervertices,
         )
-        geometric, faces = geometric_euler_characteristic(h), face_count_chi(h)
+        geometric, faces = geometric_euler_characteristic(h), brute_geometric_chi(h)
         if geometric != faces:
             return fail(
                 f"network {i}: geometric chi {geometric} but the face count "
@@ -294,10 +258,9 @@ def main() -> int:
             return fail(f"network {i}: {mismatch}", h)
         include_singletons = i % 4 != 3
         p = poset_from_hypernetwork(h, include_singletons=include_singletons)
-        less, covers = brute_order(p.elements)
         for name, table, expected in (
-            ("covers", p._children, covers),
-            ("up sets", p._above, less),
+            ("covers", p._children, brute_covers(p.elements)),
+            ("up sets", p._above, brute_less(p.elements)),
         ):
             if store_pairs(table) != expected:
                 return fail(
@@ -408,8 +371,9 @@ def main() -> int:
         f"filtrations equal the complex route at skeleton 0, 1 and 2, geometric chi "
         f"matches the face count, its facets are the maximal poset elements, "
         f"each report's JSON is what json.dumps writes, and so is each "
-        f"directed report's, whose complex's triangles, counts and formula "
-        f"match brute counts on random arcs ({dt:.2f}s)"
+        f"directed report's, whose complex's directions and degrees are its "
+        f"random arcs' and whose triangles, counts and formula match brute "
+        f"counts; every brute count is a tests/helpers.py oracle ({dt:.2f}s)"
     )
     return 0
 

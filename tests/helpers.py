@@ -2,7 +2,10 @@
 
 Everything here recomputes results by brute force (exhaustive loops,
 powerset materialization, Fraction arithmetic) without reusing the
-library's indexed or closed-form code paths.
+library's indexed or closed-form code paths. The tests are one user;
+``scripts/random_audit.py`` is the other, and checks the library against
+these same oracles on random networks, so each oracle is defined here
+only.
 """
 
 from __future__ import annotations
@@ -35,25 +38,13 @@ def brute_covers(elements) -> set[tuple[int, int]]:
 
 
 def pairwise_poset(sets) -> tuple[tuple[frozenset, ...], frozenset]:
-    """The elements and covers of the inclusion poset, by testing every
-    pair of elements for subset, then dropping each comparable pair that
-    admits an intermediate element; elements are in the library's
+    """The elements and covers of the inclusion poset, the covers by the
+    triple loop of :func:`brute_covers`; elements are in the library's
     canonical order, to compare with ``(p.elements, p.covers)``."""
     elements = tuple(
         sorted({frozenset(s) for s in sets}, key=lambda s: (len(s), sorted(s)))
     )
-    n = len(elements)
-    up: list[set[int]] = [set() for _ in range(n)]
-    dn: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if elements[i] < elements[j]:
-                up[i].add(j)
-                dn[j].add(i)
-    covers = frozenset(
-        (i, j) for i in range(n) for j in up[i] if not (up[i] & dn[j])
-    )
-    return elements, covers
+    return elements, frozenset(brute_covers(elements))
 
 
 def codim1_face_poset(
@@ -139,16 +130,16 @@ def brute_triangles_above(k: SimplicialComplex, e) -> int:
 
 
 def brute_parallel(k: SimplicialComplex, e) -> set[tuple[int, int]]:
-    """Edges sharing a vertex XOR sharing a triangle with e."""
+    """Edges sharing a vertex XOR sharing a triangle with e. A triangle
+    holding both holds e, so only the triangles on e are scanned."""
     e = tuple(sorted(e))
+    on_e = [set(t) for t in k.faces(2) if set(e) <= set(t)]
     out = set()
     for other in k.faces(1):
         if other == e:
             continue
         share_vertex = bool(set(e) & set(other))
-        share_triangle = any(
-            set(e) | set(other) <= set(t) for t in k.faces(2)
-        )
+        share_triangle = any(set(e) | set(other) <= t for t in on_e)
         if share_vertex != share_triangle:
             out.add(other)
     return out

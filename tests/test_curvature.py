@@ -449,7 +449,7 @@ class TestFiltration:
     @settings(max_examples=80)
     def test_matches_threshold_by_threshold_oracle(self, k):
         # test_matches_brute_force holds forman_ricci to brute_ricci on
-        # this strategy; brute_ricci itself is O(E^2 T) per complex
+        # this strategy; brute_ricci itself is O(E T) per complex
         k2 = k.skeleton(2)
         ric = {e: forman_ricci(k2, e) for e in k2.edges}
         assert curvature_filtration(k2, ric) == brute_filtration(k2, ric)
