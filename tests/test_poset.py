@@ -279,6 +279,12 @@ class TestChains:
         assert chains == sorted(chains)
         assert len(set(chains)) == len(chains)
 
+    def test_cap_is_an_error_not_truncation(self, example_net):
+        p = poset_from_hypernetwork(example_net)  # f = (6, 9, 4)
+        with pytest.raises(ChainCapExceeded, match="15 faces up to dimension 1"):
+            order_complex(p, chain_cap=10)
+        assert order_complex(p, chain_cap=19).f_vector() == (6, 9, 4)
+
     @given(set_families())
     def test_pair_chains_count_comparable_pairs(self, fam):
         p = Poset.from_sets(fam)
