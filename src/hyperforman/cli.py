@@ -314,13 +314,15 @@ class _Rows:
     value of the dict, and the ``str``, is a ``%`` field giving the JSON
     text of a value: ``"%d"`` for an int, ``'"%s"'`` for a string from its
     escaped body, ``'"%s|%s"'`` for two bodies joined, ``"%s"`` for a JSON
-    text, or a constant's text with every ``%`` doubled. Each row is the
-    tuple that fills one item's fields in order; a row of the wrong width
-    is a TypeError. The values are not checked: each must be what its
-    field says, since ``%d`` writes a float truncated.
+    text, or a constant's text with every ``%`` doubled. A value of the
+    dict may also be a tuple of such fields, which writes a nested array
+    of that length. Each row is the tuple that fills one item's fields in
+    order, a nested array's fields in their place; a row of the wrong
+    width is a TypeError. The values are not checked: each must be what
+    its field says, since ``%d`` writes a float truncated.
     """
 
-    item: dict[str, str] | str
+    item: dict[str, str | tuple[str, ...]] | str
     rows: Iterable[tuple]
 
     def __post_init__(self) -> None:
@@ -334,30 +336,22 @@ class _Rows:
             raise TypeError(f"row table keys must be sorted: {keys!r}")
 
 
+# the JSON text of each scalar of one exact type, one C call per value
+_TEXT_OF = {
+    int: int.__repr__,
+    str: _quote,
+    bool: {True: "true", False: "false"}.get,
+    type(None): {None: "null"}.get,
+}
+
+
 def _scalar(value) -> str:
-    """The JSON text of a str, bool, int or None; a TypeError otherwise.
-    The exact types come first: they are what the reports hold."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _quote(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return _quote(value)
-    raise TypeError(f"cannot write {kind.__name__} as JSON")
-
-
-# the JSON text of each value of one exact type, one C call per value;
-# an int or str subclass and None take the checked route of _scalar
-_TEXT_OF = {int: int.__repr__, str: _quote, bool: {True: "true", False: "false"}.get}
+    """The JSON text of an int, str, bool or None; a TypeError for any
+    other type, a subclass of one of them included."""
+    to_text = _TEXT_OF.get(type(value))
+    if to_text is None:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    return to_text(value)
 
 
 def _array(texts, indent: str) -> str:
@@ -366,26 +360,33 @@ def _array(texts, indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
 
 
-def _list_text(items, indent: str) -> str | None:
+def _list_text(items: list, indent: str) -> str:
     """``items`` as a JSON array at ``indent``, as one ``join`` with no
-    Python call per item, when they are scalars of one exact type of
-    :data:`_TEXT_OF`; None for anything else, which the writer walks item
-    by item."""
+    Python call per item: an empty list, or scalars of one exact type of
+    :data:`_TEXT_OF`. Anything else is a TypeError."""
     if not items:
         return "[]"
     kinds = set(map(type, items))
-    to_text = _TEXT_OF.get(kinds.pop()) if len(kinds) == 1 else None
-    return None if to_text is None else _array(map(to_text, items), indent)
+    to_text = _TEXT_OF.get(next(iter(kinds))) if len(kinds) == 1 else None
+    if to_text is None:
+        names = ", ".join(sorted(kind.__name__ for kind in kinds))
+        raise TypeError(f"list items must be scalars of one type, not {names}")
+    return _array(map(to_text, items), indent)
 
 
 def _template(item, indent: str) -> str:
     """The ``%`` template of one object (a dict of fields) or one array (a
-    tuple of fields) at ``indent``."""
+    tuple of fields) at ``indent``. A tuple-valued field of an object is
+    an array at the object's inner indent."""
     if not item:
         return "{}" if isinstance(item, dict) else "[]"
     inner = indent + "  "
     if isinstance(item, dict):
-        fields = [_quote(k).replace("%", "%%") + ": " + v for k, v in item.items()]
+        fields = [
+            _quote(k).replace("%", "%%") + ": "
+            + (v if isinstance(v, str) else _template(v, inner))
+            for k, v in item.items()
+        ]
         return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + indent + "}"
     return "[\n" + inner + (",\n" + inner).join(item) + "\n" + indent + "]"
 
@@ -404,57 +405,48 @@ def _rows_text(table: _Rows, indent: str) -> str:
     return _array(texts, indent) if texts else "[]"
 
 
+def _write_json(value, indent: str, append) -> None:
+    """Hand ``value``'s JSON text at ``indent`` to ``append``, dispatched
+    on its exact type: a dict walks its sorted ``str`` keys, a list goes
+    through :func:`_list_text`, a :class:`_Rows` table through
+    :func:`_rows_text`, and anything else through :func:`_scalar`."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {key!r}")
+            append(sep + _quote(key) + ": ")
+            _write_json(value[key], inner, append)
+            sep = ",\n" + inner
+        append("\n" + indent + "}")
+    elif kind is list:
+        append(_list_text(value, indent))
+    elif kind is _Rows:
+        append(_rows_text(value, indent))
+    else:
+        append(_scalar(value))
+
+
 def _json_text(obj) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
     plus a newline, byte for byte.
 
     CPython runs its C encoder only when ``indent`` is None, so the stdlib
     pretty-prints in pure Python; this writer is shorter work for the same
-    bytes. It takes what the reports hold: dicts with ``str`` keys, lists,
-    tuples, strings, ints, booleans, None and :class:`_Rows` tables,
-    written as the array they stand for.
-
-    Tables go through :func:`_rows_text`, one template per table, and
-    lists of one scalar type through :func:`_list_text`, one ``join``;
-    dicts and other lists are walked item by item. Anything else, floats
-    included, is a TypeError.
+    bytes. It takes exactly what the reports hold: a dict with ``str``
+    keys; a list of scalars of one exact type, or an empty list; a
+    :class:`_Rows` table, written as the array it stands for; and an int,
+    str, bool or None. Anything else, a tuple, a float, a subclass of int
+    or str and a list of mixed types or of lists included, is a TypeError.
     """
     chunks: list[str] = []
-    append = chunks.append
-
-    def write(value, indent: str) -> None:
-        if isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = indent + "  "
-            sep = "{\n" + inner
-            for key in sorted(value):
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON object keys must be str, not {key!r}")
-                append(sep + _quote(key) + ": ")
-                write(value[key], inner)
-                sep = ",\n" + inner
-            append("\n" + indent + "}")
-        elif isinstance(value, (list, tuple)):
-            text = _list_text(value, indent)
-            if text is not None:
-                append(text)
-                return
-            inner = indent + "  "
-            sep = "[\n" + inner
-            for item in value:
-                append(sep)
-                write(item, inner)
-                sep = ",\n" + inner
-            append("\n" + indent + "]")
-        elif isinstance(value, _Rows):
-            append(_rows_text(value, indent))
-        else:
-            append(_scalar(value))
-
-    write(obj, "")
-    append("\n")
+    _write_json(obj, "", chunks.append)
+    chunks.append("\n")
     return "".join(chunks)
 
 
@@ -628,11 +620,14 @@ def poset_obj(p: Poset) -> dict:
     }
 
 
-def filtration_obj(a: Analysis) -> list[dict]:
-    return [
-        {"threshold": s.threshold, "f_vector": list(s.f_vector), "chi": s.chi}
-        for s in a.filtration
-    ]
+# one filtration step, as :class:`_Rows` fields
+_STEP = {"chi": "%d", "f_vector": ("%d", "%d", "%d"), "threshold": "%d"}
+
+
+def filtration_obj(a: Analysis) -> _Rows:
+    """The filtration as JSON: a :class:`_Rows` table of its steps, each
+    f-vector a nested array."""
+    return _Rows(_STEP, [(s.chi, *s.f_vector, s.threshold) for s in a.filtration])
 
 
 def balance_status(report: CurvatureBalance) -> int:

@@ -1,6 +1,8 @@
+import collections
 import csv
 import dataclasses
 import enum
+import gc
 import io
 import json
 import os
@@ -1209,8 +1211,9 @@ TOWER = {
 
 
 class TestWriterReference:
-    """``report`` and ``curvature --output json`` against the sections
-    built as plain dicts and lists and written by ``json.dumps``."""
+    """``report``, ``curvature --output json`` and ``filtrate --output
+    json`` against the sections built as plain dicts and lists and
+    written by ``json.dumps``."""
 
     @example({"elements": []}, None)
     @example({"elements": [["a"]]}, None)
@@ -1225,7 +1228,11 @@ class TestWriterReference:
             path = str(Path(tmp) / "input.json")
             Path(path).write_text(json.dumps(obj))
             outs = []
-            for argv in (["report", path], ["curvature", path, "--output", "json"]):
+            for argv in (
+                ["report", path],
+                ["curvature", path, "--output", "json"],
+                ["filtrate", path, "--output", "json"],
+            ):
                 out = io.StringIO()
                 with redirect_stdout(out), redirect_stderr(io.StringIO()):
                     assert main(argv + flags) == 0
@@ -1233,12 +1240,19 @@ class TestWriterReference:
             with redirect_stderr(io.StringIO()):
                 a = cli.Analysis(cli._parser().parse_args(["curvature", path, *flags]))
                 curvature = plain_curvature_section(a.poset, a.table)
-        report, curvature_text = outs
+                filtration = [
+                    {"chi": s.chi, "f_vector": list(s.f_vector), "threshold": s.threshold}
+                    for s in a.filtration
+                ]
+        report, curvature_text, filtrate_text = outs
         expected = json.loads(report)
         expected["poset"] = plain_poset_section(a.poset)
         expected["curvature"].update(curvature)
+        expected["filtration"] = filtration
         assert report == json.dumps(expected, indent=2, sort_keys=True) + "\n"
         assert curvature_text == json.dumps(curvature, indent=2, sort_keys=True) + "\n"
+        filtration_json = json.dumps({"filtration": filtration}, indent=2, sort_keys=True)
+        assert filtrate_text == filtration_json + "\n"
 
 
 class TestPosetInput:
@@ -1304,15 +1318,23 @@ JSON_TEXT = st.text(
         st.characters(),
     )
 )
+BIG_INTS = st.integers(min_value=-(2**200), max_value=2**200)
+ROW_SCALARS = st.none() | st.booleans() | BIG_INTS | JSON_TEXT
+
+
+def one_type_lists(text):
+    """Lists of scalars of one exact type, the empty list included: the
+    only lists the writer takes outside a row table."""
+    return st.sampled_from([st.none(), st.booleans(), BIG_INTS, text]).flatmap(
+        lambda scalars: st.lists(scalars, max_size=6)
+    )
+
+
+ONE_TYPE_LISTS = one_type_lists(JSON_TEXT)
+# the writer's grammar: dicts with str keys over scalars and one-type lists
 JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**200), max_value=2**200)
-    | JSON_TEXT,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ROW_SCALARS | ONE_TYPE_LISTS,
+    lambda inner: st.dictionaries(JSON_TEXT, inner, max_size=4),
     max_leaves=30,
 )
 
@@ -1323,8 +1345,6 @@ ROW_KEYS = st.lists(
     unique=True,
     max_size=5,
 ).map(lambda keys: tuple(sorted(keys)))
-BIG_INTS = st.integers(min_value=-(2**200), max_value=2**200)
-ROW_SCALARS = st.none() | st.booleans() | BIG_INTS | JSON_TEXT
 
 
 def body(text: str) -> str:
@@ -1349,13 +1369,22 @@ ROW_FIELDS = st.sampled_from(
         ("%s", ROW_SCALARS.map(lambda v: ((json.dumps(v),), v))),
     ]
 ) | ROW_SCALARS.map(lambda v: (json.dumps(v).replace("%", "%%"), st.just(((), v))))
+# a nested-array field: a tuple of fields, whose cells fill it in order
+ARRAY_FIELDS = st.lists(ROW_FIELDS, max_size=3).map(
+    lambda fields: (
+        tuple(field for field, _ in fields),
+        st.tuples(*[cells for _, cells in fields]).map(
+            lambda cs: (tuple(x for fill, _ in cs for x in fill), [v for _, v in cs])
+        ),
+    )
+)
 
 
 @st.composite
 def object_tables(draw):
     """A row table of objects and the plain list of dicts it stands for."""
     keys = draw(ROW_KEYS)
-    fields = [draw(ROW_FIELDS) for _ in keys]
+    fields = [draw(ROW_FIELDS | ARRAY_FIELDS) for _ in keys]
     rows = draw(st.lists(st.tuples(*[cells for _, cells in fields]), max_size=4))
     table = _Rows(
         {k: field for k, (field, _) in zip(keys, fields)},
@@ -1373,17 +1402,12 @@ ARRAY_TABLES = st.lists(st.lists(JSON_TEXT, max_size=4), max_size=5).map(
 )
 
 
-def _pairs_list(pairs, kind):
-    return kind(v for v, _ in pairs), [plain for _, plain in pairs]
-
-
-# (value, plain value) pairs: row tables nested at random depths, with
-# the lists and dicts they stand for
+# (value, plain value) pairs: row tables as dict values at random
+# depths, beside scalars and one-type lists, with the lists of dicts and
+# of lists they stand for
 VALUES_WITH_TABLES = st.recursive(
-    ROW_SCALARS.map(lambda v: (v, v)) | object_tables() | ARRAY_TABLES,
-    lambda inner: st.lists(inner, max_size=4).map(lambda ps: _pairs_list(ps, list))
-    | st.lists(inner, max_size=4).map(lambda ps: _pairs_list(ps, tuple))
-    | st.dictionaries(JSON_TEXT, inner, max_size=4).map(
+    (ROW_SCALARS | ONE_TYPE_LISTS).map(lambda v: (v, v)) | object_tables() | ARRAY_TABLES,
+    lambda inner: st.dictionaries(JSON_TEXT, inner, max_size=4).map(
         lambda d: ({k: v for k, (v, _) in d.items()}, {k: p for k, (_, p) in d.items()})
     ),
     max_leaves=12,
@@ -1396,46 +1420,17 @@ class Level(enum.IntEnum):
 
 
 class Label(str):
-    """A str subclass: written as its text, like a str."""
+    """A str subclass, which the writer refuses like any other type."""
 
 
 # one exact type per list, which the writer converts in one pass: text
-# with quotes, "%" and surrogates, ints past 2**63, booleans, and the
-# lists that must take the checked route (bool mixed with int, an
-# IntEnum, a str subclass)
+# with quotes, "%" and surrogates, ints past 2**63, booleans and None
 TYPED_TEXT = st.text(
     st.one_of(st.sampled_from('"% %s%d\\\ud800\udfff\u00e9'), st.characters())
 )
-ONE_TYPE = st.sampled_from(
-    [
-        st.integers(min_value=-(2**200), max_value=2**200),
-        TYPED_TEXT,
-        st.booleans(),
-        st.booleans() | st.integers(),
-        st.sampled_from(Level),
-        TYPED_TEXT.map(Label),
-    ]
-)
-TYPED_LISTS = ONE_TYPE.flatmap(
-    lambda scalars: st.lists(scalars, max_size=6)
-    | st.lists(st.lists(scalars, max_size=4) | st.tuples(scalars, scalars), max_size=6)
-)
-# shaped like the report's poset section: sorted label lists and index pairs
-POSET_SHAPED = st.fixed_dictionaries(
-    {
-        "elements": st.lists(st.lists(TYPED_TEXT, max_size=4).map(sorted), max_size=6),
-        "covers": st.lists(
-            st.lists(
-                st.integers(min_value=-(2**70), max_value=2**70), min_size=2, max_size=2
-            ),
-            max_size=6,
-        ),
-    }
-)
 TYPED_VALUES = st.recursive(
-    TYPED_LISTS | POSET_SHAPED,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    one_type_lists(TYPED_TEXT),
+    lambda inner: st.dictionaries(JSON_TEXT, inner, max_size=3),
     max_leaves=6,
 )
 
@@ -1451,7 +1446,7 @@ class TestHalfTerms:
 
 
 class TestJsonText:
-    @example({"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "": ()})
+    @example({"a": [], "b": {}, "c": {"d": {}, "e": [None]}, "": ""})
     @given(JSON_VALUES)
     def test_matches_the_stdlib_pretty_printer(self, value):
         assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
@@ -1465,9 +1460,28 @@ class TestJsonText:
             [0.5, 1.5],
             [[0.5], [1.5]],
             _Rows({"a": "%d"}, [("x",)]),
+            (),
+            {"a": (1, 2)},
+            [1, "a"],
+            [True, 1],
+            [None, 0],
+            [[1], [2]],
+            [[]],
+            [{}],
+            [_Rows("%d", [])],
+            Level.HIGH,
+            [Level.LOW],
+            Label("a"),
+            [Label("a"), Label("b")],
+            {Label("a"): 1},
+            collections.OrderedDict(a=1),
         ],
         ids=[
-            "float", "set", "int-key", "float-list", "float-lists", "text-in-int-field"
+            "float", "set", "int-key", "float-list", "float-lists", "text-in-int-field",
+            "tuple", "tuple-value", "mixed-list", "bool-and-int-list",
+            "none-and-int-list", "nested-lists", "empty-nested-list", "dict-in-list",
+            "table-in-list", "int-enum", "int-enum-list", "str-subclass",
+            "str-subclass-list", "str-subclass-key", "dict-subclass",
         ],
     )
     def test_other_types_are_type_errors(self, value):
@@ -1479,9 +1493,7 @@ class TestJsonText:
         value, plain = pair
         assert _json_text(value) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
-    @example([[True, 1, "x"], [False, -(2**70), "%s"]])
-    @example({"covers": [[0, 1], [1, 2]], "elements": [["a"], [], ["%", "\ud800"]]})
-    @example([[], (), [True], (1, 2)])
+    @example({"a": [True, False], "b": [-(2**70), 0], "c": ["%s", "\ud800"], "d": []})
     @given(TYPED_VALUES)
     def test_one_type_lists_match_the_stdlib_pretty_printer(self, value):
         assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
@@ -1500,18 +1512,29 @@ class TestJsonText:
             ),
             (
                 {
-                    "x": [
-                        _Rows({"%s": "%s", "k": '"%s"'}, [("null", "%d")]),
-                        _Rows("%d", []),
-                    ]
+                    "x": {
+                        "a": _Rows({"%s": "%s", "k": '"%s"'}, [("null", "%d")]),
+                        "b": _Rows("%d", []),
+                    }
                 },
-                {"x": [[{"%s": None, "k": "%d"}], []]},
+                {"x": {"a": [{"%s": None, "k": "%d"}], "b": []}},
             ),
             (_Rows('"%s"', [(), ("a",), ("b", "%s")]), [[], ["a"], ["b", "%s"]]),
             (_Rows("%d", iter([(0, 1), (2**70, -1)])), [[0, 1], [2**70, -1]]),
+            (
+                _Rows(
+                    {"a": ("%d", '"%s"', "null"), "b": (), "c": "%d"},
+                    [(1, "x", 2), (-(2**70), "%s", 0)],
+                ),
+                [
+                    {"a": [1, "x", None], "b": [], "c": 2},
+                    {"a": [-(2**70), "%s", None], "b": [], "c": 0},
+                ],
+            ),
         ],
         ids=[
-            "empty", "no-keys", "one-row-top-level", "nested", "arrays", "iterator-pairs"
+            "empty", "no-keys", "one-row-top-level", "nested", "arrays",
+            "iterator-pairs", "nested-array-field",
         ],
     )
     def test_row_table_cases(self, value, plain):
@@ -1524,6 +1547,17 @@ class TestJsonText:
     def test_row_values_of_other_types_are_type_errors(self, row):
         with pytest.raises(TypeError):
             _json_text({"t": _Rows({"a": "%d", "b": "%d"}, [(1, 2), row])})
+
+    def test_leaves_no_reference_cycle(self):
+        # a writer that refers to itself keeps its chunk list alive until
+        # the next cyclic collection
+        gc.collect()
+        gc.disable()
+        try:
+            _json_text({"a": [1, 2], "b": {"c": None}, "t": _Rows("%d", [(1,)])})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_rows_of_two_widths_are_a_type_error(self):
         # together they hold as many values as two rows of the right width
