@@ -23,9 +23,10 @@ every edge of the order complex's
 index) equals the per-edge definitional route ``forman_ricci``, the
 closed form and a brute count from the edges and triangles alone. It
 also checks that the network's geometric chi (the signed intersection
-walk on node bitmasks) equals a count of every face of the simplex
-view, that the facets that walk covers the view with are the maximal
-elements of the network's inclusion poset, and that ``report`` on the
+walk on node bitmasks, over the facets it reads from the draw's
+inclusion poset, with or without singletons) equals a count of every
+face of the simplex view, that those facets are the spanning sets no
+other one strictly contains, and that ``report`` on the
 network, run through the CLI, exits 0 with the bytes
 ``json.dumps(..., indent=2, sort_keys=True)`` writes for the object it
 parses to, so the CLI's JSON writer and its row tables are held to the
@@ -87,6 +88,7 @@ from helpers import (  # noqa: E402
     brute_directed_formula,
     brute_directed_triangles,
     brute_geometric_chi,
+    brute_geometric_facets,
     brute_less,
     brute_ricci,
     grouped_chains,
@@ -121,21 +123,21 @@ def balance_numbers(rep) -> tuple:
     return (rep.vertex_sum, rep.ricci_sum, rep.triangle_sum, rep.chi, rep.residual)
 
 
-def facet_mismatch(h) -> str | None:
-    """Say how the facets geometric chi walks differ from the maximal
-    elements of the network's inclusion poset (singletons included), or
-    None if they are the same sets."""
+def facet_mismatch(h, p) -> str | None:
+    """Say how the facets geometric chi reads from h's poset p differ
+    from the spanning sets no other one strictly contains, or None if
+    they are the same sets."""
     labels = sorted(h.nodes)
     facets = {
-        frozenset(n for i, n in enumerate(labels) if m >> i & 1) for m in _facets(h)
+        frozenset(n for i, n in enumerate(labels) if m >> i & 1) for m in _facets(h, p)
     }
-    p = poset_from_hypernetwork(h)
-    maximal = {e for e, up in zip(p.elements, p._above) if not up}
-    if facets == maximal:
+    expected = brute_geometric_facets(h)
+    if facets == expected:
         return None
     return (
-        f"facets {sorted(map(sorted, facets))} but the maximal poset elements "
-        f"are {sorted(map(sorted, maximal))}"
+        f"facets {sorted(map(sorted, facets))} read from the poset but the "
+        f"generators no generator strictly contains are "
+        f"{sorted(map(sorted, expected))}"
     )
 
 
@@ -246,18 +248,18 @@ def main() -> int:
             max_nodes=args.max_nodes,
             max_hypervertices=args.max_hypervertices,
         )
-        geometric, faces = geometric_euler_characteristic(h), brute_geometric_chi(h)
+        include_singletons = i % 4 != 3
+        p = poset_from_hypernetwork(h, include_singletons=include_singletons)
+        geometric, faces = geometric_euler_characteristic(h, p), brute_geometric_chi(h)
         if geometric != faces:
             return fail(
                 f"network {i}: geometric chi {geometric} but the face count "
                 f"gives {faces}",
                 h,
             )
-        mismatch = facet_mismatch(h)
+        mismatch = facet_mismatch(h, p)
         if mismatch is not None:
             return fail(f"network {i}: {mismatch}", h)
-        include_singletons = i % 4 != 3
-        p = poset_from_hypernetwork(h, include_singletons=include_singletons)
         for name, table, expected in (
             ("covers", p._children, brute_covers(p.elements)),
             ("up sets", p._above, brute_less(p.elements)),
@@ -369,7 +371,8 @@ def main() -> int:
         f"the balance's curvature table, the per-edge definitional route and "
         f"the closed form agree with the brute count, the counted tables and "
         f"filtrations equal the complex route at skeleton 0, 1 and 2, geometric chi "
-        f"matches the face count, its facets are the maximal poset elements, "
+        f"matches the face count, the facets it reads from the poset are the "
+        f"generators no generator strictly contains, "
         f"each report's JSON is what json.dumps writes, and so is each "
         f"directed report's, whose complex's directions and degrees are its "
         f"random arcs' and whose triangles, counts and formula match brute "

@@ -267,9 +267,11 @@ class Analysis:
             return self.rank.euler_characteristic()
         if self.loaded.kind == "poset":
             return None
-        # called through the module, where perfbench/tracing.py patches it
+        # the facets are the maximal elements of the run's poset, built
+        # once for delta, rank and curvature too; called through the
+        # module, where perfbench/tracing.py patches it
         return hypernet.geometric_euler_characteristic(
-            self.loaded.network, cap=self.args.chain_cap
+            self.loaded.network, self.poset, cap=self.args.chain_cap
         )
 
     @cached_property

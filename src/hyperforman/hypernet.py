@@ -28,7 +28,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .poset import ChainCapExceeded
+from .poset import ChainCapExceeded, Poset
 
 
 class HypernetworkError(ValueError):
@@ -414,55 +414,38 @@ def serialize(h: Hypernetwork, fmt: str) -> str:
 # -- geometric view --------------------------------------------------------
 
 
-def _facets(h: Hypernetwork) -> list[int]:
+def _facets(h: Hypernetwork, p: Poset) -> list[int]:
     """The facets of the simplex view as node bitmasks (one bit per node
     in sorted order), by size, then by mask.
 
     The view is spanned by the hypervertices, the hyperedge unions and
-    the node singletons, and its facets are the spanning sets that no
-    other one strictly contains. Only three kinds can be facets: edge
-    unions, hypervertices with no incident edge (one with an edge lies
-    inside that edge's union) and the singletons of nodes in no
-    hypervertex.
-
-    Candidates go largest first, so one that lies inside another lies
-    inside a facet kept before it. ``holding[b]`` has bit k set when
-    the k-th kept facet holds node bit b, so the facets holding all of
-    a candidate's bits are the AND of its rows: no candidate is tested
-    against the facets one by one.
+    the node singletons, which are the elements of ``p``, the network's
+    inclusion poset, with or without its singletons. So the facets are
+    the maximal elements of ``p`` (an empty up set), plus the singleton
+    of each node that no element holds: these come only from a poset
+    built without singletons, and only for a node in no hypervertex.
     """
     bit = {n: 1 << i for i, n in enumerate(sorted(h.nodes))}
-    by_id = {hv.id: sum(map(bit.__getitem__, hv.nodes)) for hv in h.hypervertices}
-    candidates = {by_id[e.tail] | by_id[e.head] for e in h.hyperedges}
-    linked = {ref for e in h.hyperedges for ref in (e.tail, e.head)}
-    candidates.update(m for i, m in by_id.items() if i not in linked)
+    facets = [
+        sum(map(bit.__getitem__, members))
+        for members, up in zip(p._members, p._above)
+        if not up
+    ]
     covered = 0
-    for m in by_id.values():
+    for m in facets:
         covered |= m
-    candidates.update(b for b in bit.values() if not b & covered)
-    facets = []
-    holding: dict[int, int] = {}
-    for m in sorted(candidates, key=int.bit_count, reverse=True):
-        bits = []
-        inside = -1
-        rest = m
-        while rest:
-            b = rest & -rest
-            bits.append(b)
-            inside &= holding.get(b, 0)
-            rest ^= b
-        if inside:
-            continue
-        k = 1 << len(facets)
-        facets.append(m)
-        for b in bits:
-            holding[b] = holding.get(b, 0) | k
+    facets.extend(b for b in bit.values() if not b & covered)
     facets.sort(key=lambda m: (m.bit_count(), m))
     return facets
 
 
-def geometric_euler_characteristic(h: Hypernetwork, cap: int | None = None) -> int:
-    """Euler characteristic of the full-dimensional simplex view.
+def geometric_euler_characteristic(
+    h: Hypernetwork, p: Poset, cap: int | None = None
+) -> int:
+    """Euler characteristic of the full-dimensional simplex view of
+    ``h``, whose facets are read from ``p``, its inclusion poset (with
+    or without singletons, as
+    :func:`~hyperforman.poset.poset_from_hypernetwork` builds it).
 
     By the nerve theorem for the cover by facet simplices, chi counts
     the facet families with a common node, +1 for each odd family and
@@ -483,7 +466,7 @@ def geometric_euler_characteristic(h: Hypernetwork, cap: int | None = None) -> i
     """
     signed: dict[int, int] = {}
     visited = 0
-    for mask in _facets(h):
+    for mask in _facets(h, p):
         visited += len(signed)
         if cap is not None and visited > cap:
             raise ChainCapExceeded(

@@ -351,6 +351,33 @@ class TestChi:
         rc, out, err = run(capsys, "chi", "--chi-method", "geometric", f)
         assert (rc, out, err) == (0, "chi[geometric] = 2\n", "")
 
+    @pytest.mark.parametrize(
+        "singletons", [(), ("--no-singletons",)], ids=["singletons", "no-singletons"]
+    )
+    def test_geometric_chi_counts_isolated_nodes(self, capsys, tmp_path, singletons):
+        # d and e lie in no hypervertex, so the poset built without
+        # singletons holds neither; each is still a facet of the view,
+        # a point of its own beside the path a-b-c
+        f = tmp_path / "isolated.json"
+        f.write_text(
+            json.dumps(
+                {
+                    "nodes": ["a", "b", "c", "d", "e"],
+                    "hypervertices": [
+                        {"id": "V1", "nodes": ["a", "b"]},
+                        {"id": "V2", "nodes": ["b", "c"]},
+                    ],
+                    "hyperedges": [{"id": "E12", "tail": "V1", "head": "V2"}],
+                }
+            )
+        )
+        rc, out, err = run(capsys, "chi", "--chi-method", "geometric", f, *singletons)
+        assert (rc, out, err) == (0, "chi[geometric] = 3\n", "")
+        rc, out, err = run(capsys, "chi", f, *singletons)
+        assert (rc, out.splitlines()[-1], err) == (0, "chi[geometric] = 3", "")
+        rc, out, err = run(capsys, "report", f, *singletons)
+        assert (rc, json.loads(out)["chi"]["geometric"], err) == (0, 3, "")
+
     def test_single_method(self, capsys, corpus_dir):
         rc, out, _ = run(
             capsys,

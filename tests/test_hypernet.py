@@ -336,18 +336,10 @@ class TestGeometricComplex:
         assert clique_expansion(h).labels == geometric_complex(h).labels
 
 
-def facet_sets(h: Hypernetwork) -> list[frozenset]:
-    """``_facets(h)`` as node sets, in its order."""
+def facet_sets(h: Hypernetwork, masks: list[int]) -> list[frozenset]:
+    """Node bitmasks of h as node sets, in their order."""
     labels = sorted(h.nodes)
-    return [
-        frozenset(n for i, n in enumerate(labels) if m >> i & 1) for m in _facets(h)
-    ]
-
-
-def maximal_poset_elements(h: Hypernetwork) -> set[frozenset]:
-    """The elements of the network's inclusion poset with an empty up set."""
-    p = poset_from_hypernetwork(h)
-    return {e for e, up in zip(p.elements, p._above) if not up}
+    return [frozenset(n for i, n in enumerate(labels) if m >> i & 1) for m in masks]
 
 
 def vertex(hv_id: str, nodes: str) -> Hypervertex:
@@ -355,15 +347,21 @@ def vertex(hv_id: str, nodes: str) -> Hypervertex:
 
 
 class TestFacets:
-    """``_facets`` against the generators no generator strictly contains
-    and against the maximal elements of the inclusion poset."""
+    """``_facets`` on the poset built with singletons and on the one
+    built without, against the generators no generator strictly
+    contains."""
 
     def assert_facets(self, h):
-        masks = _facets(h)
-        assert masks == sorted(set(masks), key=lambda m: (m.bit_count(), m))
-        found = facet_sets(h)
-        assert set(found) == brute_geometric_facets(h) == maximal_poset_elements(h)
-        return found
+        found = []
+        for include_singletons in (True, False):
+            p = poset_from_hypernetwork(h, include_singletons=include_singletons)
+            masks = _facets(h, p)
+            assert masks == sorted(set(masks), key=lambda m: (m.bit_count(), m))
+            found.append(facet_sets(h, masks))
+        # in order too: the order fixes the walk's visit counts
+        assert found[0] == found[1]
+        assert set(found[0]) == brute_geometric_facets(h)
+        return found[0]
 
     @pytest.mark.parametrize(
         "h, expected",
@@ -445,44 +443,54 @@ class TestGeometricChi:
     @given(hypernetworks(max_nodes=6))
     @settings(max_examples=60)
     def test_matches_materialized_face_count(self, h):
-        assert geometric_euler_characteristic(h) == brute_geometric_chi(h)
+        p = poset_from_hypernetwork(h)
+        assert geometric_euler_characteristic(h, p) == brute_geometric_chi(h)
 
     def test_two_skeleton_agrees_when_low_dimensional(self, example_net):
         faces = brute_geometric_faces(example_net)
         assert max(len(f) for f in faces) <= 3
         assert (
             geometric_complex(example_net).euler_characteristic()
-            == geometric_euler_characteristic(example_net)
+            == geometric_euler_characteristic(
+                example_net, poset_from_hypernetwork(example_net)
+            )
         )
 
     def test_empty_network(self):
-        assert geometric_euler_characteristic(Hypernetwork()) == 0
+        h = Hypernetwork()
+        assert geometric_euler_characteristic(h, poset_from_hypernetwork(h)) == 0
 
     def test_matches_materialized_face_count_on_random_networks(self):
         rng = random.Random(0)
         for i in range(250):
             h = random_hypernetwork(rng)
-            assert geometric_euler_characteristic(h) == brute_geometric_chi(h), i
+            p = poset_from_hypernetwork(h)
+            assert geometric_euler_characteristic(h, p) == brute_geometric_chi(h), i
 
     @pytest.mark.parametrize(
         "draw, count",
         [(random_hypernetwork, 250), (dense_shaped, 40), (wide_shaped, 10)],
         ids=["random", "dense", "wide"],
     )
-    def test_masks_match_the_frozenset_walk(self, draw, count):
+    @pytest.mark.parametrize(
+        "include_singletons", [True, False], ids=["singletons", "no-singletons"]
+    )
+    def test_masks_match_the_frozenset_walk(self, draw, count, include_singletons):
         rng = random.Random(f"geometric-{draw.__name__}")
         for i in range(count):
             h = draw(rng)
+            p = poset_from_hypernetwork(h, include_singletons=include_singletons)
             chi, visits = frozenset_geometric_walk(h)
-            assert geometric_euler_characteristic(h, cap=visits) == chi, i
+            assert geometric_euler_characteristic(h, p, cap=visits) == chi, i
             if not h.nodes:
                 continue  # no generator, so no cap can be passed
             with pytest.raises(ChainCapExceeded) as ex:
-                geometric_euler_characteristic(h, cap=visits - 1)
+                geometric_euler_characteristic(h, p, cap=visits - 1)
             assert ex.value.count == visits, i
 
     def test_hub_star_is_contractible(self):
-        assert geometric_euler_characteristic(hub_star(1200)) == 1
+        h = hub_star(1200)
+        assert geometric_euler_characteristic(h, poset_from_hypernetwork(h)) == 1
 
     def test_heavily_overlapping_network_finishes(self):
         h = overlap_network(0)
@@ -493,7 +501,7 @@ class TestGeometricChi:
         previous = signal.signal(signal.SIGALRM, give_up)
         signal.alarm(10)
         try:
-            chi = geometric_euler_characteristic(h)
+            chi = geometric_euler_characteristic(h, poset_from_hypernetwork(h))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -504,26 +512,26 @@ class TestModelIndependence:
     """chi agreement between the poset route and the simplex view."""
 
     def test_holds_on_network_corpus(self, corpus_dir):
-        from hyperforman import order_complex, poset_from_hypernetwork
+        from hyperforman import order_complex
 
         for path in sorted((corpus_dir / "networks").iterdir()):
             fmt = "json" if path.suffix == ".json" else "text"
             h = parse(path.read_bytes(), fmt)
-            delta = order_complex(
-                poset_from_hypernetwork(h)
-            ).euler_characteristic()
-            assert delta == geometric_euler_characteristic(h), path.name
+            p = poset_from_hypernetwork(h)
+            delta = order_complex(p).euler_characteristic()
+            assert delta == geometric_euler_characteristic(h, p), path.name
 
     def test_known_violation_is_pinned(self, corpus_dir):
         # two triples glued along a pair, with no hyperedge: the poset
         # route sees a circle, the simplex view a disk
-        from hyperforman import order_complex, poset_from_hypernetwork
+        from hyperforman import order_complex
 
         h = parse(
             (corpus_dir / "scaffolds" / "overlapping_triples.json").read_bytes(),
             "json",
         )
-        delta = order_complex(poset_from_hypernetwork(h)).euler_characteristic()
-        geo = geometric_euler_characteristic(h)
+        p = poset_from_hypernetwork(h)
+        delta = order_complex(p).euler_characteristic()
+        geo = geometric_euler_characteristic(h, p)
         assert delta == 0
         assert geo == 1
