@@ -3,10 +3,11 @@
 that its poset's per-element store holds, in ascending rows, the
 transitive reduction of inclusion as covers and every strict inclusion
 as up sets, both found by testing every pair, that the counted chains
-of the poset match the f-vector of its order complex, that the order
-complex (built level by level, without checks) holds, bucket by
-bucket and in order, the chains
-that ``Poset.chains`` lists, that it and its 2-skeleton (a slice of its
+of the poset match the f-vector of its order complex (whose faces are
+counted against the cap first, then listed by ``Poset.chains`` into
+one bucket per size), that its buckets are sorted and distinct and, on
+a poset of at most 12 elements, hold exactly the chains found by
+testing every subset, that it and its 2-skeleton (a slice of its
 buckets) each equal what ``SimplicialComplex.from_faces`` rebuilds from
 their faces (an unsorted bucket or face, a repeated face, a missing
 subface, an empty top bucket or vertices that do not match the labels
@@ -41,7 +42,7 @@ under both degree modes equal brute counts; then it runs ``report
 CLI on the directed network of those arcs (one single-node hypervertex
 per node, one directed hyperedge per arc) and holds it to
 ``json.dumps`` in the same way. The brute-force oracles (every pair,
-the chain listing, the edge and face counts and the directed counts)
+every subset, the edge and face counts and the directed counts)
 are those of ``tests/helpers.py``, which the tests pin their expected
 values with. The first failure is printed with its network and the
 script exits 1."""
@@ -84,6 +85,7 @@ from hyperforman.hypernet import _edge, _facets
 # the oracles live with the tests, in the sibling tests/ directory
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from helpers import (  # noqa: E402
+    brute_chains,
     brute_covers,
     brute_directed_formula,
     brute_directed_triangles,
@@ -91,8 +93,11 @@ from helpers import (  # noqa: E402
     brute_geometric_facets,
     brute_less,
     brute_ricci,
-    grouped_chains,
 )
+
+# the most elements a poset may have for its chains to be checked
+# against every subset of its elements
+BRUTE_CHAIN_ELEMENTS = 12
 
 
 def fail(message: str, h) -> int:
@@ -277,13 +282,22 @@ def main() -> int:
                 f"{full.f_vector()}",
                 h,
             )
-        listed = grouped_chains(p)
-        if full.faces_by_dim != listed:
+        if any(list(b) != sorted(set(b)) for b in full.faces_by_dim):
             return fail(
-                f"network {i}: order complex buckets {full.faces_by_dim} but "
-                f"the chain listing gives {listed}",
+                f"network {i}: order complex buckets {full.faces_by_dim} are "
+                f"not sorted and distinct",
                 h,
             )
+        # every subset of a small poset can be tested for being a chain
+        if len(p) <= BRUTE_CHAIN_ELEMENTS:
+            faces = set(chain.from_iterable(full.faces_by_dim))
+            brute = brute_chains(p.elements)
+            if faces != brute:
+                return fail(
+                    f"network {i}: order complex faces {sorted(faces)} but "
+                    f"testing every subset gives {sorted(brute)}",
+                    h,
+                )
         k = full.skeleton(2)
         for name, cx in (("order complex", full), ("2-skeleton", k)):
             try:
@@ -365,8 +379,9 @@ def main() -> int:
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
         f"each poset's stored covers and up sets match testing every pair, "
-        f"chain counts match, the order complexes hold the listed "
-        f"chains, they and their 2-skeletons equal from_faces' rebuilds, all "
+        f"chain counts match, the order complexes' buckets are sorted and "
+        f"distinct and hold every subset's chains up to {BRUTE_CHAIN_ELEMENTS} "
+        f"elements, they and their 2-skeletons equal from_faces' rebuilds, all "
         f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "
         f"the balance's curvature table, the per-edge definitional route and "
         f"the closed form agree with the brute count, the counted tables and "

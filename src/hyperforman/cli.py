@@ -14,8 +14,9 @@ Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
 subcommands only format what it holds. Exit codes: 0 success, 2 invalid
 input or configuration, 3 I/O failure (a stdout pipe whose reader has
-closed, before or during the write, and a closed stdout descriptor
-included, with one ``error:`` line), 4 chain cap exceeded, 5 broken
+closed, before or during the write, a closed stdout descriptor and
+output that stdout's encoding cannot carry included, with one
+``error:`` line), 4 chain cap exceeded, 5 broken
 curvature/Euler balance.
 
 ``main(argv)`` can be called many times in one process: the argument
@@ -459,7 +460,9 @@ def _write_out(text: str) -> None:
     ``write`` returns when a pipe's reader closes mid-write, so the rest
     of the output would be lost with no error. Here the text layer is
     flushed, and the encoded bytes go to the buffer until every byte is
-    out; a closed reader then raises BrokenPipeError. A stream with no
+    out; a closed reader then raises BrokenPipeError. The whole text is
+    encoded before any of it is written, so text the stream's encoding
+    cannot carry is an OSError with nothing written. A stream with no
     binary buffer under it (``io.StringIO``) takes the text as it is.
     """
     out = sys.stdout
@@ -468,7 +471,13 @@ def _write_out(text: str) -> None:
         out.write(text)
         return
     out.flush()
-    data = memoryview(text.encode(out.encoding, out.errors))
+    try:
+        data = memoryview(text.encode(out.encoding, out.errors))
+    except UnicodeEncodeError as ex:
+        bad = ex.object[ex.start : ex.end]
+        raise OSError(
+            f"standard output's encoding {ex.encoding} cannot carry {bad!a}"
+        ) from None
     while data:
         # a non-blocking raw stream returns None for "nothing written yet"
         data = data[buffer.write(data) or 0:]

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations, groupby
 from typing import TYPE_CHECKING, Iterable
 
-from .poset import DEFAULT_CHAIN_CAP, ChainCapExceeded
+from .poset import DEFAULT_CHAIN_CAP
 
 if TYPE_CHECKING:
     from .poset import Poset
@@ -179,43 +179,24 @@ class SimplicialComplex:
 def order_complex(
     p: "Poset",
     skeleton_dim: int | None = None,
-    chain_cap: int = DEFAULT_CHAIN_CAP,
+    chain_cap: int | None = DEFAULT_CHAIN_CAP,
 ) -> SimplicialComplex:
     """The chain complex of a poset: one m-simplex per (m+1)-chain.
 
     ``skeleton_dim`` bounds the dimension (None means unbounded). The
-    complex is built level by level: the chains with m + 2 elements are
-    the chains with m + 1 elements, each extended by every element above
-    its last one. Each level's size is summed from the previous level
-    first, so more than ``chain_cap`` faces raises
-    :class:`ChainCapExceeded` before a dimension that passes the cap is
-    listed. Elements are indexed in an order where every comparable pair
-    points upward, and extending a lexicographically sorted level by
-    ascending successors keeps it sorted, so every bucket comes out
-    sorted, distinct and downward closed; every poset element is a
-    vertex.
+    faces are counted first with :meth:`Poset.chain_counts`, which
+    raises :class:`ChainCapExceeded` once their running total passes
+    ``chain_cap`` (None means no cap), before any chain is listed. Then
+    each chain :meth:`Poset.chains` lists goes into the bucket for its
+    size. That listing is lexicographic, so every bucket comes out
+    sorted, and its chains are distinct and downward closed; every
+    poset element is a vertex.
     """
     if skeleton_dim is not None and skeleton_dim < 0:
         raise ValueError("skeleton dimension must be >= 0")
     max_len = None if skeleton_dim is None else skeleton_dim + 1
-    above = p._above
-    buckets: list[tuple[Simplex, ...]] = []
-    size, total = len(p), 0
-    while size:
-        total += size
-        if total > chain_cap:
-            raise ChainCapExceeded(
-                f"order complex has {total} faces up to dimension {len(buckets)}",
-                total,
-                chain_cap,
-            )
-        if buckets:
-            level = [c + (j,) for c in buckets[-1] for j in above[c[-1]]]
-        else:
-            level = [(i,) for i in range(size)]
-        buckets.append(tuple(level))
-        if len(buckets) == max_len:
-            break
-        size = sum([len(above[c[-1]]) for c in level])
+    buckets: list[list[Simplex]] = [[] for _ in p.chain_counts(max_len, chain_cap)]
+    for c in p.chains(max_len):
+        buckets[len(c) - 1].append(c)
     labels = tuple(p.element_label(i) for i in range(len(p)))
-    return SimplicialComplex._trusted(labels, tuple(buckets))
+    return SimplicialComplex._trusted(labels, tuple(map(tuple, buckets)))

@@ -469,8 +469,7 @@ class DirectedComplex:
         kept = directions.values()
         triangles = sum([(nbrs[t] & nbrs[h]).bit_count() for t, h in kept]) // 3
         total = n + len(directions) + triangles
-        if cap is not None and total > cap:
-            raise ChainCapExceeded(f"directed complex has {total} faces", total, cap)
+        ChainCapExceeded.check(total, cap, "directed complex has %d faces")
         transitive = sum([(out[t] & nbrs[h]).bit_count() for t, h in kept]) // 2
         dc = object.__new__(cls)
         dc.__dict__.update(

@@ -468,10 +468,7 @@ def geometric_euler_characteristic(
     visited = 0
     for mask in _facets(h, p):
         visited += len(signed)
-        if cap is not None and visited > cap:
-            raise ChainCapExceeded(
-                f"geometric chi visited {visited} intersections", visited, cap
-            )
+        ChainCapExceeded.check(visited, cap, "geometric chi visited %d intersections")
         # the facet alone, and joined to every earlier family it meets
         delta = {mask: 1}
         for x, count in signed.items():

@@ -28,14 +28,24 @@ class ChainCapExceeded(RuntimeError):
     """Raised when a stage's work count passes the chain cap.
 
     ``work`` names the stage and its ``count``, the running total at the
-    step where it first passed ``cap``: the faces of an order complex up
-    to some dimension, or the intersections geometric chi visited.
+    step where it first passed ``cap``: the faces of an order complex or
+    a directed complex, or the intersections geometric chi visited.
+    Every stage applies the cap through :meth:`check`, the one place the
+    rule is written.
     """
 
     def __init__(self, work: str, count: int, cap: int):
         super().__init__(f"{work}, over the chain cap of {cap}")
         self.cap = cap
         self.count = count
+
+    @classmethod
+    def check(cls, count: int, cap: int | None, work: str, *args) -> None:
+        """Raise once the running ``count`` passes ``cap``; None means no
+        cap. ``work`` is a ``%`` template filled with ``count`` and then
+        ``args``, formatted only when it raises."""
+        if cap is not None and count > cap:
+            raise cls(work % (count, *args), count, cap)
 
 
 @dataclass(frozen=True)
@@ -246,13 +256,12 @@ class Poset:
         while any(level):
             counts.append(sum(level))
             total += counts[-1]
-            if cap is not None and total > cap:
-                raise ChainCapExceeded(
-                    f"order complex has {total} faces up to dimension "
-                    f"{len(counts) - 1}",
-                    total,
-                    cap,
-                )
+            ChainCapExceeded.check(
+                total,
+                cap,
+                "order complex has %d faces up to dimension %d",
+                len(counts) - 1,
+            )
             if len(counts) == max_length:
                 break
             level = [sum(map(level.__getitem__, up)) for up in self._above]
@@ -264,10 +273,9 @@ class Poset:
         Chains are emitted as strictly increasing index tuples, in
         lexicographic order, each exactly once. Comparability is full
         inclusion, not just covers. Nothing here bounds the output:
-        callers check :meth:`chain_counts` against their cap first.
-        :func:`~hyperforman.complexes.order_complex` builds its chains
-        level by level instead; this listing is the reference it is
-        tested against.
+        callers check :meth:`chain_counts` against their cap first, as
+        :func:`~hyperforman.complexes.order_complex` does before it
+        sorts this listing into buckets by size.
         """
         if max_length is not None and max_length < 1:
             return

@@ -84,17 +84,6 @@ def brute_chains(elements, max_length=None) -> set[tuple[int, ...]]:
     return out
 
 
-def grouped_chains(p: Poset, max_length=None) -> tuple:
-    """The chains :meth:`Poset.chains` lists, one tuple per size in the
-    order they are listed, shaped like ``SimplicialComplex.faces_by_dim``."""
-    buckets: list[list[tuple[int, ...]]] = []
-    for c in p.chains(max_length):
-        while len(buckets) < len(c):
-            buckets.append([])
-        buckets[len(c) - 1].append(c)
-    return tuple(map(tuple, buckets))
-
-
 def brute_rank_candidates(elements, covers) -> list[set[int]]:
     """All rank values each element receives along any cover path from a
     minimal element. Order independent by construction."""

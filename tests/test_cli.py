@@ -1745,3 +1745,55 @@ class TestBrokenPipe:
             os.close(read_end)
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (3, b"error: [Errno 32] Broken pipe\n")
+
+
+class TestOutputEncoding:
+    """A label that stdout's encoding cannot carry is an I/O failure: exit
+    3, one ``error:`` line naming the encoding, and nothing on stdout.
+    JSON escapes every non-ASCII character, so it still prints."""
+
+    # 'é' is not ASCII, and '日' is not Latin-1 either
+    NETWORKS = {
+        "undirected": "V1: café 日\n",
+        "directed": "V1: café\nV2: 日\nE>: V1 V2\n",
+    }
+
+    def curvature(self, tmp_path, encoding, kind, *flags):
+        f = tmp_path / "labels.hnet"
+        f.write_text(self.NETWORKS[kind], encoding="utf-8")
+        env = dict(os.environ, PYTHONIOENCODING=encoding)
+        return subprocess.run(
+            [sys.executable, "-m", "hyperforman.cli", "curvature", str(f), *flags],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("undirected", ()),
+            ("undirected", ("--output", "csv")),
+            ("directed", ("--directed",)),
+            ("directed", ("--directed", "--output", "csv")),
+        ],
+        ids=["human", "csv", "directed-human", "directed-csv"],
+    )
+    def test_an_uncarried_label_exits_3_with_one_line(
+        self, tmp_path, encoding, kind, flags
+    ):
+        proc = self.curvature(tmp_path, encoding, kind, *flags)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        line = f"error: standard output's encoding {encoding} cannot carry "
+        assert proc.stderr.startswith(line.encode())
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"'\n")
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    @pytest.mark.parametrize("kind", ["undirected", "directed"])
+    def test_json_escapes_every_label(self, tmp_path, encoding, kind):
+        flags = ("--directed",) if kind == "directed" else ()
+        proc = self.curvature(tmp_path, encoding, kind, *flags, "--output", "json")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.isascii()
+        assert b"caf\\u00e9" in proc.stdout and b"\\u65e5" in proc.stdout
