@@ -33,9 +33,10 @@ network, run through the CLI, exits 0 with the bytes
 parses to, so the CLI's JSON writer and its row tables are held to the
 standard library on every draw. On every draw it also builds
 ``DirectedComplex.from_arcs`` over a random arc set on the network's
-nodes and checks that its directions are the arcs, that its in- and
-out-degrees are those the arcs give, that its walked triangles are, per
-mode, the transitive or cyclic 3-cliques of the arcs, and that its
+nodes and checks that its out- and in-neighbour bitsets are, bit for
+bit, those the arcs set, that its in- and out-degrees are those the
+arcs give, that its walked triangles are, per mode, the transitive or
+cyclic 3-cliques of the arcs, and that its
 transitive and cyclic counts, its count form and its Fraction formula
 under both degree modes equal brute counts; then it runs ``report
 --directed`` with random ``--degree`` and ``--triangles`` through the
@@ -62,7 +63,6 @@ from pathlib import Path
 
 from hyperforman import (
     DirectedComplex,
-    DirectedConfig,
     Hypernetwork,
     Hypervertex,
     SimplicialComplex,
@@ -92,6 +92,7 @@ from helpers import (  # noqa: E402
     brute_geometric_chi,
     brute_geometric_facets,
     brute_less,
+    brute_neighbour_bits,
     brute_ricci,
 )
 
@@ -159,38 +160,38 @@ def random_arcs(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 def directed_fault(labels: list[str], arcs: list[tuple[int, int]]) -> str | None:
     """Say how ``DirectedComplex.from_arcs`` over the arcs differs from
-    them, or None: its directions and in- and out-degrees against the
-    arcs, then, with the directions so checked, its walked triangles,
-    counts and formula against the brute oracles' clique split and
-    Fraction sum."""
+    them, or None: its out- and in-neighbour bitsets and its in- and
+    out-degrees against the arcs, then, with the bitsets so checked, its
+    walked triangles, counts and formula against the brute oracles'
+    clique split and Fraction sum."""
     dc = DirectedComplex.from_arcs(labels, arcs)
-    n, directions = len(labels), {tuple(sorted(a)): a for a in arcs}
-    if dc.directions != directions:
-        return f"directions {dc.directions} but the arcs give {directions}"
+    n = len(labels)
+    bits = brute_neighbour_bits(n, arcs)
+    if (dc._out, dc._in) != bits:
+        return f"out and in bitsets {(dc._out, dc._in)} but the arcs give {bits}"
     for end, degree_mode in ((1, "in"), (0, "out")):
-        counted = {v: sum(a[end] == v for a in arcs) for v in range(n)}
+        counted = [sum(a[end] == v for a in arcs) for v in range(n)]
         if dc.io_degrees(degree_mode) != counted:
             return (
                 f"{degree_mode}-degrees {dc.io_degrees(degree_mode)} but the "
                 f"arcs give {counted}"
             )
     for mode in ("transitive", "cyclic"):
-        chosen = brute_directed_triangles(dc, mode)
+        chosen = brute_directed_triangles(n, arcs, mode)
         expected = [tuple(labels[v] for v in t) for t in chosen]
         got = list(dc.directed_triangles(mode))
         if got != expected:
             return f"{mode} triangles walked {got} but the arcs give {expected}"
         for degree_mode in ("in", "out"):
-            cfg = DirectedConfig(degree_mode, mode)
             counts = (
-                dc._chosen_count(mode),
-                dc.directed_euler_count(cfg),
-                dc.directed_euler_formula(cfg),
+                dc.triangle_count(mode),
+                dc.directed_euler_count(mode),
+                dc.directed_euler_formula(degree_mode, mode),
             )
             expected_counts = (
                 len(chosen),
-                n - len(directions) + len(chosen),
-                brute_directed_formula(dc, cfg),
+                n - len(arcs) + len(chosen),
+                brute_directed_formula(n, arcs, degree_mode, mode),
             )
             if counts != expected_counts:
                 return (
@@ -389,8 +390,8 @@ def main() -> int:
         f"matches the face count, the facets it reads from the poset are the "
         f"generators no generator strictly contains, "
         f"each report's JSON is what json.dumps writes, and so is each "
-        f"directed report's, whose complex's directions and degrees are its "
-        f"random arcs' and whose triangles, counts and formula match brute "
+        f"directed report's, whose complex's neighbour bitsets and degrees are "
+        f"its random arcs' and whose triangles, counts and formula match brute "
         f"counts; every brute count is a tests/helpers.py oracle ({dt:.2f}s)"
     )
     return 0

@@ -8,7 +8,6 @@ from .curvature import (
     CurvatureReport,
     CurvatureTable,
     DirectedComplex,
-    DirectedConfig,
     DirectionError,
     FiltrationStep,
     curvature_filtration,
@@ -52,7 +51,6 @@ __all__ = [
     "CurvatureTable",
     "DEFAULT_CHAIN_CAP",
     "DirectedComplex",
-    "DirectedConfig",
     "DirectionError",
     "FiltrationStep",
     "Hyperedge",

@@ -49,7 +49,6 @@ from .curvature import (
     CurvatureBalance,
     CurvatureTable,
     DirectedComplex,
-    DirectedConfig,
     DirectionError,
     FiltrationStep,
     _twice_vertex_term,
@@ -681,15 +680,14 @@ def _directed_section(a: Analysis) -> tuple:
     :func:`emit`. All three read the complex's counts; only the JSON
     object walks the chosen triangles, for their labels."""
     args, dc = a.args, a.directed
-    cfg = DirectedConfig(args.degree or "out", args.triangles or "transitive")
-    labels, mode = dc.labels, cfg.triangle_mode
-    degs = list(dc.io_degrees(cfg.degree_mode).values())
-    chosen = dc._chosen_count(mode)
-    formula, count = dc.directed_euler_formula(cfg), dc.directed_euler_count(cfg)
+    degree, mode = args.degree or "out", args.triangles or "transitive"
+    labels, degs, chosen = dc.labels, dc.io_degrees(degree), dc.triangle_count(mode)
+    formula = dc.directed_euler_formula(degree, mode)
+    count = dc.directed_euler_count(mode)
 
     def human() -> list[str]:
         return [
-            *(f"{cfg.degree_mode}-degree {x} = {d}" for x, d in zip(labels, degs)),
+            *(f"{degree}-degree {x} = {d}" for x, d in zip(labels, degs)),
             f"triangles[{mode}] = {chosen}",
             f"chi_directed[formula] = {_decimal(formula)}",
             f"chi_directed[count] = {count}",
@@ -697,7 +695,7 @@ def _directed_section(a: Analysis) -> tuple:
 
     def obj() -> dict:
         return {
-            "degree_mode": cfg.degree_mode,
+            "degree_mode": degree,
             "triangle_mode": mode,
             "degrees": dict(zip(labels, degs)),
             "chosen_triangles": list(map("|".join, dc.directed_triangles(mode))),
@@ -933,8 +931,27 @@ def _add_directed(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="directed analysis (requires a directed input)",
     )
-    p.add_argument("--degree", choices=["in", "out"], default=None)
-    p.add_argument("--triangles", choices=["transitive", "cyclic"], default=None)
+    p.add_argument(
+        "--degree",
+        choices=["in", "out"],
+        default=None,
+        help="one-sided degree the directed analysis reads (default: out)",
+    )
+    p.add_argument(
+        "--triangles",
+        choices=["transitive", "cyclic"],
+        default=None,
+        help="triangles the directed analysis chooses (default: transitive)",
+    )
+
+
+def _add_chi_method(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--chi-method",
+        choices=["delta", "rank", "geometric", "all"],
+        default="all",
+        help="how chi is computed; all runs each (default: %(default)s)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -951,11 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="Euler characteristic by one or all methods")
     _add_common(p)
-    p.add_argument(
-        "--chi-method",
-        choices=["delta", "rank", "geometric", "all"],
-        default="all",
-    )
+    _add_chi_method(p)
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("curvature", help="per-edge, per-vertex, per-triangle terms")
@@ -975,11 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="all-in-one report (always JSON)")
     _add_common(p, output=False)
-    p.add_argument(
-        "--chi-method",
-        choices=["delta", "rank", "geometric", "all"],
-        default="all",
-    )
+    _add_chi_method(p)
     _add_directed(p)
     p.set_defaults(func=cmd_report)
 

@@ -401,25 +401,18 @@ DegreeMode = Literal["in", "out"]
 TriangleMode = Literal["transitive", "cyclic"]
 
 
-@dataclass(frozen=True)
-class DirectedConfig:
-    degree_mode: DegreeMode = "out"
-    triangle_mode: TriangleMode = "transitive"
-
-
 @dataclass(frozen=True, init=False)
 class DirectedComplex:
     """The directed clique complex of an arc set: the vertices, one edge
     per arc and every 3-clique of the arcs as a triangle, which is either
-    transitive or cyclic. ``directions`` maps each edge (as a sorted
-    vertex pair) to its arc (tail, head). The complex is kept as int
-    bitsets, the heads ``_out[v]`` and tails ``_in[v]`` of the arcs at v,
-    and read by counting. :meth:`from_arcs` is the only way to build one;
-    calling ``DirectedComplex(...)`` raises ``TypeError``.
+    transitive or cyclic. It is kept as int bitsets, the heads ``_out[v]``
+    and tails ``_in[v]`` of the arcs at v, and its two triangle counts; it
+    equals another with the same labels and out bitsets. :meth:`from_arcs`
+    is the only way to build one; ``DirectedComplex(...)`` raises TypeError.
     """
 
     labels: tuple[str, ...]
-    directions: Mapping[tuple[int, int], tuple[int, int]]
+    _out: tuple[int, ...]
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a DirectedComplex with DirectedComplex.from_arcs")
@@ -431,11 +424,11 @@ class DirectedComplex:
         arcs: Iterable[tuple[int, int]],
         cap: int | None = None,
     ) -> "DirectedComplex":
-        """The directed clique complex of the arcs over ``labels``. Loops
-        and antiparallel arc pairs are rejected, since a single edge
-        cannot carry two directions; the error names the vertices by
-        label. An arc naming a vertex outside ``labels`` raises
-        :class:`ValueError`.
+        """The directed clique complex of the arcs over ``labels``; a
+        repeated arc counts once. Loops and antiparallel arc pairs are
+        rejected, since a single edge cannot carry two directions; the
+        error names the vertices by label. An arc naming a vertex outside
+        ``labels`` raises :class:`ValueError`.
 
         With N[v] the neighbours of v, summing |N[u] & N[v]| over the
         edges counts each triangle three times; more than ``cap`` faces
@@ -446,49 +439,42 @@ class DirectedComplex:
         """
         labels = tuple(labels)
         n = len(labels)
-        directions: dict[tuple[int, int], tuple[int, int]] = {}
         out, into = [0] * n, [0] * n
         for tail, head in arcs:
             if not (0 <= tail < n and 0 <= head < n):
                 raise ValueError(f"arc {(tail, head)} references a node out of range")
             if tail == head:
                 raise DirectionError(f"loop arc at node '{labels[tail]}'")
-            e = (tail, head) if tail < head else (head, tail)
-            if e in directions:
-                if directions[e] != (tail, head):
-                    (u, v), (t, h) = e, directions[e]
-                    raise DirectionError(
-                        f"conflicting directions for edge {labels[u]}|{labels[v]}: "
-                        f"{labels[t]}->{labels[h]} and {labels[tail]}->{labels[head]}"
-                    )
-                continue
-            directions[e] = (tail, head)
+            if out[head] >> tail & 1:
+                u, v = sorted((tail, head))
+                raise DirectionError(
+                    f"conflicting directions for edge {labels[u]}|{labels[v]}: "
+                    f"{labels[head]}->{labels[tail]} and {labels[tail]}->{labels[head]}"
+                )
             out[tail] |= 1 << head
             into[head] |= 1 << tail
         nbrs = list(map(or_, out, into))
-        kept = directions.values()
+        kept = [(t, h) for t, out_t in enumerate(out) for h in _bits(out_t)]
         triangles = sum([(nbrs[t] & nbrs[h]).bit_count() for t, h in kept]) // 3
-        total = n + len(directions) + triangles
+        total = n + len(kept) + triangles
         ChainCapExceeded.check(total, cap, "directed complex has %d faces")
         transitive = sum([(out[t] & nbrs[h]).bit_count() for t, h in kept]) // 2
         dc = object.__new__(cls)
         dc.__dict__.update(
             labels=labels,
-            directions=directions,
-            _out=out,
-            _in=into,
+            _out=tuple(out),
+            _in=tuple(into),
             _triangle_counts=(transitive, triangles - transitive),
         )
         return dc
 
-    def io_degrees(self, mode: DegreeMode) -> dict[int, int]:
+    def io_degrees(self, mode: DegreeMode) -> list[int]:
         """Number of edges entering (``in``) or leaving (``out``) each vertex."""
         if mode not in ("in", "out"):
             raise ValueError(f"degree mode must be 'in' or 'out', not {mode!r}")
-        bits = self._in if mode == "in" else self._out
-        return dict(enumerate(map(int.bit_count, bits)))
+        return list(map(int.bit_count, self._in if mode == "in" else self._out))
 
-    def _chosen_count(self, mode: TriangleMode) -> int:
+    def triangle_count(self, mode: TriangleMode) -> int:
         """The number of triangles :meth:`directed_triangles` yields."""
         return self._triangle_counts[_is_cyclic(mode)]
 
@@ -512,25 +498,28 @@ class DirectedComplex:
                 for w in _bits(common & closing if cyclic else common & ~closing):
                     yield labels[u], labels[v], labels[w]
 
-    def directed_euler_formula(self, cfg: DirectedConfig) -> Fraction:
+    def directed_euler_formula(
+        self, degree: DegreeMode, triangles: TriangleMode
+    ) -> Fraction:
         """Directed vertex/edge/triangle combination, from counts.
 
         Vertex terms use the one-sided degrees d, the edge u-v carries
         3 * (chosen triangles on it) + 4 - d(u) - d(v), and each chosen
         triangle a flat 28. The edge terms sum exactly to
-        9 C + 4 E - sum d(v) deg(v) over C chosen triangles and E edges.
+        9 C + 4 E - sum d(v) deg(v) over C chosen triangles and E edges;
+        E = sum d(v), as each edge leaves one vertex and enters one.
         """
-        degs = self.io_degrees(cfg.degree_mode).values()
-        chosen = self._chosen_count(cfg.triangle_mode)
+        degs = self.io_degrees(degree)
+        chosen = self.triangle_count(triangles)
         vertex_sum = Fraction(sum(map(_twice_vertex_term, degs)), 2)
         degrees = map(int.bit_count, map(or_, self._out, self._in))
-        edge_sum = 9 * chosen + 4 * len(self.directions) - sum(map(mul, degs, degrees))
+        edge_sum = 9 * chosen + 4 * sum(degs) - sum(map(mul, degs, degrees))
         return vertex_sum - edge_sum + 28 * chosen
 
-    def directed_euler_count(self, cfg: DirectedConfig) -> int:
+    def directed_euler_count(self, triangles: TriangleMode) -> int:
         """Face count form: vertices - edges + chosen triangles."""
-        chosen = self._chosen_count(cfg.triangle_mode)
-        return len(self.labels) - len(self.directions) + chosen
+        edges = sum(map(int.bit_count, self._out))
+        return len(self.labels) - edges + self.triangle_count(triangles)
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from hyperforman import TRIANGLE_TERM, NotRanked, Poset, RankFunction, SimplicialComplex
-from hyperforman.curvature import DirectedComplex, DirectedConfig, FiltrationStep
+from hyperforman.curvature import FiltrationStep
 
 
 def brute_less(elements) -> set[tuple[int, int]]:
@@ -243,34 +243,48 @@ def brute_geometric_chi(h) -> int:
     return sum((-1) ** (len(f) - 1) for f in brute_geometric_faces(h))
 
 
-def brute_orientation(dc: DirectedComplex, t) -> str:
-    """The orientation of the triangle t from the out-degrees its three
-    edges give its vertices: a cyclic triangle gives each vertex one
-    outgoing edge, a transitive one gives them 2, 1 and 0."""
+def brute_neighbour_bits(n: int, arcs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The heads and the tails of the arcs at each of the n vertices, as
+    int bitsets, set one arc at a time."""
+    out, into = [0] * n, [0] * n
+    for tail, head in arcs:
+        out[tail] |= 1 << head
+        into[head] |= 1 << tail
+    return tuple(out), tuple(into)
+
+
+def brute_orientation(arcs, t) -> str:
+    """The orientation of the triangle t from the out-degrees the arcs
+    between its vertices give them, each distinct arc once: a cyclic
+    triangle gives each vertex one outgoing edge, a transitive one gives
+    them 2, 1 and 0."""
     outdeg = {v: 0 for v in t}
-    for e in combinations(sorted(t), 2):
-        outdeg[dc.directions[e][0]] += 1
+    for tail, head in set(arcs):
+        if tail in outdeg and head in outdeg:
+            outdeg[tail] += 1
     return "cyclic" if sorted(outdeg.values()) == [1, 1, 1] else "transitive"
 
 
-def brute_directed_triangles(dc: DirectedComplex, mode: str) -> list[tuple[int, ...]]:
-    """The 3-cliques of the complex's edges whose orientation is ``mode``."""
-    cliques = brute_cliques(len(dc.labels), dc.directions)
-    return [t for t in cliques if brute_orientation(dc, t) == mode]
+def brute_directed_triangles(n: int, arcs, mode: str) -> list[tuple[int, ...]]:
+    """The 3-cliques of the arcs over n vertices whose orientation is
+    ``mode``."""
+    return [t for t in brute_cliques(n, arcs) if brute_orientation(arcs, t) == mode]
 
 
-def brute_directed_formula(dc: DirectedComplex, cfg: DirectedConfig) -> Fraction:
-    """Direct Fraction evaluation of the directed combination, edge by
-    edge, with the one-sided degrees counted from the arcs and the
-    chosen triangles from :func:`brute_orientation`."""
-    end = 1 if cfg.degree_mode == "in" else 0
-    arcs = list(dc.directions.values())
-    chosen = [set(t) for t in brute_directed_triangles(dc, cfg.triangle_mode)]
+def brute_directed_formula(
+    n: int, arcs, degree_mode: str, triangle_mode: str
+) -> Fraction:
+    """Direct Fraction evaluation of the directed combination over n
+    vertices, edge by edge, with the one-sided degrees counted from the
+    distinct arcs and the chosen triangles from :func:`brute_orientation`."""
+    end = 1 if degree_mode == "in" else 0
+    arcs = set(arcs)
+    chosen = [set(t) for t in brute_directed_triangles(n, arcs, triangle_mode)]
     total = Fraction(0)
-    for v in range(len(dc.labels)):
+    for v in range(n):
         d = sum(1 for arc in arcs if arc[end] == v)
         total += 1 + Fraction(3, 2) * d - d * d
-    for e in dc.directions:
+    for e in arcs:
         above = sum(1 for t in chosen if set(e) <= t)
         degrees = sum(1 for arc in arcs for v in e if arc[end] == v)
         total -= 4 + 3 * above - degrees

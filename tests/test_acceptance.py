@@ -30,7 +30,7 @@ from hyperforman import (
     random_hypernetwork,
     two_skeleton,
 )
-from hyperforman.curvature import DirectedComplex, DirectedConfig
+from hyperforman.curvature import DirectedComplex
 
 from conftest import CORPUS_DIR, corpus_complexes
 from helpers import disjoint_union
@@ -169,27 +169,26 @@ def test_criterion_5_non_coincidence_witness():
 
 def test_criterion_6_directed_fidelity():
     dc = DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
-    cfg = DirectedConfig(degree_mode="out", triangle_mode="transitive")
 
     # independent substitution, term by term, in Fraction arithmetic:
     # out-degrees a=2 b=1 c=0; one transitive triangle above every edge
-    degs = {0: 2, 1: 1, 2: 0}
+    degs = [2, 1, 0]
     assert dc.io_degrees("out") == degs
-    vertex_part = sum(1 + Fraction(3, 2) * d - d * d for d in degs.values())
+    vertex_part = sum(1 + Fraction(3, 2) * d - d * d for d in degs)
     edge_part = sum(
         4 + 3 * 1 - (degs[u] + degs[v]) for u, v in [(0, 1), (1, 2), (0, 2)]
     )
     expected = vertex_part - edge_part + 28 * 1
     assert expected == Fraction(31, 2)
 
-    value = dc.directed_euler_formula(cfg)
+    value = dc.directed_euler_formula("out", "transitive")
     assert value == expected
     assert value == Fraction(31, 2)
-    assert dc.directed_euler_count(cfg) == 1
+    assert dc.directed_euler_count("transitive") == 1
 
     cycle = DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
-    assert cycle.directed_euler_count(DirectedConfig(triangle_mode="transitive")) == 0
-    assert cycle.directed_euler_count(DirectedConfig(triangle_mode="cyclic")) == 1
+    assert cycle.directed_euler_count("transitive") == 0
+    assert cycle.directed_euler_count("cyclic") == 1
     print(
         "\nACCEPTANCE 6 directed fidelity: PASS "
         "(formula reproduces the independent 31/2; counts 1/0/1)"

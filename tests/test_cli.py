@@ -1661,6 +1661,27 @@ class TestParserReuse:
         # the narrow terminal wraps the option help onto more lines
         assert helps["40"].count("\n") > helps["200"].count("\n")
 
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [
+            ("chi", {"--chi-method": "all"}),
+            ("curvature", {"--degree": "out", "--triangles": "transitive"}),
+            (
+                "report",
+                {"--chi-method": "all", "--degree": "out", "--triangles": "transitive"},
+            ),
+        ],
+    )
+    def test_help_names_the_defaults_applied(self, capsys, command, defaults):
+        # --degree and --triangles default to None, so that giving either
+        # without --directed is an error; their help names what applies
+        rc, out, _ = run_to_exit(capsys, command, "--help")
+        assert rc == 0
+        blocks = re.findall(r"^  (--[\w-]+)(.*(?:\n {3,}.*)*)", out, re.M)
+        help_of = {option: " ".join(text.split()) for option, text in blocks}
+        for option, value in defaults.items():
+            assert help_of[option].endswith(f"(default: {value})"), help_of[option]
+
 
 class TestBrokenPipe:
     @pytest.mark.parametrize("command", ["validate", "chi", "report"])

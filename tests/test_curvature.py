@@ -25,7 +25,7 @@ from hyperforman import (
     vertex_curvature,
 )
 from hyperforman.cli import load_input
-from hyperforman.curvature import DirectedComplex, DirectedConfig, DirectionError
+from hyperforman.curvature import DirectedComplex, DirectionError
 
 from conftest import ABSENT_EDGE_IDS, ABSENT_EDGES, complexes, hypernetworks
 from helpers import (
@@ -34,6 +34,7 @@ from helpers import (
     brute_directed_formula,
     brute_directed_triangles,
     brute_filtration,
+    brute_neighbour_bits,
     brute_parallel,
     brute_ricci,
 )
@@ -484,9 +485,11 @@ class TestFiltration:
         assert steps == [FiltrationStep(0, (3, 0, 0), 3)]
 
 
+DAG_ARCS = [(0, 1), (1, 2), (0, 2)]  # a->b, b->c, a->c with the triangle filled
+
+
 def dag_fixture() -> DirectedComplex:
-    # a->b, b->c, a->c with the triangle filled
-    return DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
+    return DirectedComplex.from_arcs(["a", "b", "c"], DAG_ARCS)
 
 
 def cycle_fixture() -> DirectedComplex:
@@ -525,8 +528,8 @@ def walked(dc: DirectedComplex, mode: str) -> list[tuple[int, ...]]:
     return [tuple(map(index.__getitem__, t)) for t in dc.directed_triangles(mode)]
 
 
-CONFIGS = [
-    DirectedConfig(degree_mode, triangle_mode)
+MODES = [
+    (degree_mode, triangle_mode)
     for degree_mode in ("in", "out")
     for triangle_mode in ("transitive", "cyclic")
 ]
@@ -539,13 +542,14 @@ class TestDirectedOracles:
             both = walked(dc, "transitive") + walked(dc, "cyclic")
             assert sorted(both) == brute_cliques(len(labels), arcs), (labels, arcs)
             assert dc.labels == tuple(labels)
-            assert dc.directions == {tuple(sorted(a)): a for a in arcs}
+            assert (dc._out, dc._in) == brute_neighbour_bits(len(labels), arcs)
 
     def test_triangles_match_the_orientation_oracle(self):
         for labels, arcs in seeded_arc_sets(5, 150):
             dc = DirectedComplex.from_arcs(labels, arcs)
             for mode in ("transitive", "cyclic"):
-                assert walked(dc, mode) == brute_directed_triangles(dc, mode)
+                expected = brute_directed_triangles(len(labels), arcs, mode)
+                assert walked(dc, mode) == expected
 
     def test_counts_match_the_orientation_oracle(self):
         draws = list(seeded_arc_sets(9, 150, max_nodes=12))
@@ -556,19 +560,22 @@ class TestDirectedOracles:
         ]
         for labels, arcs in draws:
             dc = DirectedComplex.from_arcs(labels, arcs)
-            for cfg in CONFIGS:
-                chosen = brute_directed_triangles(dc, cfg.triangle_mode)
-                assert dc._chosen_count(cfg.triangle_mode) == len(chosen)
-                assert dc.directed_euler_formula(cfg) == brute_directed_formula(dc, cfg)
-                assert dc.directed_euler_count(cfg) == (
-                    len(labels) - len(dc.directions) + len(chosen)
+            n, edges = len(labels), {tuple(sorted(a)) for a in arcs}
+            for degree_mode, triangle_mode in MODES:
+                chosen = brute_directed_triangles(n, arcs, triangle_mode)
+                assert dc.triangle_count(triangle_mode) == len(chosen)
+                assert dc.directed_euler_formula(degree_mode, triangle_mode) == (
+                    brute_directed_formula(n, arcs, degree_mode, triangle_mode)
+                )
+                assert dc.directed_euler_count(triangle_mode) == (
+                    n - len(edges) + len(chosen)
                 )
 
     def test_only_from_arcs_builds_a_directed_complex(self):
         with pytest.raises(TypeError, match="from_arcs"):
             DirectedComplex(("a", "b"), {(0, 1): (0, 1)})
         with pytest.raises(TypeError, match="from_arcs"):
-            DirectedComplex(labels=("a",), directions={})
+            DirectedComplex(labels=("a",), _out=(0,))
 
     def test_the_cap_counts_every_face(self):
         for labels, arcs in seeded_arc_sets(13, 100):
@@ -590,13 +597,13 @@ class TestDirectedOracles:
 class TestDirected:
     def test_out_and_in_degrees(self):
         dc = dag_fixture()
-        assert [dc.io_degrees("out")[v] for v in range(3)] == [2, 1, 0]
-        assert [dc.io_degrees("in")[v] for v in range(3)] == [0, 1, 2]
+        assert dc.io_degrees("out") == [2, 1, 0]
+        assert dc.io_degrees("in") == [0, 1, 2]
 
     def test_isolated_vertex_degree_zero(self):
         dc = DirectedComplex.from_arcs(["a", "b", "c"], [(0, 1)])
-        assert dc.io_degrees("out")[2] == 0
-        assert dc.io_degrees("in")[2] == 0
+        assert dc.io_degrees("out") == [1, 0, 0]
+        assert dc.io_degrees("in") == [0, 1, 0]
 
     def test_directed_triangles_dag(self):
         dc = dag_fixture()
@@ -616,32 +623,26 @@ class TestDirected:
         assert list(dc.directed_triangles("cyclic")) == []
 
     def test_formula_on_dag(self):
-        dc = dag_fixture()
-        cfg = DirectedConfig(degree_mode="out", triangle_mode="transitive")
-        value = dc.directed_euler_formula(cfg)
+        value = dag_fixture().directed_euler_formula("out", "transitive")
         # independent Fraction evaluation
-        assert value == brute_directed_formula(dc, cfg)
+        assert value == brute_directed_formula(3, DAG_ARCS, "out", "transitive")
         assert value == Fraction(31, 2)
 
     def test_formula_single_arc(self):
         dc = DirectedComplex.from_arcs(["a", "b"], [(0, 1)])
-        cfg = DirectedConfig(degree_mode="out", triangle_mode="transitive")
-        value = dc.directed_euler_formula(cfg)
-        assert value == brute_directed_formula(dc, cfg)
+        value = dc.directed_euler_formula("out", "transitive")
+        assert value == brute_directed_formula(2, [(0, 1)], "out", "transitive")
         assert value == Fraction(-1, 2)
 
     def test_formula_empty(self):
         dc = DirectedComplex.from_arcs([], [])
-        cfg = DirectedConfig()
-        assert dc.directed_euler_formula(cfg) == 0
-        assert dc.directed_euler_count(cfg) == 0
+        assert dc.directed_euler_formula("out", "transitive") == 0
+        assert dc.directed_euler_count("transitive") == 0
 
     def test_count_form(self):
-        cfg_t = DirectedConfig(triangle_mode="transitive")
-        cfg_c = DirectedConfig(triangle_mode="cyclic")
-        assert dag_fixture().directed_euler_count(cfg_t) == 3 - 3 + 1 == 1
-        assert cycle_fixture().directed_euler_count(cfg_t) == 0
-        assert cycle_fixture().directed_euler_count(cfg_c) == 1
+        assert dag_fixture().directed_euler_count("transitive") == 3 - 3 + 1 == 1
+        assert cycle_fixture().directed_euler_count("transitive") == 0
+        assert cycle_fixture().directed_euler_count("cyclic") == 1
 
     def test_random_tournaments_match_fraction_oracle(self):
         rng = random.Random(7)
@@ -653,21 +654,50 @@ class TestDirected:
                     if rng.random() < 0.6:
                         arcs.append((u, v) if rng.random() < 0.5 else (v, u))
             dc = DirectedComplex.from_arcs([f"x{i}" for i in range(n)], arcs)
-            for degree_mode in ("in", "out"):
-                for triangle_mode in ("transitive", "cyclic"):
-                    cfg = DirectedConfig(degree_mode, triangle_mode)
-                    assert dc.directed_euler_formula(cfg) == (
-                        brute_directed_formula(dc, cfg)
-                    )
+            for degree_mode, triangle_mode in MODES:
+                assert dc.directed_euler_formula(degree_mode, triangle_mode) == (
+                    brute_directed_formula(n, arcs, degree_mode, triangle_mode)
+                )
 
     def test_every_filled_triangle_is_transitive_or_cyclic(self):
         dc = dag_fixture()
         both = walked(dc, "transitive") + walked(dc, "cyclic")
-        assert sorted(both) == brute_cliques(3, dc.directions) == [(0, 1, 2)]
+        assert sorted(both) == brute_cliques(3, DAG_ARCS) == [(0, 1, 2)]
 
     def test_conflicting_directions_rejected(self):
         with pytest.raises(DirectionError, match=r"conflicting .* a\|b: a->b and b->a"):
             DirectedComplex.from_arcs(["a", "b"], [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize(
+        "labels, arcs, message",
+        [
+            ("ab", [(0, 1), (0, 1), (1, 0)], "edge a|b: a->b and b->a"),
+            ("ab", [(1, 0), (1, 0), (0, 1)], "edge a|b: b->a and a->b"),
+            ("xyz", [(2, 0), (1, 2), (2, 0), (0, 2)], "edge x|z: z->x and x->z"),
+        ],
+    )
+    def test_antiparallel_arc_after_a_repeat_names_both(self, labels, arcs, message):
+        with pytest.raises(DirectionError) as caught:
+            DirectedComplex.from_arcs(labels, arcs)
+        assert str(caught.value) == f"conflicting directions for {message}"
+
+    def test_one_arc_set_gives_equal_hashable_complexes(self):
+        dc = dag_fixture()
+        assert hash(dc) == hash(dag_fixture())
+        repeated = [(0, 2), (0, 1), (0, 2), (1, 2)]
+        for arcs in (DAG_ARCS[::-1], DAG_ARCS + [(1, 2)], repeated):
+            same = DirectedComplex.from_arcs(["a", "b", "c"], arcs)
+            assert same == dc and hash(same) == hash(dc)
+        assert len({dc, cycle_fixture(), dag_fixture()}) == 2
+
+    def test_reversing_one_arc_gives_an_unequal_complex(self):
+        dc = dag_fixture()
+        for i, (tail, head) in enumerate(DAG_ARCS):
+            arcs = DAG_ARCS[:i] + [(head, tail)] + DAG_ARCS[i + 1 :]
+            assert DirectedComplex.from_arcs(["a", "b", "c"], arcs) != dc
+        assert DirectedComplex.from_arcs("ab", [(0, 1)]) != (
+            DirectedComplex.from_arcs("ab", [(1, 0)])
+        )
 
     def test_loop_arc_rejected(self):
         with pytest.raises(DirectionError, match="loop arc at node 'a'"):
