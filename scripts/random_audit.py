@@ -5,9 +5,11 @@ transitive reduction of inclusion as covers and every strict inclusion
 as up sets, both found by testing every pair, that the counted chains
 of the poset match the f-vector of its order complex (whose faces are
 counted against the cap first, then listed by ``Poset.chains`` into
-one bucket per size), that its buckets are sorted and distinct and, on
-a poset of at most 12 elements, hold exactly the chains found by
-testing every subset, that it and its 2-skeleton (a slice of its
+one bucket per size) and give the Euler characteristic of the one-pass
+Moebius recursion (``Poset.chain_euler_characteristic``) and the
+dimension of a longest chain (``Poset.chain_dimension``), that its
+buckets are sorted and distinct and, on a poset of at most 12
+elements, hold exactly the chains found by testing every subset, that it and its 2-skeleton (a slice of its
 buckets) each equal what ``SimplicialComplex.from_faces`` rebuilds from
 their faces (an unsorted bucket or face, a repeated face, a missing
 subface, an empty top bucket or vertices that do not match the labels
@@ -276,11 +278,24 @@ def main() -> int:
                     f"pair gives {sorted(expected)}",
                     h,
                 )
-        full = order_complex(p)
-        if p.chain_counts() != full.f_vector():
+        full, counts = order_complex(p), p.chain_counts()
+        if counts != full.f_vector():
             return fail(
-                f"network {i}: counted f-vector {p.chain_counts()} but built "
+                f"network {i}: counted f-vector {counts} but built "
                 f"{full.f_vector()}",
+                h,
+            )
+        signed = sum((-1) ** d * n for d, n in enumerate(counts))
+        if p.chain_euler_characteristic() != signed:
+            return fail(
+                f"network {i}: Moebius chi {p.chain_euler_characteristic()} but "
+                f"the counted f-vector {counts} gives {signed}",
+                h,
+            )
+        if p.chain_dimension() != len(counts) - 1:
+            return fail(
+                f"network {i}: longest-chain dimension {p.chain_dimension()} "
+                f"but the counted f-vector {counts} has {len(counts) - 1}",
                 h,
             )
         if any(list(b) != sorted(set(b)) for b in full.faces_by_dim):
@@ -380,7 +395,8 @@ def main() -> int:
     print(
         f"{args.count} random hypernetworks, {edges_checked} edges: "
         f"each poset's stored covers and up sets match testing every pair, "
-        f"chain counts match, the order complexes' buckets are sorted and "
+        f"chain counts match, the Moebius chi and the longest-chain dimension "
+        f"match the chain counts, the order complexes' buckets are sorted and "
         f"distinct and hold every subset's chains up to {BRUTE_CHAIN_ELEMENTS} "
         f"elements, they and their 2-skeletons equal from_faces' rebuilds, all "
         f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "

@@ -4,7 +4,11 @@ Subcommands: validate, chi, curvature, gauss-bonnet, filtrate, report.
 Inputs are hypernetwork files (JSON or text) or poset JSON files (an
 object with an ``elements`` key); the pipeline is input -> inclusion
 poset -> face counts of its order complex -> curvature. No command
-builds the order complex: the per-edge curvature table, its balance and
+builds the order complex, and each counts only the faces it reads: at
+the default full skeleton, chi's delta is one Moebius pass over the up
+sets, gauss-bonnet and filtrate count the faces up to dimension 2 and
+take the dimension from a longest chain, and curvature and report count
+the whole f-vector. The per-edge curvature table, its balance and
 the filtration come from the poset's comparability bitsets and the face
 counts, gauss-bonnet reads its balance from the counts and the up and
 down sizes alone, and the triangle lines come from walking the chains
@@ -183,12 +187,25 @@ class Analysis:
     def rank(self) -> RankFunction | NotRanked:
         return self.poset.rank_function()
 
+    @property
+    def counts_every_face(self) -> bool:
+        """Whether the run counts the whole f-vector at the requested
+        skeleton: at a finite ``--skeleton``, and for ``report``, which
+        prints it, and ``curvature``, whose per-triangle output that
+        count bounds. At the full skeleton, ``chi`` counts no faces and
+        ``gauss-bonnet`` and ``filtrate`` count them up to dimension 2."""
+        return self.args.skeleton is not None or self.args.command in (
+            "curvature",
+            "report",
+        )
+
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
         """Face counts of the order complex at the requested skeleton,
-        counted without listing a chain. More faces than the chain cap
-        is an error, raised at the dimension where the count passes it
-        and before any face is built."""
+        counted without listing a chain; read only where
+        :attr:`counts_every_face` holds. More faces than the chain cap is
+        an error, raised at the dimension where the count passes it and
+        before any face is built."""
         skeleton = self.args.skeleton
         return self.poset.chain_counts(
             None if skeleton is None else skeleton + 1, cap=self.args.chain_cap
@@ -196,17 +213,25 @@ class Analysis:
 
     @cached_property
     def curvature_counts(self) -> tuple[int, ...]:
-        """The face counts curvature reads: the f-vector cut to
-        dimension 2. A note on stderr says when the complex has faces
-        above dimension 2."""
-        dim = len(self.f_vector) - 1
+        """The face counts curvature reads, f0..f2: the f-vector cut to
+        dimension 2 where :attr:`counts_every_face` holds, and otherwise
+        a count up to dimension 2 alone, under the chain cap, with the
+        dimension taken from a longest chain. A note on stderr says when
+        the complex has faces above dimension 2."""
+        if self.counts_every_face:
+            counts, dim = self.f_vector[:3], len(self.f_vector) - 1
+        else:
+            counts = self.poset.chain_counts(3, cap=self.args.chain_cap)
+            dim = len(counts) - 1
+            if dim == 2:
+                dim = self.poset.chain_dimension()
         if dim > 2:
             print(
                 f"note: complex has dimension {dim}; "
                 "curvature operates on its 2-skeleton",
                 file=sys.stderr,
             )
-        return self.f_vector[:3]
+        return counts
 
     @cached_property
     def counted_balance(self) -> CurvatureBalance:
@@ -260,6 +285,8 @@ class Analysis:
 
     def _chi_by(self, method: str):
         if method == "delta":
+            if not self.counts_every_face:
+                return self.poset.chain_euler_characteristic(cap=self.args.chain_cap)
             return sum((-1) ** d * n for d, n in enumerate(self.f_vector))
         if method == "rank":
             if isinstance(self.rank, NotRanked):
@@ -917,11 +944,13 @@ def _add_common(
             type=_cap_arg,
             default=DEFAULT_CHAIN_CAP,
             metavar="N",
-            help="cap on the faces of the order complex at the requested "
-            "skeleton, counted before any face is built, on the faces of "
-            "the --directed complex, counted before any triangle is listed, "
-            "and on the intersections geometric chi visits "
-            "(default: %(default)s)",
+            help="cap on the faces of the order complex the command reads, "
+            "counted before any face is built: every face at the requested "
+            "skeleton, but at the full skeleton only the vertices and edges "
+            "for chi and the faces up to dimension 2 for gauss-bonnet and "
+            "filtrate; on the faces of the --directed complex, counted before "
+            "any triangle is listed; and on the intersections geometric chi "
+            "visits (default: %(default)s)",
         )
 
 

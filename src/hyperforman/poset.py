@@ -22,6 +22,8 @@ if TYPE_CHECKING:
     from .hypernet import Hypernetwork
 
 DEFAULT_CHAIN_CAP = 10_000_000
+# the work the face counts charge to the cap: (faces so far, dimension)
+_FACES = "order complex has %d faces up to dimension %d"
 
 
 class ChainCapExceeded(RuntimeError):
@@ -256,16 +258,54 @@ class Poset:
         while any(level):
             counts.append(sum(level))
             total += counts[-1]
-            ChainCapExceeded.check(
-                total,
-                cap,
-                "order complex has %d faces up to dimension %d",
-                len(counts) - 1,
-            )
+            ChainCapExceeded.check(total, cap, _FACES, len(counts) - 1)
             if len(counts) == max_length:
                 break
             level = [sum(map(level.__getitem__, up)) for up in self._above]
         return tuple(counts)
+
+    def chain_euler_characteristic(self, cap: int | None = None) -> int:
+        """Euler characteristic of the order complex, without counting its
+        faces by dimension.
+
+        By Philip Hall's theorem it is a Moebius function value, and it
+        takes one pass: with S(x) the signed count of the chains that
+        start at x, S(x) = 1 - sum of S(y) over y > x, and chi is the sum
+        of S(x). Up sets point to larger indices, so a pass in reverse
+        index order finds each S(y) before it is read. The work is
+        O(|P| + comparable pairs), with no height factor. It is charged
+        to ``cap`` as :meth:`chain_counts` charges its first two
+        dimensions, first f0 and then f0 + f1, so the same
+        :class:`ChainCapExceeded` is raised wherever that count stops
+        at dimension 0 or 1.
+        """
+        above = self._above
+        f0 = len(above)
+        ChainCapExceeded.check(f0, cap, _FACES, 0)
+        ChainCapExceeded.check(f0 + self.comparable_pair_count(), cap, _FACES, 1)
+        signed = [1] * f0  # a maximal element starts one chain, itself
+        get = signed.__getitem__
+        for x in range(f0 - 1, -1, -1):
+            up = above[x]
+            if up:
+                signed[x] = 1 - sum(map(get, up))
+        return sum(signed)
+
+    def chain_dimension(self) -> int:
+        """Dimension of the order complex, -1 when it is empty: the size of
+        a longest chain, minus one. A longest chain is saturated, each
+        step a cover, so one pass over the covers in reverse index order
+        gives the steps of a longest chain starting at each element in
+        O(covers)."""
+        children = self._children
+        n = len(children)
+        steps = [0] * n
+        get = steps.__getitem__
+        for x in range(n - 1, -1, -1):
+            ps = children[x]
+            if ps:
+                steps[x] = max(map(get, ps)) + 1
+        return max(steps, default=-1)
 
     def chains(self, max_length: int | None = None) -> Iterator[tuple[int, ...]]:
         """Yield every chain (totally ordered subset) of size 1..max_length.

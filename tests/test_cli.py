@@ -641,6 +641,33 @@ class TestCurvature:
             "over the chain cap of 10000000\n"
         )
 
+    def test_only_curvature_and_report_count_past_the_2_skeleton(
+        self, capsys, tmp_path
+    ):
+        # a 5-chain has f = (5, 10, 10, 5, 1): a cap of 25 holds f0..f2
+        # but not the full f-vector, which curvature and report count,
+        # the one for its per-triangle output, the other to print it
+        f = tmp_path / "chain.json"
+        f.write_text(tower_poset_json(5))
+        cap = ("--chain-cap", "25")
+        rc, out, err = run(capsys, "chi", f, *cap)
+        assert (rc, err) == (0, "")
+        assert out.startswith("chi[delta] = 1\n")
+        note = "note: complex has dimension 4; curvature operates on its 2-skeleton\n"
+        rc, out, err = run(capsys, "gauss-bonnet", f, *cap)
+        assert (rc, err) == (0, note)
+        assert "residual = 0.0" in out
+        rc, out, err = run(capsys, "filtrate", f, *cap)
+        assert (rc, err) == (0, note)
+        assert out.startswith("threshold ")
+        for command in ("curvature", "report"):
+            rc, out, err = run(capsys, command, f, *cap)
+            assert (rc, out) == (4, ""), command
+            assert err == (
+                "error: order complex has 30 faces up to dimension 3, "
+                "over the chain cap of 25\n"
+            )
+
     def test_csv_columns(self, capsys, corpus_dir):
         rc, out, _ = run(
             capsys,
@@ -1316,12 +1343,16 @@ class TestPosetInput:
         assert out == "1000 elements, 999 cover pairs\n"
 
     def test_thousand_element_tower_stops_counting_at_the_cap(self, capsys, tmp_path):
-        # 2^1000 - 1 chains: counting stops at dimension 2, where the
-        # running total first passes the default cap
+        # 2^1000 - 1 chains: chi reads no face count past the edges, and
+        # report's count of the f-vector it prints stops at dimension 2,
+        # where the running total first passes the default cap
         f = tmp_path / "tower.json"
         f.write_text(tower_poset_json(1000))
         with time_limit(10):
             rc, out, err = run(capsys, "chi", "--chi-method", "delta", f)
+        assert (rc, out, err) == (0, "chi[delta] = 1\n", "")
+        with time_limit(10):
+            rc, out, err = run(capsys, "report", "--chi-method", "delta", f)
         assert rc == 4
         assert out == ""
         assert err == (

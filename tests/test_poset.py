@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -344,3 +345,81 @@ class TestChainCounts:
             assert_counts_match_oracles(
                 poset_from_hypernetwork(h, include_singletons=singletons)
             )
+
+
+def alternating_sum(counts) -> int:
+    return sum((-1) ** d * n for d, n in enumerate(counts))
+
+
+def assert_chi_and_dimension_match_counts(p):
+    """The Moebius pass gives the alternating sum of the counted f-vector
+    and of the brute chains' sizes, and the longest-chain pass gives the
+    top dimension of the counted f-vector."""
+    counts = p.chain_counts()
+    brute = Counter(len(c) for c in brute_chains(p.elements))
+    assert p.chain_euler_characteristic() == alternating_sum(counts)
+    assert alternating_sum(counts) == sum(
+        (-1) ** (k - 1) * n for k, n in brute.items()
+    )
+    assert p.chain_dimension() == len(counts) - 1
+
+
+def assert_cap_raises_as_chain_counts(p, cap):
+    raised = []
+    for count in (p.chain_counts, p.chain_euler_characteristic):
+        with pytest.raises(ChainCapExceeded) as caught:
+            count(cap=cap)
+        raised.append((caught.value.count, caught.value.cap, str(caught.value)))
+    assert raised[0] == raised[1]
+
+
+class TestChainEulerCharacteristic:
+    @pytest.mark.parametrize("singletons", [True, False])
+    def test_matches_counts_and_brute_chains_on_random_networks(self, singletons):
+        rng = random.Random(11 + singletons)
+        for i in range(60):
+            h = random_hypernetwork(rng, max_nodes=7, max_hypervertices=5)
+            p = poset_from_hypernetwork(h, include_singletons=singletons)
+            assert_chi_and_dimension_match_counts(p)
+            f0, f1 = len(p), p.comparable_pair_count()
+            # a cap below f0, then below f0 + f1, stops both counts alike
+            for cap in {f0 - 1, f0 + f1 - 1} - {-1, 0}:
+                assert_cap_raises_as_chain_counts(p, cap)
+            assert p.chain_euler_characteristic(cap=max(f0 + f1, 1)) == (
+                alternating_sum(p.chain_counts())
+            ), i
+
+    @pytest.mark.parametrize(
+        "sets",
+        [[], [F("a")], [F("a"), F("b"), F("c")], [F("a"), F("ab"), F("abc"), F("c")]],
+        ids=["empty", "single", "antichain", "chain-and-point"],
+    )
+    def test_matches_counts_on_small_shapes(self, sets):
+        assert_chi_and_dimension_match_counts(Poset.from_sets(sets))
+
+    def test_thousand_chain(self):
+        # 2^1000 - 1 chains, every one a face of one simplex: chi 1; the
+        # f-vector is the binomials C(1000, k + 1), too many to count
+        p = Poset.from_sets([F(range(k)) for k in range(1, 1001)])
+        assert p.chain_euler_characteristic() == 1
+        assert alternating_sum(math.comb(1000, k + 1) for k in range(1000)) == 1
+        assert p.chain_dimension() == 999
+        tower = Poset.from_sets([F(range(k)) for k in range(1, 41)])
+        assert tower.chain_euler_characteristic() == alternating_sum(
+            tower.chain_counts()
+        )
+        assert tower.chain_dimension() == len(tower.chain_counts()) - 1 == 39
+
+    def test_cap_stops_at_the_vertices_then_at_the_edges(self, example_net):
+        p = poset_from_hypernetwork(example_net)  # f = (6, 9, 4)
+        for cap, count, dim in ((5, 6, 0), (14, 15, 1)):
+            with pytest.raises(ChainCapExceeded) as caught:
+                p.chain_euler_characteristic(cap=cap)
+            assert (caught.value.count, caught.value.cap) == (count, cap)
+            assert str(caught.value) == (
+                f"order complex has {count} faces up to dimension {dim}, "
+                f"over the chain cap of {cap}"
+            )
+            assert_cap_raises_as_chain_counts(p, cap)
+        # f2 is never counted, so a cap of f0 + f1 holds
+        assert p.chain_euler_characteristic(cap=15) == 1
