@@ -135,8 +135,9 @@ def _poset_from_json_obj(obj) -> Poset:
             for i in pair:
                 if type(i) is not int or not 0 <= i < len(sets):
                     raise InputError(f"malformed 'covers' array: {i!r} is not an index")
-        translated = {(p.index_of(sets[q]), p.index_of(sets[r])) for q, r in pairs}
-        if translated != set(p.covers):
+        given = {(sets[q], sets[r]) for q, r in pairs}
+        e = p.elements
+        if given != {(e[q], e[c]) for q, cs in enumerate(p._children) for c in cs}:
             raise InputError("'covers' does not match the inclusion order")
     return p
 
@@ -200,38 +201,39 @@ class Analysis:
         )
 
     @cached_property
-    def f_vector(self) -> tuple[int, ...]:
-        """Face counts of the order complex at the requested skeleton,
-        counted without listing a chain; read only where
-        :attr:`counts_every_face` holds. More faces than the chain cap is
-        an error, raised at the dimension where the count passes it and
-        before any face is built."""
+    def face_counts(self) -> tuple[int, ...]:
+        """Face counts of the order complex, f0 first, from one
+        :meth:`Poset.chain_counts` call per run and without listing a
+        chain: where :attr:`counts_every_face` holds, every face at the
+        requested skeleton (the whole f-vector at the full skeleton), and
+        otherwise the faces up to dimension 2 alone, so any command may
+        read it. More faces than the chain cap is an error, raised at the
+        dimension where the count passes it and before any face is built."""
         skeleton = self.args.skeleton
-        return self.poset.chain_counts(
-            None if skeleton is None else skeleton + 1, cap=self.args.chain_cap
-        )
+        if skeleton is not None:
+            depth = skeleton + 1
+        else:
+            depth = None if self.counts_every_face else 3
+        return self.poset.chain_counts(depth, cap=self.args.chain_cap)
 
     @cached_property
     def curvature_counts(self) -> tuple[int, ...]:
-        """The face counts curvature reads, f0..f2: the f-vector cut to
-        dimension 2 where :attr:`counts_every_face` holds, and otherwise
-        a count up to dimension 2 alone, under the chain cap, with the
-        dimension taken from a longest chain. A note on stderr says when
-        the complex has faces above dimension 2."""
-        if self.counts_every_face:
-            counts, dim = self.f_vector[:3], len(self.f_vector) - 1
-        else:
-            counts = self.poset.chain_counts(3, cap=self.args.chain_cap)
-            dim = len(counts) - 1
-            if dim == 2:
-                dim = self.poset.chain_dimension()
+        """The face counts curvature reads, f0..f2: :attr:`face_counts` cut
+        to dimension 2, with the dimension taken from their length, or
+        from a longest chain where a count stopped at dimension 2 may have
+        left faces above it. A note on stderr says when the complex has
+        faces above dimension 2."""
+        counts = self.face_counts
+        dim = len(counts) - 1
+        if dim == 2 and not self.counts_every_face:
+            dim = self.poset.chain_dimension()
         if dim > 2:
             print(
                 f"note: complex has dimension {dim}; "
                 "curvature operates on its 2-skeleton",
                 file=sys.stderr,
             )
-        return counts
+        return counts[:3]
 
     @cached_property
     def counted_balance(self) -> CurvatureBalance:
@@ -287,7 +289,7 @@ class Analysis:
         if method == "delta":
             if not self.counts_every_face:
                 return self.poset.chain_euler_characteristic(cap=self.args.chain_cap)
-            return sum((-1) ** d * n for d, n in enumerate(self.f_vector))
+            return sum((-1) ** d * n for d, n in enumerate(self.face_counts))
         if method == "rank":
             if isinstance(self.rank, NotRanked):
                 return {"not_ranked": True, **self.rank_witness()}
@@ -303,33 +305,28 @@ class Analysis:
 
     @cached_property
     def directed(self) -> DirectedComplex:
-        """The directed-graph reading of the network, whose faces are
-        counted, not listed, against the chain cap."""
-        return directed_graph_complex(self.loaded.network, self.args.chain_cap)
+        """The directed-graph reading of the network under the chain cap:
+        :meth:`DirectedComplex.from_arcs` of one arc per hyperedge between
+        single-node hypervertices (a larger one raises :class:`InputError`),
+        its faces counted, not listed; callers check every hyperedge is directed."""
+        h = self.loaded.network
+        for hv in h.hypervertices:
+            if len(hv.nodes) > 1:
+                raise InputError(
+                    f"undirected edge encountered: hypervertex '{hv.id}' has "
+                    f"{len(hv.nodes)} nodes and its internal edges carry no direction"
+                )
+        labels = sorted(h.nodes)
+        idx = {n: i for i, n in enumerate(labels)}
+        node_of = {hv.id: next(iter(hv.nodes)) for hv in h.hypervertices}
+        arcs = [(idx[node_of[e.tail]], idx[node_of[e.head]]) for e in h.hyperedges]
+        return DirectedComplex.from_arcs(labels, arcs, self.args.chain_cap)
 
     def rank_witness(self) -> dict:
         return {
             "witness": self.poset.element_label(self.rank.element_index),
             "conflicting_ranks": list(self.rank.ranks),
         }
-
-
-def directed_graph_complex(h: Hypernetwork, cap: int | None = None) -> DirectedComplex:
-    """Directed-graph reading of a hypernetwork under ``cap``: the clique
-    complex :meth:`DirectedComplex.from_arcs` builds of one arc per
-    hyperedge between single-node hypervertices (a larger one raises
-    :class:`InputError`). The caller has checked that every hyperedge is directed."""
-    for hv in h.hypervertices:
-        if len(hv.nodes) > 1:
-            raise InputError(
-                f"undirected edge encountered: hypervertex '{hv.id}' has "
-                f"{len(hv.nodes)} nodes and its internal edges carry no direction"
-            )
-    labels = sorted(h.nodes)
-    idx = {n: i for i, n in enumerate(labels)}
-    node_of = {hv.id: next(iter(hv.nodes)) for hv in h.hypervertices}
-    arcs = [(idx[node_of[e.tail]], idx[node_of[e.head]]) for e in h.hyperedges]
-    return DirectedComplex.from_arcs(labels, arcs, cap)
 
 
 @dataclass(frozen=True)
@@ -582,26 +579,19 @@ def chi_cell(value):
     return value
 
 
-def edge_rows(a: Analysis) -> Iterator[tuple[str, int, int, int, int]]:
-    """(label, triangles, parallel, ric, closed form) per edge of the
-    table."""
-    labels = a.labels
-    for x, y, t, p, r, c in a.table.edges:
-        yield labels[x] + "|" + labels[y], t, p, r, c
-
-
 def curvature_lines(a: Analysis) -> list[str]:
+    labels = a.labels
     lines = [
-        f"edge {label}: triangles={t} parallel={p} ric={r} closed={c} "
-        + ("ok" if r == c else "MISMATCH")
-        for label, t, p, r, c in edge_rows(a)
+        f"edge {labels[x]}|{labels[y]}: triangles={t} parallel={p} ric={r} "
+        f"closed={c} " + ("ok" if r == c else "MISMATCH")
+        for x, y, t, p, r, c in a.table.edges
     ]
     lines += [
         f"vertex {label}: {_half_decimal(_twice_vertex_term(d))}"
-        for label, d in zip(a.labels, a.table.degrees)
+        for label, d in zip(labels, a.table.degrees)
     ]
     lines += [
-        f"triangle {x}|{y}|{z}: {TRIANGLE_TERM}" for x, y, z in a.triangles(a.labels)
+        f"triangle {x}|{y}|{z}: {TRIANGLE_TERM}" for x, y, z in a.triangles(labels)
     ]
     return lines
 
@@ -771,7 +761,10 @@ def cmd_curvature(a: Analysis) -> int:
         lambda: curvature_obj(a),
         lambda: (
             ("edge", "triangles", "parallel", "ric"),
-            (row[:4] for row in edge_rows(a)),
+            (
+                (a.labels[x] + "|" + a.labels[y], t, p, r)
+                for x, y, t, p, r, _ in a.table.edges
+            ),
         ),
     )
     return EXIT_OK
@@ -805,13 +798,7 @@ def cmd_gauss_bonnet(a: Analysis) -> int:
         "residual": _exact(report.residual),
         "triangle_term": TRIANGLE_TERM,
     }
-    rows = [
-        ("vertex_sum", str(report.vertex_sum)),
-        ("ricci_sum", report.ricci_sum),
-        ("triangle_sum", report.triangle_sum),
-        ("chi", report.chi),
-        ("residual", str(report.residual)),
-    ]
+    rows = [(k, v) for k, v in obj.items() if k != "triangle_term"]
     emit(a.args, lambda: human, lambda: obj, lambda: (("component", "value"), rows))
     return balance_status(report)
 
@@ -861,9 +848,9 @@ def cmd_report(a: Analysis) -> int:
         "rank": rank_obj,
         "chi": a.chi,
         "complex": {
-            "f_vector": list(a.f_vector),
-            "dim": len(a.f_vector) - 1,
-            "truncated_for_curvature": len(a.f_vector) > 3,
+            "f_vector": list(a.face_counts),
+            "dim": len(a.face_counts) - 1,
+            "truncated_for_curvature": len(a.face_counts) > 3,
         },
         "curvature": {
             **curvature_obj(a),

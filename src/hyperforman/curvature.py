@@ -105,15 +105,11 @@ def forman_ricci_closed(k: SimplicialComplex, e: Iterable[int]) -> int:
 
 def vertex_curvature(k: SimplicialComplex, v: int) -> Fraction:
     """Vertex term 1 + (3/2) deg(v) - deg(v)^2, exactly."""
-    return _vertex_term(k.degree(v))
+    return Fraction(_twice_vertex_term(k.degree(v)), 2)
 
 
 def _edge_term(triangles: int, deg_u: int, deg_v: int) -> int:
     return 3 * triangles + 4 - deg_u - deg_v
-
-
-def _vertex_term(degree: int) -> Fraction:
-    return Fraction(_twice_vertex_term(degree), 2)
 
 
 def _twice_vertex_term(degree: int) -> int:

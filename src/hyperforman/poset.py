@@ -184,13 +184,6 @@ class Poset:
     def element_label(self, i: int) -> str:
         return "{" + ",".join(map(str, self._members[i])) + "}"
 
-    def index_of(self, s: Iterable) -> int:
-        return self._index[frozenset(s)]
-
-    @cached_property
-    def _index(self) -> dict[frozenset, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
     @cached_property
     def covers(self) -> frozenset[tuple[int, int]]:
         """Index pairs ``(q, p)`` with p covering q, built when first read."""

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperforman import (
+    Poset,
     SimplicialComplex,
     cli,
     curvature_filtration,
@@ -545,7 +546,12 @@ class TestCurvature:
                 t, ric = len(k.triangles_containing(e)), forman_ricci(k, e)
                 closed = forman_ricci_closed(k, e)
                 expected.append((k.face_label(e), t, t + 2 - ric, ric, closed))
-            assert list(cli.edge_rows(a)) == expected, path.name
+            labels = a.labels
+            rows = [
+                (labels[x] + "|" + labels[y], t, p, r, c)
+                for x, y, t, p, r, c in a.table.edges
+            ]
+            assert rows == expected, path.name
 
     def test_star_all_zero(self, capsys, corpus_dir):
         rc, out, _ = run(
@@ -1307,6 +1313,133 @@ class TestWriterReference:
         assert curvature_text == json.dumps(curvature, indent=2, sort_keys=True) + "\n"
         filtration_json = json.dumps({"filtration": filtration}, indent=2, sort_keys=True)
         assert filtrate_text == filtration_json + "\n"
+
+
+class TestOneCountPerRun:
+    """Each run counts the faces of its order complex at most once, to the
+    depth its command reads, and chi at the full skeleton counts none."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        counts, moebius = Poset.chain_counts, Poset.chain_euler_characteristic
+
+        def chain_counts(p, max_length=None, cap=None):
+            calls.append(("chain_counts", max_length))
+            return counts(p, max_length, cap)
+
+        def chain_euler_characteristic(p, cap=None):
+            calls.append(("moebius",))
+            return moebius(p, cap)
+
+        monkeypatch.setattr(Poset, "chain_counts", chain_counts)
+        monkeypatch.setattr(
+            Poset, "chain_euler_characteristic", chain_euler_characteristic
+        )
+        return calls
+
+    @pytest.mark.parametrize("skeleton", [None, 0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "command", ["chi", "curvature", "gauss-bonnet", "filtrate", "report"]
+    )
+    @pytest.mark.parametrize("source", ["example", "tower"])
+    def test_count_route(
+        self, capsys, corpus_dir, tmp_path, calls, source, command, skeleton
+    ):
+        if source == "example":
+            path = corpus_path(corpus_dir, NET, "example.json")
+        else:
+            # V_k = {t_1..t_k} for k = 1..6: a complex of dimension 5
+            path = tmp_path / "tower.hnet"
+            path.write_text(
+                "".join(
+                    f"V{k}: " + " ".join(f"t{j}" for j in range(1, k + 1)) + "\n"
+                    for k in range(1, 7)
+                )
+            )
+        flags = () if skeleton is None else ("--skeleton", skeleton)
+        rc, out, _ = run(capsys, command, path, *flags)
+        assert rc in (0, 5) and out
+        if skeleton is not None:
+            expected = [("chain_counts", skeleton + 1)]
+        elif command == "chi":
+            expected = [("moebius",)]
+        elif command in ("curvature", "report"):
+            expected = [("chain_counts", None)]
+        else:
+            expected = [("chain_counts", 3)]
+        assert calls == expected
+
+
+class TestCsvMatchesJson:
+    """The ``--output csv`` rows hold the same values as ``--output json``,
+    each written as ``csv`` writes it."""
+
+    @staticmethod
+    def outputs(capsys, *argv) -> tuple[int, list[list[str]], dict | None]:
+        rc, out, _ = run(capsys, *argv, "--output", "csv")
+        rc_json, out_json, _ = run(capsys, *argv, "--output", "json")
+        assert rc == rc_json, argv
+        if not out_json:
+            return rc, [], None
+        return rc, list(csv.reader(io.StringIO(out))), json.loads(out_json)
+
+    @staticmethod
+    def expected(command: str, obj: dict) -> list[list[str]]:
+        if command == "validate":
+            rows = [[k, str(v)] for k, v in obj.items() if k != "kind"]
+        elif command == "chi":
+            cell = {type(None): "n/a", dict: "not-ranked"}
+            rows = [[m, cell.get(type(v), str(v))] for m, v in obj["chi"].items()]
+        elif command == "gauss-bonnet":
+            rows = [[k, str(v)] for k, v in obj.items() if k != "triangle_term"]
+        elif command == "filtrate":
+            return [
+                [str(x) for x in (s["threshold"], *s["f_vector"], s["chi"])]
+                for s in obj["filtration"]
+            ]
+        else:
+            return [
+                [e["edge"], str(e["triangles"]), str(e["parallel"]), str(e["ric"])]
+                for e in obj["edges"]
+            ]
+        # an object's keys are sorted in JSON but not in CSV
+        return sorted(rows)
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "chi", "gauss-bonnet", "filtrate", "curvature"]
+    )
+    def test_every_corpus_file(self, capsys, corpus_dir, command):
+        paths = sorted(corpus_dir.rglob("*.json")) + sorted(corpus_dir.rglob("*.hnet"))
+        for path in paths:
+            rc, rows, obj = self.outputs(capsys, command, path)
+            if obj is None:
+                # gauss-bonnet and filtrate refuse directed input
+                assert (rc, rows, path.parent.name) == (2, [], DIR), path.name
+                continue
+            body = rows[1:]
+            if command in ("validate", "chi", "gauss-bonnet"):
+                assert len({row[0] for row in body}) == len(body), path.name
+                body = sorted(body)
+            assert body == self.expected(command, obj), path.name
+
+    def test_directed(self, capsys, corpus_dir):
+        paths = sorted(corpus_dir.glob(f"{DIR}/*.json"))
+        assert paths
+        for path in paths:
+            for mode in ("transitive", "cyclic"):
+                rc, rows, obj = self.outputs(
+                    capsys, "curvature", path, "--directed", "--triangles", mode
+                )
+                assert rc == 0, path.name
+                d = obj["directed"]
+                expected = [["degree", x, str(n)] for x, n in d["degrees"].items()]
+                expected += [
+                    ["triangles", d["triangle_mode"], str(len(d["chosen_triangles"]))],
+                    ["chi_formula", "", str(d["chi_formula"])],
+                    ["chi_count", "", str(d["chi_count"])],
+                ]
+                assert rows[1:] == expected, (path.name, mode)
 
 
 class TestPosetInput:

@@ -169,7 +169,7 @@ class TestRankFunction:
             "a", "ab", "abc", "e", "ef", "g", "abcefg", "p", "pq", "r", "pqrstuv"
         )
         top = F("abcefg")
-        assert p.rank_function() == NotRanked(p.index_of(top), top, (1, 3))
+        assert p.rank_function() == NotRanked(p.elements.index(top), top, (1, 3))
 
 
 class TestRankedEuler:
