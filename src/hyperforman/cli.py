@@ -6,22 +6,28 @@ object with an ``elements`` key); the pipeline is input -> inclusion
 poset -> face counts of its order complex -> curvature. No command
 builds the order complex, and each counts only the faces it reads: at
 the default full skeleton, chi's delta is one Moebius pass over the up
-sets, gauss-bonnet and filtrate count the faces up to dimension 2 and
-take the dimension from a longest chain, and curvature and report count
-the whole f-vector. The per-edge curvature table, its balance and
-the filtration come from the poset's comparability bitsets and the face
-counts, gauss-bonnet reads its balance from the counts and the up and
-down sizes alone, and the triangle lines come from walking the chains
-x < y < z. ``--directed`` builds its directed graph complex once, as
-neighbour bitsets, and reads its counts.
+sets, curvature, gauss-bonnet and filtrate count the faces up to
+dimension 2 and take the dimension from a longest chain, and report
+counts the whole f-vector, which it prints. The per-edge curvature
+rows, their balance and the filtration come from the poset's
+comparability bitsets and the face counts, gauss-bonnet reads its
+balance from the counts and the up and down sizes alone, and the
+triangle lines come from walking the chains x < y < z. ``--directed``
+builds its directed graph complex once, as neighbour bitsets, and reads
+its counts.
 Each run builds one :class:`Analysis` that holds the loaded input and
 the flags and computes every stage lazily, at most once; the
-subcommands only format what it holds. Exit codes: 0 success, 2 invalid
+subcommands only format what it holds. Every stage that can fail runs
+before the first byte is written. The large sections (edges, vertices,
+triangles, filtration steps and the chosen directed triangles) are then
+written a chunk of :data:`_CHUNK` rows at a time, each from one row
+source through one template per format (the ``csv`` module for CSV), so
+a run holds one chunk of its output; curvature builds its edge rows as
+it writes them and holds no table. Exit codes: 0 success, 2 invalid
 input or configuration, 3 I/O failure (a stdout pipe whose reader has
-closed, before or during the write, a closed stdout descriptor and
-output that stdout's encoding cannot carry included, with one
-``error:`` line), 4 chain cap exceeded, 5 broken
-curvature/Euler balance.
+closed, before or during the write, a closed stdout descriptor and a
+label that stdout's encoding cannot carry included, with one ``error:``
+line), 4 chain cap exceeded, 5 broken curvature/Euler balance.
 
 ``main(argv)`` can be called many times in one process: the argument
 parser is built on the first call and reused, and :func:`build_parser`
@@ -34,15 +40,16 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import chain, repeat
+from functools import cache, cached_property, partial
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -54,6 +61,7 @@ from .curvature import (
     CurvatureTable,
     DirectedComplex,
     DirectionError,
+    EdgeRow,
     FiltrationStep,
     _twice_vertex_term,
     curvature_filtration,  # noqa: F401  not called here; perfbench/tracing.py patches it
@@ -61,6 +69,8 @@ from .curvature import (
     gauss_bonnet,  # noqa: F401  not called here; perfbench/tracing.py patches it
     poset_curvature_filtration,
     poset_curvature_table,
+    poset_degrees,
+    poset_edge_rows,
     poset_gauss_bonnet,
     two_skeleton,  # noqa: F401  not called here; perfbench/tracing.py patches it
     vertex_curvature,  # noqa: F401  not called here; perfbench/tracing.py patches it
@@ -192,23 +202,22 @@ class Analysis:
     def counts_every_face(self) -> bool:
         """Whether the run counts the whole f-vector at the requested
         skeleton: at a finite ``--skeleton``, and for ``report``, which
-        prints it, and ``curvature``, whose per-triangle output that
-        count bounds. At the full skeleton, ``chi`` counts no faces and
-        ``gauss-bonnet`` and ``filtrate`` count them up to dimension 2."""
-        return self.args.skeleton is not None or self.args.command in (
-            "curvature",
-            "report",
-        )
+        prints it. At the full skeleton, ``chi`` counts no faces and
+        ``curvature``, ``gauss-bonnet`` and ``filtrate`` count them up to
+        dimension 2, what they read; ``curvature``'s output is written a
+        chunk of rows at a time, so no count needs to bound it."""
+        return self.args.skeleton is not None or self.args.command == "report"
 
     @cached_property
     def face_counts(self) -> tuple[int, ...]:
         """Face counts of the order complex, f0 first, from one
         :meth:`Poset.chain_counts` call per run and without listing a
         chain: where :attr:`counts_every_face` holds, every face at the
-        requested skeleton (the whole f-vector at the full skeleton), and
-        otherwise the faces up to dimension 2 alone, so any command may
-        read it. More faces than the chain cap is an error, raised at the
-        dimension where the count passes it and before any face is built."""
+        requested skeleton (the whole f-vector at the full skeleton, for
+        ``report``), and otherwise the faces up to dimension 2 alone, so
+        any command may read it. More faces than the chain cap is an
+        error, raised at the dimension where the count passes it and
+        before any face is built."""
         skeleton = self.args.skeleton
         if skeleton is not None:
             depth = skeleton + 1
@@ -245,7 +254,8 @@ class Analysis:
     def table(self) -> CurvatureTable:
         """The per-edge curvature table and its balance, from the counts
         and the comparability bitsets: no chain is listed and no complex
-        is built."""
+        is built. ``report`` and ``filtrate`` read its rows twice, so they
+        hold it; ``curvature`` writes the same rows as they are built."""
         return poset_curvature_table(self.poset, self.curvature_counts)
 
     @cached_property
@@ -264,19 +274,28 @@ class Analysis:
         ``|`` are the body of the joined label."""
         return tuple(_quote(label)[1:-1] for label in self.labels)
 
-    def triangles(self, labels: tuple[str, ...]) -> Iterator[tuple[str, str, str]]:
+    def triangles(self, labels: Sequence[str]) -> Iterator[tuple[str, str, str]]:
         """The three labels, from ``labels``, of each triangle of the
-        complex the table reads, in the order :func:`order_complex` lists
-        them: the chains x < y < z, walked from the up sets."""
-        if self.table.dim < 2:
-            return
+        complex curvature reads, in the order :func:`order_complex` lists
+        them: the chains x < y < z, walked from the up sets and built as
+        one list per element x, as they are read."""
+        if len(self.curvature_counts) < 3:
+            return iter(())
         above = self.poset._above
-        for x, ups in enumerate(above):
-            first = labels[x]
-            for y in ups:
-                second = labels[y]
-                for z in above[y]:
-                    yield first, second, labels[z]
+
+        def per_element():
+            for x, ups in enumerate(above):
+                if not ups:
+                    continue
+                first = labels[x]
+                yield [
+                    (first, second, labels[z])
+                    for y in ups
+                    for second in (labels[y],)
+                    for z in above[y]
+                ]
+
+        return chain.from_iterable(per_element())
 
     @cached_property
     def chi(self) -> dict:
@@ -329,33 +348,52 @@ class Analysis:
         }
 
 
+# rows formatted and handed to stdout at a time, so an output holds one
+# chunk's text, whatever its size
+_CHUNK = 4096
+
+
+def _chunks(rows: Iterable) -> Iterator[list]:
+    """``rows`` in lists of :data:`_CHUNK`, the last one shorter."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK)):
+        yield chunk
+
+
 @dataclass(frozen=True)
 class _Rows:
     """A JSON array whose items share one shape, written with one ``%``
-    template for them all.
+    template for them all, a chunk of :data:`_CHUNK` rows at a time.
 
     ``item`` is that shape. A dict, with distinct ``str`` keys in sorted
     order (the order ``sort_keys`` writes), stands for objects; a ``str``
-    stands for arrays of any length, each entry of which it writes. Each
-    value of the dict, and the ``str``, is a ``%`` field giving the JSON
-    text of a value: ``"%d"`` for an int, ``'"%s"'`` for a string from its
+    stands for arrays of any length, each entry of which it writes, or,
+    with ``scalar``, for one value that the whole row fills. Each value
+    of the dict, and the ``str``, is a ``%`` field giving the JSON text
+    of a value: ``"%d"`` for an int, ``'"%s"'`` for a string from its
     escaped body, ``'"%s|%s"'`` for two bodies joined, ``"%s"`` for a JSON
     text, or a constant's text with every ``%`` doubled. A value of the
     dict may also be a tuple of such fields, which writes a nested array
     of that length. Each row is the tuple that fills one item's fields in
     order, a nested array's fields in their place; a row of the wrong
     width is a TypeError. The values are not checked: each must be what
-    its field says, since ``%d`` writes a float truncated.
+    its field says, since ``%d`` writes a float truncated. The rows may
+    be an iterator, read once, as they are written.
     """
 
     item: dict[str, str | tuple[str, ...]] | str
     rows: Iterable[tuple]
+    scalar: bool = False
 
     def __post_init__(self) -> None:
         item = self.item
         if isinstance(item, str):
             return
-        if not isinstance(item, dict) or not all(isinstance(k, str) for k in item):
+        if (
+            self.scalar
+            or not isinstance(item, dict)
+            or not all(isinstance(k, str) for k in item)
+        ):
             raise TypeError(f"row table item must be str or have str keys: {item!r}")
         keys = list(item)
         if any(a >= b for a, b in zip(keys, keys[1:])):
@@ -417,26 +455,45 @@ def _template(item, indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(item) + "\n" + indent + "]"
 
 
-def _rows_text(table: _Rows, indent: str) -> str:
-    """A row table as the JSON array it stands for: the item's template is
-    built once at the array's inner indent (once per length for arrays),
-    and each row fills it with one ``%``."""
-    inner, item = indent + "  ", table.item
+def _fill(table: _Rows, indent: str) -> Callable[[list], Iterable[str]]:
+    """The item texts of a chunk of ``table``'s rows, at ``indent``: each
+    row fills the item's template with one ``%``. An array's template is
+    built once per length, when a chunk first holds a row of it."""
+    item = table.item
+    if table.scalar:
+        return partial(map, item.__mod__)
     if isinstance(item, dict):
-        texts = list(map(_template(item, inner).__mod__, table.rows))
-    else:
-        rows = list(table.rows)
-        fill = {n: _template((item,) * n, inner) for n in set(map(len, rows))}
-        texts = list(map(str.__mod__, map(fill.__getitem__, map(len, rows)), rows))
-    return _array(texts, indent) if texts else "[]"
+        return partial(map, _template(item, indent).__mod__)
+    fill: dict[int, str] = {}
+
+    def texts(rows: list) -> Iterator[str]:
+        lengths = list(map(len, rows))
+        for n in set(lengths).difference(fill):
+            fill[n] = _template((item,) * n, indent)
+        return map(str.__mod__, map(fill.__getitem__, lengths), rows)
+
+    return texts
 
 
-def _write_json(value, indent: str, append) -> None:
-    """Hand ``value``'s JSON text at ``indent`` to ``append``, dispatched
-    on its exact type: a dict walks its sorted ``str`` keys, a list goes
+def _write_table(table: _Rows, indent: str, out: "_Writer") -> None:
+    """A row table as the JSON array it stands for, handed to ``out`` a
+    chunk of rows at a time."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    fill = _fill(table, inner)
+    lead, empty = "[\n" + inner, True
+    for chunk in _chunks(table.rows):
+        out.append_rows(lead + sep.join(fill(chunk)), chunk)
+        lead, empty = sep, False
+    out.append("[]" if empty else "\n" + indent + "]")
+
+
+def _write_json(value, indent: str, out: "_Writer") -> None:
+    """Hand ``value``'s JSON text at ``indent`` to ``out``, dispatched on
+    its exact type: a dict walks its sorted ``str`` keys, a list goes
     through :func:`_list_text`, a :class:`_Rows` table through
-    :func:`_rows_text`, and anything else through :func:`_scalar`."""
-    kind = type(value)
+    :func:`_write_table`, and anything else through :func:`_scalar`."""
+    kind, append = type(value), out.append
     if kind is dict:
         if not value:
             append("{}")
@@ -447,13 +504,13 @@ def _write_json(value, indent: str, append) -> None:
             if type(key) is not str:
                 raise TypeError(f"JSON object keys must be str, not {key!r}")
             append(sep + _quote(key) + ": ")
-            _write_json(value[key], inner, append)
+            _write_json(value[key], inner, out)
             sep = ",\n" + inner
         append("\n" + indent + "}")
     elif kind is list:
         append(_list_text(value, indent))
     elif kind is _Rows:
-        append(_rows_text(value, indent))
+        _write_table(value, indent, out)
     else:
         append(_scalar(value))
 
@@ -469,59 +526,154 @@ def _json_text(obj) -> str:
     :class:`_Rows` table, written as the array it stands for; and an int,
     str, bool or None. Anything else, a tuple, a float, a subclass of int
     or str and a list of mixed types or of lists included, is a TypeError.
+    The commands write the same text to stdout a chunk at a time, through
+    :func:`_emit_json`.
     """
-    chunks: list[str] = []
-    _write_json(obj, "", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
+    texts: list[str] = []
+    _emit_json(obj, texts.append)
+    return "".join(texts)
 
 
-def _write_out(text: str) -> None:
-    """Write ``text`` to stdout, all of it or an OSError.
+def _uncarried(ex: UnicodeEncodeError) -> OSError:
+    """The I/O failure for text that stdout's encoding cannot carry."""
+    bad = ex.object[ex.start : ex.end]
+    return OSError(f"standard output's encoding {ex.encoding} cannot carry {bad!a}")
+
+
+def _write_out(text: str, encoder, final: bool = False) -> None:
+    """Write one chunk of an output to stdout, all of it or an OSError.
 
     A text stream over a binary one drops the short count its buffer's
     ``write`` returns when a pipe's reader closes mid-write, so the rest
     of the output would be lost with no error. Here the text layer is
     flushed, and the encoded bytes go to the buffer until every byte is
-    out; a closed reader then raises BrokenPipeError. The whole text is
-    encoded before any of it is written, so text the stream's encoding
-    cannot carry is an OSError with nothing written. A stream with no
-    binary buffer under it (``io.StringIO``) takes the text as it is.
+    out; a closed reader then raises BrokenPipeError. ``encoder`` is the
+    output's one incremental encoder for stdout's encoding, so its chunks
+    give the bytes one encode of the whole text would, for an encoding
+    with state (UTF-16's byte order mark) too; ``final`` ends the output.
+    A chunk is encoded before any of it is written, so text the encoding
+    cannot carry is an OSError with nothing of that chunk written; the
+    commands that print labels in later chunks check them first, with
+    :func:`_check_labels`. With ``encoder`` None, stdout has no binary
+    buffer under it (``io.StringIO``) and takes the text as it is.
     """
     out = sys.stdout
-    buffer = getattr(out, "buffer", None)
-    if buffer is None:
+    if encoder is None:
         out.write(text)
         return
     out.flush()
     try:
-        data = memoryview(text.encode(out.encoding, out.errors))
+        data = memoryview(encoder.encode(text, final))
     except UnicodeEncodeError as ex:
-        bad = ex.object[ex.start : ex.end]
-        raise OSError(
-            f"standard output's encoding {ex.encoding} cannot carry {bad!a}"
-        ) from None
+        raise _uncarried(ex) from None
+    buffer = out.buffer
     while data:
         # a non-blocking raw stream returns None for "nothing written yet"
         data = data[buffer.write(data) or 0:]
+
+
+class _Writer:
+    """One output, handed on a chunk at a time.
+
+    :meth:`append` collects its text, and :meth:`flush` joins what was
+    collected and hands it to ``sink``, or by default writes it to stdout
+    through :func:`_write_out` with one encoder for the whole output. The
+    text of a chunk of rows goes through :meth:`append_rows`, which hands
+    it on when the chunk is full, so the output's size does not set what
+    it holds; a short chunk goes out with the text that follows it, and
+    :meth:`close` writes the rest."""
+
+    def __init__(self, sink: Callable[[str], None] | None = None):
+        self._pieces: list[str] = []
+        self.append = self._pieces.append
+        self._sink = sink
+        self._encoder = None
+        out = sys.stdout
+        if sink is None and getattr(out, "buffer", None) is not None:
+            self._encoder = codecs.getincrementalencoder(out.encoding)(out.errors)
+
+    def flush(self, final: bool = False) -> None:
+        text = "".join(self._pieces)
+        self._pieces.clear()
+        if self._sink is not None:
+            self._sink(text)
+        elif text or final:
+            _write_out(text, self._encoder, final)
+
+    def append_rows(self, text: str, rows: list) -> None:
+        """Collect the text of ``rows``, a chunk from :func:`_chunks`."""
+        self.append(text)
+        if len(rows) == _CHUNK:
+            self.flush()
+
+    def close(self) -> None:
+        self.flush(final=True)
+
+
+def _check_labels(labels: Sequence[str], printed: Iterable[int]) -> None:
+    """Before the first byte, raise the OSError that :func:`_write_out`
+    would raise for the first label, in ``printed`` order (indices of
+    ``labels``, as the output prints them), that stdout's encoding cannot
+    carry. The output's other text is ASCII, and each label starts and
+    ends with a brace, so that label holds the first text the encoding
+    cannot carry, and the error names the same characters; a run that
+    fails on it then writes nothing. The labels are encoded in one piece,
+    and walked in order only when that fails."""
+    out = sys.stdout
+    if getattr(out, "buffer", None) is None:
+        return
+    try:
+        "".join(labels).encode(out.encoding, out.errors)
+        return
+    except UnicodeEncodeError:
+        pass
+    for i in printed:
+        try:
+            labels[i].encode(out.encoding, out.errors)
+        except UnicodeEncodeError as ex:
+            raise _uncarried(ex) from None
+
+
+def _emit_json(obj, sink: Callable[[str], None] | None = None) -> None:
+    """Write ``obj`` as :func:`_json_text` writes it, a chunk of each row
+    table at a time, to stdout or to ``sink``."""
+    out = _Writer(sink)
+    _write_json(obj, "", out)
+    out.append("\n")
+    out.close()
+
+
+def _csv_text(rows: list[tuple]) -> str:
+    """``rows`` as the ``csv`` module writes them."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 def emit(args, human, json_obj, csv_table) -> None:
     """Write the report in the ``--output`` format. Each payload is a
     zero-argument callable and only the chosen one is called: ``human``
     gives the lines, ``json_obj`` the object, ``csv_table`` the header
-    and the rows."""
+    and the rows. The lines and the rows may be iterators, read once:
+    they are joined and written a chunk of :data:`_CHUNK` at a time, as
+    the object's :class:`_Rows` tables are."""
     if args.output == "json":
-        _write_out(_json_text(json_obj()))
-    elif args.output == "csv":
+        _emit_json(json_obj())
+        return
+    out = _Writer()
+    if args.output == "csv":
         header, rows = csv_table()
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _write_out(text.getvalue())
+        out.append(_csv_text([header]))
+        for chunk in _chunks(rows):
+            out.append_rows(_csv_text(chunk), chunk)
     else:
-        _write_out("\n".join(human()) + "\n")
+        # "\n".join of all the lines, a newline after them
+        lead = ""
+        for chunk in _chunks(human()):
+            out.append_rows(lead + "\n".join(chunk), chunk)
+            lead = "\n"
+        out.append("\n")
+    out.close()
 
 
 # -- formatting helpers ------------------------------------------------------
@@ -579,21 +731,43 @@ def chi_cell(value):
     return value
 
 
-def curvature_lines(a: Analysis) -> list[str]:
+def curvature_lines(
+    a: Analysis, degrees: Sequence[int], edges: Iterable[list[EdgeRow]]
+) -> Iterator[str]:
+    """The human curvature report's lines: one per edge of ``edges``
+    (lists of :data:`EdgeRow`), per vertex, from its degree in
+    ``degrees``, and per triangle of :meth:`Analysis.triangles`, formatted
+    a list at a time as they are read."""
     labels = a.labels
-    lines = [
-        f"edge {labels[x]}|{labels[y]}: triangles={t} parallel={p} ric={r} "
-        f"closed={c} " + ("ok" if r == c else "MISMATCH")
-        for x, y, t, p, r, c in a.table.edges
-    ]
-    lines += [
-        f"vertex {label}: {_half_decimal(_twice_vertex_term(d))}"
-        for label, d in zip(labels, a.table.degrees)
-    ]
-    lines += [
-        f"triangle {x}|{y}|{z}: {TRIANGLE_TERM}" for x, y, z in a.triangles(labels)
-    ]
-    return lines
+    edge_lines = (
+        [
+            f"edge {labels[x]}|{labels[y]}: triangles={t} parallel={p} ric={r} "
+            f"closed={c} {'ok' if r == c else 'MISMATCH'}"
+            for x, y, t, p, r, c in rows
+        ]
+        for rows in edges
+    )
+    vertex_lines = (
+        [f"vertex {label}: {_half_decimal(_twice_vertex_term(d))}" for label, d in rows]
+        for rows in _chunks(zip(labels, degrees))
+    )
+    term = f": {TRIANGLE_TERM}"
+    triangle_lines = (
+        [f"triangle {x}|{y}|{z}{term}" for x, y, z in rows]
+        for rows in _chunks(a.triangles(labels))
+    )
+    return chain.from_iterable(chain(edge_lines, vertex_lines, triangle_lines))
+
+
+def curvature_csv(a: Analysis, edges: Iterable[list[EdgeRow]]) -> tuple:
+    """The curvature CSV's header and its row per edge of ``edges``, the
+    rows built a list at a time as they are read."""
+    labels = a.labels
+    rows = (
+        [(f"{labels[x]}|{labels[y]}", t, p, r) for x, y, t, p, r, _ in rows]
+        for rows in edges
+    )
+    return ("edge", "triangles", "parallel", "ric"), chain.from_iterable(rows)
 
 
 # one item of each curvature array, as :class:`_Rows` fields
@@ -610,25 +784,28 @@ _TRIANGLE = {"term": _scalar(TRIANGLE_TERM), "triangle": '"%s|%s|%s"'}
 _MATCH = ("false", "true")
 
 
-def curvature_obj(a: Analysis) -> dict:
+def curvature_obj(
+    a: Analysis, degrees: Sequence[int], edges: Iterable[list[EdgeRow]]
+) -> dict:
     """The curvature table as JSON: the edge, vertex and triangle arrays,
-    each a :class:`_Rows` table filled straight from the table's index
-    rows, its degrees and the triangle walk with the escaped labels, with
-    no per-row dict and no label joined before the template joins it."""
+    each a :class:`_Rows` table filled from ``edges`` (lists of
+    :data:`EdgeRow`), ``degrees`` and the triangle walk with the escaped
+    labels as it is written, with no per-row dict and no label joined
+    before the template joins it."""
     q = a.quoted_labels
     return {
         "edges": _Rows(
             _EDGE,
-            [
-                (q[x], q[y], _MATCH[r == c], p, r, c, t)
-                for x, y, t, p, r, c in a.table.edges
-            ],
+            chain.from_iterable(
+                [(q[x], q[y], _MATCH[r == c], p, r, c, t) for x, y, t, p, r, c in rows]
+                for rows in edges
+            ),
         ),
         "vertices": _Rows(
             _VERTEX,
             [
                 (_scalar(_half_exact(_twice_vertex_term(d))), label)
-                for label, d in zip(q, a.table.degrees)
+                for label, d in zip(q, degrees)
             ],
         ),
         "triangles": _Rows(_TRIANGLE, a.triangles(q)),
@@ -695,7 +872,8 @@ def _directed_section(a: Analysis) -> tuple:
     """The directed report of :attr:`Analysis.directed`: the human lines,
     the JSON object and the CSV rows, each a zero-argument callable for
     :func:`emit`. All three read the complex's counts; only the JSON
-    object walks the chosen triangles, for their labels."""
+    object walks the chosen triangles, a :class:`_Rows` table of their
+    escaped labels, written as they are walked."""
     args, dc = a.args, a.directed
     degree, mode = args.degree or "out", args.triangles or "transitive"
     labels, degs, chosen = dc.labels, dc.io_degrees(degree), dc.triangle_count(mode)
@@ -711,11 +889,14 @@ def _directed_section(a: Analysis) -> tuple:
         ]
 
     def obj() -> dict:
+        quoted = [_quote(x)[1:-1] for x in labels]
         return {
             "degree_mode": degree,
             "triangle_mode": mode,
             "degrees": dict(zip(labels, degs)),
-            "chosen_triangles": list(map("|".join, dc.directed_triangles(mode))),
+            "chosen_triangles": _Rows(
+                '"%s|%s|%s"', dc.directed_triangles(mode, quoted), scalar=True
+            ),
             "chi_formula": _exact(formula),
             "chi_count": count,
         }
@@ -743,6 +924,10 @@ def _check_directed_flags(args, loaded: Loaded) -> None:
 
 
 def cmd_curvature(a: Analysis) -> int:
+    """Every stage runs, and the labels are checked against stdout's
+    encoding, before the first byte. The edge rows are then built from
+    the bitsets as they are written, each read once, so no table is
+    held."""
     args = a.args
     _check_directed_flags(args, a.loaded)
     if args.directed:
@@ -755,17 +940,24 @@ def cmd_curvature(a: Analysis) -> int:
         )
         return EXIT_OK
 
+    p, counts = a.poset, a.curvature_counts
+    degrees = poset_degrees(p, counts)
+    edges = poset_edge_rows(p, counts, degrees)
+    if args.output != "json":
+        # the label of each edge's ends, edge by edge; then each vertex's
+        printed = ()
+        if len(counts) > 1:
+            printed = chain.from_iterable(
+                (x, *ups) for x, ups in enumerate(p._above) if ups
+            )
+        if args.output == "human":
+            printed = chain(printed, range(len(p)))
+        _check_labels(a.labels, printed)
     emit(
         args,
-        lambda: curvature_lines(a),
-        lambda: curvature_obj(a),
-        lambda: (
-            ("edge", "triangles", "parallel", "ric"),
-            (
-                (a.labels[x] + "|" + a.labels[y], t, p, r)
-                for x, y, t, p, r, _ in a.table.edges
-            ),
-        ),
+        lambda: curvature_lines(a, degrees, edges),
+        lambda: curvature_obj(a, degrees, edges),
+        lambda: curvature_csv(a, edges),
     )
     return EXIT_OK
 
@@ -825,6 +1017,9 @@ def cmd_filtrate(a: Analysis) -> int:
 
 
 def cmd_report(a: Analysis) -> int:
+    """Every stage, the balance included, runs before the first byte; the
+    row tables are then written a chunk at a time, the edges from the one
+    table the balance and the filtration read."""
     args = a.args
     _check_directed_flags(args, a.loaded)
     if isinstance(a.rank, RankFunction):
@@ -853,7 +1048,7 @@ def cmd_report(a: Analysis) -> int:
             "truncated_for_curvature": len(a.face_counts) > 3,
         },
         "curvature": {
-            **curvature_obj(a),
+            **curvature_obj(a, report.degrees, _chunks(report.edges)),
             "sums": {
                 "vertex": _exact(report.vertex_sum),
                 "ricci": report.ricci_sum,
@@ -867,7 +1062,7 @@ def cmd_report(a: Analysis) -> int:
     }
     if args.directed:
         obj["directed"] = _directed_section(a)[1]()
-    _write_out(_json_text(obj))
+    _emit_json(obj)
     return balance_status(report)
 
 
@@ -934,10 +1129,10 @@ def _add_common(
             help="cap on the faces of the order complex the command reads, "
             "counted before any face is built: every face at the requested "
             "skeleton, but at the full skeleton only the vertices and edges "
-            "for chi and the faces up to dimension 2 for gauss-bonnet and "
-            "filtrate; on the faces of the --directed complex, counted before "
-            "any triangle is listed; and on the intersections geometric chi "
-            "visits (default: %(default)s)",
+            "for chi and the faces up to dimension 2 for curvature, "
+            "gauss-bonnet and filtrate; on the faces of the --directed "
+            "complex, counted before any triangle is listed; and on the "
+            "intersections geometric chi visits (default: %(default)s)",
         )
 
 

@@ -253,52 +253,82 @@ def _comparability_masks(above: Sequence[Sequence[int]]) -> list[int]:
     return masks
 
 
-def poset_curvature_table(p: "Poset", f: Sequence[int]) -> CurvatureTable:
-    """The per-edge curvature table and the balance of :func:`gauss_bonnet`
-    on the order complex of p, from comparability bitsets, with no chain
-    listed.
+def poset_degrees(p: "Poset", f: Sequence[int]) -> list[int]:
+    """The degree of each element in the order complex of p at the
+    skeleton ``f`` was counted at: deg x = |below x| + |above x|, read
+    from the poset's up and down sizes, or 0 without edges (fewer than 2
+    entries in ``f``)."""
+    if len(f) < 2:
+        return [0] * len(p._above)
+    return list(map(add, *_down_up(p._above)))
 
-    ``f`` is the counted f-vector at the chosen skeleton, as for
-    :func:`poset_gauss_bonnet`; its length says which faces the complex
-    has (no edges below 2 entries, no triangles below 3). The order
-    complex is the clique complex of the comparability graph, since
-    three pairwise comparable elements form a chain. So with N[x] the
-    neighbours of x, the triangles on an edge x < y are its common
+
+def poset_edge_rows(
+    p: "Poset", f: Sequence[int], degrees: Sequence[int]
+) -> Iterator[list[EdgeRow]]:
+    """The :data:`EdgeRow` of each edge of the order complex of p at the
+    skeleton ``f`` was counted at, from comparability bitsets, with no
+    chain listed: one list per element x below another, of its edges
+    x < y in ascending y, built as it is read, so a caller that reads each row
+    once holds one element's rows and the bitsets.
+
+    ``f`` is the counted f-vector, as for :func:`poset_gauss_bonnet`; its
+    length says which faces the complex has (no edges below 2 entries,
+    no triangles below 3), and ``degrees`` are :func:`poset_degrees`.
+    The order complex is the clique complex of the comparability graph,
+    since three pairwise comparable elements form a chain. So with N[x]
+    the neighbours of x, the triangles on an edge x < y are its common
     neighbours, T = |N[x] & N[y]|. The parallels of x < y are the edges
     meeting it in one vertex that lie in no triangle on it: the
     neighbours of exactly one end, |N[x] ^ N[y]| - 2 (x and y are in
-    it), plus, without triangles, two edges per common neighbour. Then
-    ric = T - parallels + 2 by its definition. The degrees are taken
-    from the poset's up and down sizes, deg x = |below x| + |above x|,
-    not from the bitsets, and the closed form 3T + 4 - deg x - deg y is
-    evaluated from T and those degrees. The CLI's ``match`` column
-    compares the two, so it fails wherever N[x] or N[y] disagrees with
-    the store.
+    it), plus, without triangles, two edges per common neighbour. The
+    first is |N[x]| + |N[y]| - 2T - 2, so each edge takes one ``&`` of
+    two bitsets, and none without triangles. Then ric = T - parallels + 2
+    by its definition, and the closed form 3T + 4 - deg x - deg y is
+    evaluated from T and ``degrees``, not from the bitsets. The CLI's
+    ``match`` column compares the two, so it fails wherever N[x] or N[y]
+    disagrees with the store. Time is O(f1 * |P| / 64) word operations.
+    """
+    if len(f) < 2:
+        return
+    above = p._above
+    masks = _comparability_masks(above)
+    sizes = list(map(int.bit_count, masks))
+    triangles = len(f) > 2
+    for x, ups in enumerate(above):
+        if not ups:
+            continue
+        mx, nx, dx = masks[x], sizes[x] - 2, degrees[x]
+        if triangles:
+            yield [
+                (
+                    x,
+                    y,
+                    t := (mx & masks[y]).bit_count(),
+                    q := nx + sizes[y] - 2 * t,
+                    t - q + 2,
+                    3 * t + 4 - dx - degrees[y],
+                )
+                for y in ups
+            ]
+        else:
+            yield [
+                (x, y, 0, q := nx + sizes[y], 2 - q, 4 - dx - degrees[y])
+                for y in ups
+            ]
+
+
+def poset_curvature_table(p: "Poset", f: Sequence[int]) -> CurvatureTable:
+    """The per-edge curvature table and the balance of :func:`gauss_bonnet`
+    on the order complex of p, from :func:`poset_edge_rows`, for callers
+    that read the rows more than once.
 
     The sums come from the table and chi and the triangle sum from f,
     so the residual is zero only when the bitsets agree with the chain
-    counts. Time is O(f1 * |P| / 64) word operations and memory one
-    row per edge and one |P|-bit int per element.
+    counts. Memory is one row per edge and one |P|-bit int per element.
     """
-    above = p._above
-    rows: list[EdgeRow] = []
-    if len(f) < 2:
-        degrees = [0] * len(above)
-    else:
-        triangles = len(f) > 2
-        masks = _comparability_masks(above)
-        degrees = list(map(add, *_down_up(above)))
-        append = rows.append
-        for x, ups in enumerate(above):
-            mx, dx = masks[x], degrees[x]
-            for y in ups:
-                my = masks[y]
-                t = (mx & my).bit_count()
-                parallels = (mx ^ my).bit_count() - 2
-                if not triangles:
-                    parallels, t = parallels + 2 * t, 0
-                ric = t - parallels + 2
-                append((x, y, t, parallels, ric, _edge_term(t, dx, degrees[y])))
+    degrees = poset_degrees(p, f)
+    rows = list(chain.from_iterable(poset_edge_rows(p, f, degrees)))
     return _balanced(
         CurvatureTable,
         degrees,
@@ -474,25 +504,39 @@ class DirectedComplex:
         """The number of triangles :meth:`directed_triangles` yields."""
         return self._triangle_counts[_is_cyclic(mode)]
 
-    def directed_triangles(self, mode: TriangleMode) -> Iterator[tuple[str, str, str]]:
+    def directed_triangles(
+        self, mode: TriangleMode, labels: Sequence[str] | None = None
+    ) -> Iterator[tuple[str, str, str]]:
         """The three labels of each triangle u < v < w, in sorted order,
         whose edges orient coherently in the given mode: u->v, v->w, u->w
-        for transitive, u->v, v->w, w->u for cyclic.
+        for transitive, u->v, v->w, w->u for cyclic. The labels are read
+        from ``labels``, one per vertex (the complex's own by default).
 
         Walked from the bitsets: the third vertices over the edge u < v
         are the common neighbours above v, and those that close a cycle
         are the heads of v and tails of u when u -> v, the tails of v
-        and heads of u when v -> u.
+        and heads of u when v -> u. The triangles over each edge are
+        built as one list, as they are read.
         """
         cyclic = _is_cyclic(mode)
-        labels, out, into = self.labels, self._out, self._in
+        if labels is None:
+            labels = self.labels
+        return chain.from_iterable(self._triangle_lists(cyclic, labels))
+
+    def _triangle_lists(
+        self, cyclic: bool, labels: Sequence[str]
+    ) -> Iterator[list[tuple[str, str, str]]]:
+        out, into = self._out, self._in
         for u, (out_u, in_u) in enumerate(zip(out, into)):
             above_u = (out_u | in_u) >> (u + 1) << (u + 1)
+            lu = labels[u]
             for v in _bits(above_u):
                 common = above_u & (out[v] | into[v]) >> (v + 1) << (v + 1)
                 closing = out[v] & in_u if out_u >> v & 1 else into[v] & out_u
-                for w in _bits(common & closing if cyclic else common & ~closing):
-                    yield labels[u], labels[v], labels[w]
+                chosen = common & closing if cyclic else common & ~closing
+                if chosen:
+                    lv = labels[v]
+                    yield [(lu, lv, labels[w]) for w in _bits(chosen)]
 
     def directed_euler_formula(
         self, degree: DegreeMode, triangles: TriangleMode

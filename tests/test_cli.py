@@ -638,21 +638,21 @@ class TestCurvature:
         rc, out, _ = run(capsys, "gauss-bonnet", f, *flags)
         assert rc == 0
         assert "residual = 0.0" in out
-        # counting stops at dimension 9, where C(26, 1) + ... + C(26, 10)
-        # first passes the cap
-        rc, _, err = run(capsys, "curvature", f, "--no-singletons")
-        assert rc == 4
+        # the full skeleton counts the faces up to dimension 2 and takes
+        # the dimension from a longest chain, so it prints the same rows;
+        # counting them all would stop at dimension 9, where
+        # C(26, 1) + ... + C(26, 10) first passes the cap
+        rc, human, err = run(capsys, "curvature", f, *flags)
+        assert (rc, err) == (0, "")
+        rc, out, err = run(capsys, "curvature", f, "--no-singletons")
+        assert (rc, out) == (0, human)
         assert err == (
-            "error: order complex has 10970271 faces up to dimension 9, "
-            "over the chain cap of 10000000\n"
+            "note: complex has dimension 25; curvature operates on its 2-skeleton\n"
         )
 
-    def test_only_curvature_and_report_count_past_the_2_skeleton(
-        self, capsys, tmp_path
-    ):
+    def test_only_report_counts_past_the_2_skeleton(self, capsys, tmp_path):
         # a 5-chain has f = (5, 10, 10, 5, 1): a cap of 25 holds f0..f2
-        # but not the full f-vector, which curvature and report count,
-        # the one for its per-triangle output, the other to print it
+        # but not the full f-vector, which only report counts, to print it
         f = tmp_path / "chain.json"
         f.write_text(tower_poset_json(5))
         cap = ("--chain-cap", "25")
@@ -666,13 +666,16 @@ class TestCurvature:
         rc, out, err = run(capsys, "filtrate", f, *cap)
         assert (rc, err) == (0, note)
         assert out.startswith("threshold ")
-        for command in ("curvature", "report"):
-            rc, out, err = run(capsys, command, f, *cap)
-            assert (rc, out) == (4, ""), command
-            assert err == (
-                "error: order complex has 30 faces up to dimension 3, "
-                "over the chain cap of 25\n"
-            )
+        rc, out, err = run(capsys, "curvature", f, *cap)
+        assert (rc, err) == (0, note)
+        assert out == run(capsys, "curvature", f, "--skeleton", "2")[1]
+        assert out.count("\ntriangle ") == 10
+        rc, out, err = run(capsys, "report", f, *cap)
+        assert (rc, out) == (4, "")
+        assert err == (
+            "error: order complex has 30 faces up to dimension 3, "
+            "over the chain cap of 25\n"
+        )
 
     def test_csv_columns(self, capsys, corpus_dir):
         rc, out, _ = run(
@@ -1242,20 +1245,28 @@ NODE_NAMES = st.lists(
 ).map("".join)
 
 
+# node names the csv module quotes, or may, by its version
+CSV_NAMES = st.lists(
+    st.sampled_from(['"', ",", "\r", "\n", "\r\n", " ", "|", "\u00e9", "a"]),
+    min_size=1,
+    max_size=3,
+).map("".join)
+
+
 @st.composite
-def hostile_inputs(draw):
+def hostile_inputs(draw, node_names=NODE_NAMES):
     """A hypernetwork or poset input object whose node names are drawn
-    from :data:`NODE_NAMES`."""
+    from ``node_names``, by default :data:`NODE_NAMES`."""
     if draw(st.booleans()):
         obj = network_json_obj(draw(hypernetworks()))
         n = len(obj["nodes"])
-        names = draw(st.lists(NODE_NAMES, min_size=n, max_size=n, unique=True))
+        names = draw(st.lists(node_names, min_size=n, max_size=n, unique=True))
         rename = dict(zip(obj["nodes"], names))
         obj["nodes"] = names
         for hv in obj["hypervertices"]:
             hv["nodes"] = [rename[x] for x in hv["nodes"]]
         return obj
-    names = draw(st.lists(NODE_NAMES, min_size=1, max_size=5, unique=True))
+    names = draw(st.lists(node_names, min_size=1, max_size=5, unique=True))
     sets = st.frozensets(st.sampled_from(names))
     elements = draw(st.lists(sets, unique=True, max_size=6))
     return {"elements": [sorted(e) for e in elements]}
@@ -1266,6 +1277,18 @@ TOWER = {
     "hypervertices": [
         {"id": "V1", "nodes": ["a", "b"]},
         {"id": "V2", "nodes": ["a", "b", "c"]},
+    ],
+}
+
+
+# labels the csv module quotes, with a quote to double, and on some
+# versions only (a lone carriage return)
+CSV_CELLS = {
+    "nodes": ["a,b", 'c"', "d\r", "e\n"],
+    "hypervertices": [
+        {"id": "V1", "nodes": ["a,b", 'c"']},
+        {"id": "V2", "nodes": ["d\r", "e\n"]},
+        {"id": "V3", "nodes": ["a,b", 'c"', "d\r"]},
     ],
 }
 
@@ -1313,6 +1336,90 @@ class TestWriterReference:
         assert curvature_text == json.dumps(curvature, indent=2, sort_keys=True) + "\n"
         filtration_json = json.dumps({"filtration": filtration}, indent=2, sort_keys=True)
         assert filtrate_text == filtration_json + "\n"
+
+    @example(CSV_CELLS, None)
+    @given(hostile_inputs(CSV_NAMES), st.sampled_from([None, 0, 1, 2]))
+    @settings(deadline=None)
+    def test_curvature_csv_is_what_the_csv_module_writes(self, obj, skeleton):
+        # the rows, written a chunk at a time, read as one writerows call
+        flags = [] if skeleton is None else ["--skeleton", str(skeleton)]
+        with TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "input.json")
+            Path(path).write_text(json.dumps(obj))
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                assert main(["curvature", path, "--output", "csv", *flags]) == 0
+                a = cli.Analysis(cli._parser().parse_args(["curvature", path, *flags]))
+                labels = a.labels
+                rows = [
+                    (labels[x] + "|" + labels[y], t, p, r)
+                    for x, y, t, p, r, _ in a.table.edges
+                ]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("edge", "triangles", "parallel", "ric"))
+        writer.writerows(rows)
+        assert out.getvalue() == expected.getvalue()
+
+
+class TestChunkBoundaries:
+    """The streamed sections give the same bytes whatever the chunk size:
+    with one row per chunk, every row is written on its own."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("curvature",),
+            ("curvature", "--output", "csv"),
+            ("curvature", "--output", "json"),
+            ("curvature", "--directed", "--output", "json"),
+            ("filtrate", "--output", "json"),
+            ("report",),
+        ],
+        ids=" ".join,
+    )
+    def test_one_row_per_chunk_writes_the_same_bytes(
+        self, capsys, corpus_dir, monkeypatch, argv
+    ):
+        paths = sorted(corpus_dir.rglob("*.json")) + sorted(corpus_dir.rglob("*.hnet"))
+        writes = []
+        write_out = cli._write_out
+
+        def counting(text, *args):
+            writes.append(text)
+            write_out(text, *args)
+
+        def outputs() -> list[tuple[tuple, int]]:
+            results = []
+            for path in paths:
+                writes.clear()
+                results.append((run(capsys, argv[0], path, *argv[1:]), len(writes)))
+            return results
+
+        monkeypatch.setattr(cli, "_write_out", counting)
+        expected = outputs()
+        assert any(rc == 0 for (rc, _, _), _ in expected)
+        monkeypatch.setattr(cli, "_CHUNK", 1)
+        chunked = outputs()
+        assert [out for out, _ in chunked] == [out for out, _ in expected]
+        # the example's rows, more than one of each table, go one per write
+        example = paths.index(corpus_dir / NET / "example.json")
+        if expected[example][0][0] == 0:
+            assert chunked[example][1] > expected[example][1] + 1
+
+    def test_an_encoding_with_state_writes_one_encode_of_the_text(
+        self, capsys, corpus_dir, monkeypatch
+    ):
+        # UTF-16 starts with a byte order mark, once per output, not per chunk
+        example = corpus_path(corpus_dir, NET, "example.json")
+        rc, text, _ = run(capsys, "curvature", example)
+        assert rc == 0
+        monkeypatch.setattr(cli, "_CHUNK", 1)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-16")
+        with redirect_stdout(stdout):
+            assert main(["curvature", str(example)]) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == text.encode("utf-16")
 
 
 class TestOneCountPerRun:
@@ -1364,7 +1471,7 @@ class TestOneCountPerRun:
             expected = [("chain_counts", skeleton + 1)]
         elif command == "chi":
             expected = [("moebius",)]
-        elif command in ("curvature", "report"):
+        elif command == "report":
             expected = [("chain_counts", None)]
         else:
             expected = [("chain_counts", 3)]
@@ -1973,6 +2080,34 @@ class TestOutputEncoding:
         line = f"error: standard output's encoding {encoding} cannot carry "
         assert proc.stderr.startswith(line.encode())
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"'\n")
+
+    @pytest.mark.parametrize("output", ["human", "csv"])
+    def test_an_uncarried_label_after_the_first_chunk_exits_3_with_one_line(
+        self, tmp_path, output
+    ):
+        # the hub's edges come first, and its edge to {hub,zé} is the last
+        # of them, so the one label ASCII cannot carry is printed only
+        # after the first chunk of rows; it is checked before any is
+        # written
+        f = tmp_path / "late.hnet"
+        leaves = [f"p{i:04d}" for i in range(cli._CHUNK + 100)] + ["z\u00e9"]
+        f.write_text(
+            "".join(f"V{i}: hub {p}\n" for i, p in enumerate(leaves)), encoding="utf-8"
+        )
+        argv = [sys.executable, "-m", "hyperforman.cli", "curvature", str(f)]
+        argv += ["--output", output]
+        env = dict(os.environ, PYTHONIOENCODING="utf-8")
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        lines = proc.stdout.decode().splitlines()
+        first = next(i for i, line in enumerate(lines) if "\u00e9" in line)
+        assert first > cli._CHUNK
+        env["PYTHONIOENCODING"] = "ascii"
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr == (
+            b"error: standard output's encoding ascii cannot carry '\\xe9'\n"
+        )
 
     @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
     @pytest.mark.parametrize("kind", ["undirected", "directed"])
