@@ -16,11 +16,14 @@ subface, an empty top bucket or vertices that do not match the labels
 would each make the rebuild differ), that the curvature balance
 closes exactly, that at skeleton 0, 1 and 2 the balance read from the poset's counts (``poset_gauss_bonnet``,
 as ``gauss-bonnet`` prints it) equals the one taken on that skeleton of
-the order complex, and so do the per-edge table, the balance and the
-filtration counted from comparability bitsets (``poset_curvature_table``
-and ``poset_curvature_filtration``, as ``curvature``, ``filtrate`` and
-``report`` print them), row for row against ``gauss_bonnet``, the
-closed form and ``curvature_filtration`` on that skeleton, and that on
+the order complex, and so do the per-edge table and its balance
+counted from comparability bitsets (``poset_curvature_table``, as
+``curvature`` and ``report`` print them) and the filtration on both
+routes the CLI takes (``poset_curvature_filtration`` from the bitsets
+and counts, as ``filtrate`` prints it, and ``CurvatureTable.filtration``
+from the table's rows, as ``report`` prints it), row for row against
+``gauss_bonnet``, the closed form and ``curvature_filtration`` on that
+skeleton, and that on
 every edge of the order complex's
 2-skeleton the balance's curvature (filled in one walk of the edge
 index) equals the per-edge definitional route ``forman_ricci``, the
@@ -359,14 +362,17 @@ def main() -> int:
                     f"complex gives {rows} with degrees {list(cut._degrees)}",
                     h,
                 )
-            steps = poset_curvature_filtration(table)
             expected = curvature_filtration(cut, cut_report.ricci)
-            if steps != expected:
-                return fail(
-                    f"network {i}, skeleton {skeleton}: counted filtration "
-                    f"{steps} but on the complex {expected}",
-                    h,
-                )
+            for route, steps in (
+                ("bitsets", poset_curvature_filtration(p, f)),
+                ("table rows", table.filtration()),
+            ):
+                if steps != expected:
+                    return fail(
+                        f"network {i}, skeleton {skeleton}: filtration from "
+                        f"the {route} {steps} but on the complex {expected}",
+                        h,
+                    )
         for e in k.edges:
             ric, per_edge = report.ricci[e], forman_ricci(k, e)
             closed, brute = forman_ricci_closed(k, e), brute_ricci(k, e)
@@ -402,7 +408,8 @@ def main() -> int:
         f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "
         f"the balance's curvature table, the per-edge definitional route and "
         f"the closed form agree with the brute count, the counted tables and "
-        f"filtrations equal the complex route at skeleton 0, 1 and 2, geometric chi "
+        f"the filtrations from the bitsets and from the tables' rows equal the "
+        f"complex route at skeleton 0, 1 and 2, geometric chi "
         f"matches the face count, the facets it reads from the poset are the "
         f"generators no generator strictly contains, "
         f"each report's JSON is what json.dumps writes, and so is each "

@@ -12,7 +12,11 @@ counts the whole f-vector, which it prints. The per-edge curvature
 rows, their balance and the filtration come from the poset's
 comparability bitsets and the face counts, gauss-bonnet reads its
 balance from the counts and the up and down sizes alone, and the
-triangle lines come from walking the chains x < y < z. ``--directed``
+triangle lines come from walking the chains x < y < z. Only report
+holds a table of the rows, since it writes them after the balance is
+known, and walks its filtration from them; filtrate buckets the edges by
+curvature straight from the bitsets, or counts them per curvature
+without triangles, and builds no row. ``--directed``
 builds its directed graph complex once, as neighbour bitsets, and reads
 its counts.
 Each run builds one :class:`Analysis` that holds the loaded input and
@@ -23,7 +27,8 @@ triangles, filtration steps and the chosen directed triangles) are then
 written a chunk of :data:`_CHUNK` rows at a time, each from one row
 source through one template per format (the ``csv`` module for CSV), so
 a run holds one chunk of its output; curvature builds its edge rows as
-it writes them and holds no table. Exit codes: 0 success, 2 invalid
+it writes them and holds no table, and report's cover pairs are built
+as they are written. Exit codes: 0 success, 2 invalid
 input or configuration, 3 I/O failure (a stdout pipe whose reader has
 closed, before or during the write, a closed stdout descriptor and a
 label that stdout's encoding cannot carry included, with one ``error:``
@@ -254,13 +259,19 @@ class Analysis:
     def table(self) -> CurvatureTable:
         """The per-edge curvature table and its balance, from the counts
         and the comparability bitsets: no chain is listed and no complex
-        is built. ``report`` and ``filtrate`` read its rows twice, so they
-        hold it; ``curvature`` writes the same rows as they are built."""
+        is built. Only ``report`` holds it, since it writes every row after
+        the balance is known; ``curvature`` writes the same rows as they
+        are built, and ``filtrate`` reads no row."""
         return poset_curvature_table(self.poset, self.curvature_counts)
 
     @cached_property
     def filtration(self) -> list[FiltrationStep]:
-        return poset_curvature_filtration(self.table)
+        """The curvature sublevel filtration: for ``report``, from the rows
+        of the table it holds; for ``filtrate``, from the poset's bitsets
+        and the counts, with no table built. Both take the same walk."""
+        if self.args.command == "report":
+            return self.table.filtration()
+        return poset_curvature_filtration(self.poset, self.curvature_counts)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -815,12 +826,16 @@ def curvature_obj(
 def poset_obj(p: Poset) -> dict:
     """The poset as JSON: each element as its sorted node names, every
     name escaped once, and the cover pairs ``[q, p]``, p covering q, in
-    index order; each a :class:`_Rows` table."""
+    index order; each a :class:`_Rows` table over an iterator, so the
+    pairs are built a chunk at a time as they are written."""
     names = {x: _quote(x)[1:-1] for x in set(chain.from_iterable(p.elements))}
     members = map(map, repeat(names.__getitem__), p._members)
+    children = p._children
+    # each q once per element covering it, beside those elements
+    covered = chain.from_iterable(map(repeat, range(len(children)), map(len, children)))
     return {
         "elements": _Rows('"%s"', map(tuple, members)),
-        "covers": _Rows("%d", [(q, c) for q, cs in enumerate(p._children) for c in cs]),
+        "covers": _Rows("%d", zip(covered, chain.from_iterable(children))),
     }
 
 

@@ -21,10 +21,13 @@ below it). These are tuned so that
 
 holds exactly, which is what :func:`gauss_bonnet` verifies on a complex
 and :func:`poset_gauss_bonnet` on the order complex of a poset, from its
-counts alone. :func:`poset_curvature_table` and
-:func:`poset_curvature_filtration` give the per-edge table, the balance
-and the filtration of that order complex from comparability bitsets,
-with no triangle listed.
+counts alone. :func:`poset_curvature_table` gives the per-edge table
+and the balance of that order complex from comparability bitsets, with
+no triangle listed, for a caller that holds the rows (the CLI's
+``report``); :func:`poset_curvature_filtration` gives its filtration
+from the bitsets and the counts with no table at all, and
+:meth:`CurvatureTable.filtration` from a table already held, both
+through one walk over the edges bucketed by curvature.
 
 The directed variants work on the clique complex of an arc set, read
 from its neighbour bitsets by counting: its transitive or its cyclic
@@ -239,17 +242,51 @@ class CurvatureTable(CurvatureBalance):
     edges: list[EdgeRow]
     dim: int
 
+    def filtration(self) -> list["FiltrationStep"]:
+        """:func:`poset_curvature_filtration` of the complex the table was
+        read from, fed from its rows: without triangles a count per ric
+        value, with them the rows' ends bucketed by their ``ric`` column
+        for :func:`_walk`."""
+        n = len(self.degrees)
+        if self.dim < 2:
+            return _steps(n, Counter(map(itemgetter(4), self.edges)), {})
+        ends_at: dict[int, list[int]] = {}
+        for x, y, _, _, ric, _ in self.edges:
+            ends = ends_at.get(ric)
+            if ends is None:
+                ends_at[ric] = [x, y]
+            else:
+                ends.append(x)
+                ends.append(y)
+        return _walk(n, ends_at)
 
-def _comparability_masks(above: Sequence[Sequence[int]]) -> list[int]:
+
+def _comparability_masks(children: Sequence[Sequence[int]]) -> list[int]:
     """N[x] = (below x) | (above x) as an int bitset, one per element:
-    the neighbours of x in the comparability graph."""
-    masks = [0] * len(above)
-    for x, ups in enumerate(above):
-        bit, up = 1 << x, 0
-        for y in ups:
-            up |= 1 << y
-            masks[y] |= bit
-        masks[x] |= up
+    the neighbours of x in the comparability graph, from the covers
+    ``children[q]`` of each q.
+
+    A cover's index is above the covered one's, so the elements below q
+    are exactly the neighbours with a lower index. In descending index
+    order, q and all above it is q's own bit joined with the same set of
+    each p covering q. In ascending order, q's bit is then cleared, and
+    the bits below q, its down set, are complete: joined with q's bit,
+    they go to each p covering q. That is one |P|-bit ``|`` per cover each
+    way, O(covers * |P| / 64) word operations instead of one per
+    comparable pair, and one list of bitsets.
+    """
+    masks = [0] * len(children)
+    for q in range(len(children) - 1, -1, -1):
+        mask = 1 << q
+        for p in children[q]:
+            mask |= masks[p]
+        masks[q] = mask
+    for q, ps in enumerate(children):
+        bit = 1 << q
+        masks[q] = mask = masks[q] ^ bit
+        down = mask & (bit - 1) | bit
+        for p in ps:
+            masks[p] |= down
     return masks
 
 
@@ -292,7 +329,7 @@ def poset_edge_rows(
     if len(f) < 2:
         return
     above = p._above
-    masks = _comparability_masks(above)
+    masks = _comparability_masks(p._children)
     sizes = list(map(int.bit_count, masks))
     triangles = len(f) > 2
     for x, ups in enumerate(above):
@@ -321,7 +358,8 @@ def poset_edge_rows(
 def poset_curvature_table(p: "Poset", f: Sequence[int]) -> CurvatureTable:
     """The per-edge curvature table and the balance of :func:`gauss_bonnet`
     on the order complex of p, from :func:`poset_edge_rows`, for callers
-    that read the rows more than once.
+    that hold the rows: the CLI's ``report`` writes them after the
+    balance and walks its filtration from them.
 
     The sums come from the table and chi and the triangle sum from f,
     so the residual is zero only when the bitsets agree with the chain
@@ -364,56 +402,106 @@ def curvature_filtration(
     threshold 0. Only vertices, edges and triangles are read, so faces
     above dimension 2 are ignored without building the 2-skeleton.
     """
-    n = k.n_vertices
-    if not k.edges:
-        if n == 0:
-            return []
-        return [FiltrationStep(0, (n, 0, 0), n)]
     edges_at = Counter(ricci[e] for e in k.edges)
     triangles_at = Counter(
         max(ricci[(u, v)], ricci[(u, w)], ricci[(v, w)]) for u, v, w in k.triangles
     )
+    return _steps(k.n_vertices, edges_at, triangles_at)
+
+
+def _steps(
+    n: int, edges_at: Mapping[int, int], triangles_at: Mapping[int, int]
+) -> list[FiltrationStep]:
+    """The filtration steps of a complex on n vertices with
+    ``edges_at[t]`` edges and ``triangles_at[t]`` triangles entering at
+    each curvature t (a missing t has none): one step per distinct edge
+    curvature, ascending, with cumulative counts; with no edge, the one
+    step at threshold 0, or none without vertices."""
+    if not edges_at:
+        return [] if n == 0 else [FiltrationStep(0, (n, 0, 0), n)]
     steps = []
     f1 = f2 = 0
     for threshold in sorted(edges_at):
         f1 += edges_at[threshold]
-        f2 += triangles_at[threshold]
+        f2 += triangles_at.get(threshold, 0)
         steps.append(FiltrationStep(threshold, (n, f1, f2), n - f1 + f2))
     return steps
 
 
-def poset_curvature_filtration(table: CurvatureTable) -> list[FiltrationStep]:
-    """:func:`curvature_filtration` of the complex ``table`` was read
-    from, with no triangle listed.
+def _walk(n: int, ends_at: Mapping[int, list[int]]) -> list[FiltrationStep]:
+    """The filtration steps of a clique complex on n vertices whose edges
+    are bucketed by curvature: ``ends_at[ric]`` holds the two ends of
+    each edge at ric, one after the other.
 
-    The edges enter in ascending order of ric, and ``present[x]`` holds
-    the vertices joined to x by an edge already in. In a clique complex,
-    the edge x, y closes one triangle per vertex joined to both, so it
-    adds |present[x] & present[y]| triangles at its own threshold: each
-    triangle is counted when its last edge enters, at the largest
-    curvature of its three edges. A step is taken each time ric moves
-    on, and one after the last edge.
+    The buckets are taken in ascending ric, and ``present[x]`` is the int
+    bitset of the vertices joined to x by an edge already in. In a clique
+    complex the edge x, y closes one triangle per vertex joined to both,
+    so it adds |present[x] & present[y]| triangles at its own threshold:
+    each triangle is counted when its last edge enters, at the largest
+    curvature of its three edges. The order of the edges within a bucket
+    changes no step.
     """
-    n = len(table.degrees)
-    if not table.edges:
-        return [] if n == 0 else [FiltrationStep(0, (n, 0, 0), n)]
-    triangles = table.dim > 1
-    present: list[set[int]] = [set() for _ in range(n)]
-    edges = sorted(table.edges, key=itemgetter(4))
-    steps = []
-    threshold, f1, f2 = edges[0][4], 0, 0
-    for x, y, _, _, ric, _ in edges:
-        if ric != threshold:
-            steps.append(FiltrationStep(threshold, (n, f1, f2), n - f1 + f2))
-            threshold = ric
-        f1 += 1
-        if triangles:
+    present = [0] * n
+    edges_at, triangles_at = {}, {}
+    for ric in sorted(ends_at):
+        ends = ends_at[ric]
+        closed = 0
+        pairs = iter(ends)
+        for x, y in zip(pairs, pairs):
             px, py = present[x], present[y]
-            f2 += len(px & py)
-            px.add(y)
-            py.add(x)
-    steps.append(FiltrationStep(threshold, (n, f1, f2), n - f1 + f2))
-    return steps
+            closed += (px & py).bit_count()
+            present[x] = px | 1 << y
+            present[y] = py | 1 << x
+        edges_at[ric] = len(ends) >> 1
+        triangles_at[ric] = closed
+    return _steps(n, edges_at, triangles_at)
+
+
+def poset_curvature_filtration(p: "Poset", f: Sequence[int]) -> list[FiltrationStep]:
+    """:func:`curvature_filtration` of the order complex of p at the
+    skeleton ``f`` was counted at, from the poset and its counts, with no
+    triangle listed, no :data:`EdgeRow` built and no edge sorted.
+
+    ``f`` is the counted f-vector, as for :func:`poset_curvature_table`:
+    no edges below 2 entries, no triangles below 3. Each edge x < y
+    enters at ric = 3T + 4 - deg x - deg y, with T its triangles.
+    Without triangles T = 0 and the degrees are :func:`poset_degrees`,
+    so a count per ric value gives every step, and no bitset is built.
+    With them, one pass over the comparability bitsets N[x] of
+    :func:`poset_edge_rows` takes T = |N[x] & N[y]| and deg x = |N[x]|
+    and puts the edge's two ends in the bucket of its ric, and
+    :func:`_walk` takes the buckets in ascending order. Memory is one
+    count per ric value without triangles; with them, two list slots per
+    edge and one |P|-bit int per element, as the bitsets are dropped
+    before the walk builds its own.
+    """
+    above = p._above
+    n = len(above)
+    if len(f) < 3:
+        edges_at = Counter()
+        if len(f) > 1:
+            degrees = poset_degrees(p, f)
+            for x, ups in enumerate(above):
+                if ups:
+                    rest = 4 - degrees[x]
+                    edges_at.update([rest - degrees[y] for y in ups])
+        return _steps(n, edges_at, {})
+    masks = _comparability_masks(p._children)
+    sizes = list(map(int.bit_count, masks))
+    ends_at: dict[int, list[int]] = {}
+    for x, ups in enumerate(above):
+        mx, rest = masks[x], 4 - sizes[x]
+        for y in ups:
+            ric = 3 * (mx & masks[y]).bit_count() + rest - sizes[y]
+            ends = ends_at.get(ric)
+            if ends is None:
+                ends_at[ric] = [x, y]
+            else:
+                ends.append(x)
+                ends.append(y)
+    # the walk's present sets grow to the size of the bitsets
+    del masks, sizes
+    return _walk(n, ends_at)
 
 
 # -- directed complexes ------------------------------------------------------

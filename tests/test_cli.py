@@ -64,6 +64,24 @@ def corpus_path(corpus_dir, tier, name):
     return corpus_dir / tier / name
 
 
+def count_calls(monkeypatch, targets) -> dict[str, int]:
+    """Wrap each ``(owner, name)`` of ``targets`` so that its calls are
+    counted; returns the counts, keyed by name, as the calls come."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in targets:
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return calls
+
+
 def tournament_hnet(n: int, seed: int) -> str:
     """A complete tournament as ``.hnet`` text: n one-node hypervertices,
     each pair joined by one directed hyperedge of random direction. Its
@@ -1101,6 +1119,37 @@ class TestFiltrate:
         assert (rc, out) == (0, json_out)
         assert json.loads(out)["filtration"]
 
+    @pytest.mark.parametrize("skeleton", [None, 0, 1, 2])
+    @pytest.mark.parametrize("name", ["example.json", "two_components.json"])
+    def test_builds_no_table(self, capsys, corpus_dir, monkeypatch, name, skeleton):
+        # the twin of report's stage count: filtrate reads the bitsets and
+        # the counts directly, builds no row and gives report's steps
+        from hyperforman import curvature
+
+        path = corpus_path(corpus_dir, NET, name)
+        flags = () if skeleton is None else ("--skeleton", skeleton)
+        rc, out, _ = run(capsys, "report", path, *flags)
+        assert rc == 0
+        expected = json.loads(out)["filtration"]
+        calls = count_calls(
+            monkeypatch,
+            [
+                (cli, "poset_curvature_table"),
+                (cli, "poset_curvature_filtration"),
+                (curvature, "poset_edge_rows"),
+                (curvature.CurvatureTable, "filtration"),
+            ],
+        )
+        rc, out, _ = run(capsys, "filtrate", path, *flags, "--output", "json")
+        assert rc == 0
+        assert json.loads(out)["filtration"] == expected
+        assert calls == {
+            "poset_curvature_table": 0,
+            "poset_curvature_filtration": 1,
+            "poset_edge_rows": 0,
+            "filtration": 0,
+        }
+
 
 class TestReport:
     def test_report_is_valid_json_with_sections(self, capsys, corpus_dir):
@@ -1170,30 +1219,20 @@ class TestReport:
         assert "--output" in captured.err
 
     def test_each_stage_runs_once(self, capsys, corpus_dir, monkeypatch):
-        import hyperforman.cli as cli
         from hyperforman import curvature
 
-        calls = {}
-
-        def counting(owner, name):
-            fn = getattr(owner, name)
-            calls[name] = 0
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        for name in (
-            "poset_from_hypernetwork",
-            "order_complex",
-            "gauss_bonnet",
-            "poset_curvature_table",
-            "poset_curvature_filtration",
-        ):
-            counting(cli, name)
-        counting(curvature, "forman_ricci")
+        calls = count_calls(
+            monkeypatch,
+            [
+                (cli, "poset_from_hypernetwork"),
+                (cli, "order_complex"),
+                (cli, "gauss_bonnet"),
+                (cli, "poset_curvature_table"),
+                (cli, "poset_curvature_filtration"),
+                (curvature, "forman_ricci"),
+                (curvature.CurvatureTable, "filtration"),
+            ],
+        )
         rc, out, _ = run(
             capsys, "report", corpus_path(corpus_dir, NET, "example.json")
         )
@@ -1201,14 +1240,17 @@ class TestReport:
         report = json.loads(out)
         assert len(report["curvature"]["edges"]) == 9
         assert len(report["curvature"]["triangles"]) == 4
-        # one counted table serves every section: no complex, no per-edge call
+        # one counted table serves every section, the filtration walked
+        # from its rows: no complex, no per-edge call, no second pass over
+        # the bitsets
         assert calls == {
             "poset_from_hypernetwork": 1,
             "order_complex": 0,
             "gauss_bonnet": 0,
             "poset_curvature_table": 1,
-            "poset_curvature_filtration": 1,
+            "poset_curvature_filtration": 0,
             "forman_ricci": 0,
+            "filtration": 1,
         }
 
     def test_byte_identical_across_hash_seeds(self, corpus_dir):

@@ -1,7 +1,8 @@
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from hyperforman import (
     vertex_curvature,
 )
 from hyperforman.cli import load_input
-from hyperforman.curvature import DirectedComplex, DirectionError
+from hyperforman.curvature import DirectedComplex, DirectionError, _comparability_masks
 
 from conftest import ABSENT_EDGE_IDS, ABSENT_EDGES, complexes, hypernetworks
 from helpers import (
@@ -314,7 +315,10 @@ def assert_table_matches_the_complex(
     equal the complex route on the order complex cut to dimension
     min(skeleton, 2): gauss_bonnet, forman_ricci, forman_ricci_closed
     and curvature_filtration, and with ``brute`` also the parallels
-    counted edge by edge and the threshold-by-threshold filtration."""
+    counted edge by edge. The filtration is held there, and to the
+    threshold-by-threshold rebuild, on both routes the CLI takes: from
+    the bitsets and the counts (``filtrate``) and from the table's rows
+    (``report``)."""
     f = p.chain_counts(None if skeleton is None else skeleton + 1)
     k = order_complex(p, 2 if skeleton is None else min(skeleton, 2))
     report = gauss_bonnet(k)
@@ -330,10 +334,10 @@ def assert_table_matches_the_complex(
             assert t + 2 - ric == len(brute_parallel(k, e))
         expected.append((*e, t, t + 2 - ric, ric, forman_ricci_closed(k, e)))
     assert table.edges == expected
-    steps = poset_curvature_filtration(table)
+    steps = poset_curvature_filtration(p, f)
     assert steps == curvature_filtration(k, report.ricci)
-    if brute:
-        assert steps == brute_filtration(k, report.ricci)
+    assert steps == brute_filtration(k, report.ricci)
+    assert table.filtration() == steps
 
 
 def corpus_posets(corpus_dir):
@@ -370,6 +374,16 @@ class TestCountedTable:
     def test_matches_the_complex_on_drawn_networks(self, h, singletons, skeleton):
         p = poset_from_hypernetwork(h, include_singletons=singletons)
         assert_table_matches_the_complex(p, skeleton)
+
+    @given(hypernetworks(), st.booleans())
+    def test_the_bitsets_are_the_comparable_pairs(self, h, singletons):
+        # built from the covers alone, they hold every pair found by
+        # testing every two elements for inclusion
+        p = poset_from_hypernetwork(h, include_singletons=singletons)
+        e = p.elements
+        pairs = [(x, y) for x, y in permutations(range(len(e)), 2) if e[x] < e[y]]
+        up, down = brute_neighbour_bits(len(e), pairs)
+        assert _comparability_masks(p._children) == list(map(or_, up, down))
 
     def test_the_residual_ties_the_bitsets_to_the_chain_counts(self):
         # the sums come from the bitsets and chi from f, so a miscounted
