@@ -16,14 +16,14 @@ subface, an empty top bucket or vertices that do not match the labels
 would each make the rebuild differ), that the curvature balance
 closes exactly, that at skeleton 0, 1 and 2 the balance read from the poset's counts (``poset_gauss_bonnet``,
 as ``gauss-bonnet`` prints it) equals the one taken on that skeleton of
-the order complex, and so do the per-edge table and its balance
-counted from comparability bitsets (``poset_curvature_table``, as
-``curvature`` and ``report`` print them) and the filtration on both
-routes the CLI takes (``poset_curvature_filtration`` from the bitsets
-and counts, as ``filtrate`` prints it, and ``CurvatureTable.filtration``
-from the table's rows, as ``report`` prints it), row for row against
-``gauss_bonnet``, the closed form and ``curvature_filtration`` on that
-skeleton, and that on
+the order complex, and so do the degrees and the per-edge rows
+(``poset_degrees`` and ``poset_edge_rows``, from comparability bitsets
+where there are triangles, as ``curvature`` and ``report`` stream
+them), the filtration (``poset_curvature_filtration``, from the bitsets
+and counts, as ``filtrate`` and ``report`` print it) and the balance
+read back from it (``filtration_balance``, as ``report`` prints it),
+row for row against ``gauss_bonnet``, the closed form and
+``curvature_filtration`` on that skeleton, and that on
 every edge of the order complex's
 2-skeleton the balance's curvature (filled in one walk of the edge
 index) equals the per-edge definitional route ``forman_ricci``, the
@@ -72,19 +72,20 @@ from hyperforman import (
     Hypervertex,
     SimplicialComplex,
     curvature_filtration,
+    filtration_balance,
     forman_ricci,
     forman_ricci_closed,
     gauss_bonnet,
     geometric_euler_characteristic,
     order_complex,
     poset_curvature_filtration,
-    poset_curvature_table,
     poset_from_hypernetwork,
     poset_gauss_bonnet,
     random_hypernetwork,
     serialize,
 )
 from hyperforman.cli import main as cli_main
+from hyperforman.curvature import poset_degrees, poset_edge_rows
 from hyperforman.hypernet import _edge, _facets
 
 # the oracles live with the tests, in the sibling tests/ directory
@@ -121,7 +122,7 @@ def store_pairs(table) -> set[tuple[int, int]] | None:
 
 
 def complex_rows(k, ricci) -> list[tuple[int, ...]]:
-    """The rows ``poset_curvature_table`` gives, from the complex: per
+    """The rows ``poset_edge_rows`` gives, from the complex: per
     edge its vertices, triangles, parallels, curvature and closed form."""
     rows = []
     for e in k.edges:
@@ -346,33 +347,31 @@ def main() -> int:
                     f"{counted} but on the complex {on_complex}",
                     h,
                 )
-            table = poset_curvature_table(p, f)
-            if balance_numbers(table) != on_complex:
-                return fail(
-                    f"network {i}, skeleton {skeleton}: balance of the counted "
-                    f"table {balance_numbers(table)} but on the complex "
-                    f"{on_complex}",
-                    h,
-                )
+            degrees = poset_degrees(p, f)
+            counted_rows = list(chain.from_iterable(poset_edge_rows(p, f, degrees)))
             rows = complex_rows(cut, cut_report.ricci)
-            if (table.edges, table.degrees) != (rows, list(cut._degrees)):
+            if (counted_rows, degrees) != (rows, list(cut._degrees)):
                 return fail(
-                    f"network {i}, skeleton {skeleton}: counted table "
-                    f"{table.edges} with degrees {table.degrees} but the "
+                    f"network {i}, skeleton {skeleton}: counted rows "
+                    f"{counted_rows} with degrees {degrees} but the "
                     f"complex gives {rows} with degrees {list(cut._degrees)}",
                     h,
                 )
+            steps = poset_curvature_filtration(p, f)
             expected = curvature_filtration(cut, cut_report.ricci)
-            for route, steps in (
-                ("bitsets", poset_curvature_filtration(p, f)),
-                ("table rows", table.filtration()),
-            ):
-                if steps != expected:
-                    return fail(
-                        f"network {i}, skeleton {skeleton}: filtration from "
-                        f"the {route} {steps} but on the complex {expected}",
-                        h,
-                    )
+            if steps != expected:
+                return fail(
+                    f"network {i}, skeleton {skeleton}: filtration from "
+                    f"the bitsets {steps} but on the complex {expected}",
+                    h,
+                )
+            read_back = balance_numbers(filtration_balance(degrees, f, steps))
+            if read_back != on_complex:
+                return fail(
+                    f"network {i}, skeleton {skeleton}: balance read back from "
+                    f"the filtration {read_back} but on the complex {on_complex}",
+                    h,
+                )
         for e in k.edges:
             ric, per_edge = report.ricci[e], forman_ricci(k, e)
             closed, brute = forman_ricci_closed(k, e), brute_ricci(k, e)
@@ -407,9 +406,9 @@ def main() -> int:
         f"elements, they and their 2-skeletons equal from_faces' rebuilds, all "
         f"balances exact and equal to those from counts at skeleton 0, 1 and 2, "
         f"the balance's curvature table, the per-edge definitional route and "
-        f"the closed form agree with the brute count, the counted tables and "
-        f"the filtrations from the bitsets and from the tables' rows equal the "
-        f"complex route at skeleton 0, 1 and 2, geometric chi "
+        f"the closed form agree with the brute count, the counted rows, the "
+        f"filtrations from the bitsets and the balances read back from them "
+        f"equal the complex route at skeleton 0, 1 and 2, geometric chi "
         f"matches the face count, the facets it reads from the poset are the "
         f"generators no generator strictly contains, "
         f"each report's JSON is what json.dumps writes, and so is each "

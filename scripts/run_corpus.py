@@ -8,7 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from hyperforman import NotRanked
+from hyperforman import NotRanked, filtration_balance
 from hyperforman.cli import Analysis, build_parser
 
 
@@ -20,7 +20,7 @@ def analyse(name: str, path: Path) -> bool:
     row = f"{name:32s} {len(a.poset):3d} elements  {ranked:10s} chi={chi:3d}  "
     if a.loaded.kind == "hypernetwork":
         row += f"geometric={a.chi['geometric']:3d}  "
-    residual = a.table.residual
+    residual = filtration_balance(a.degrees, a.curvature_counts, a.filtration).residual
     print(f"{row}residual={residual}")
     return residual == 0
 

@@ -6,16 +6,15 @@ from .curvature import (
     TRIANGLE_TERM,
     CurvatureBalance,
     CurvatureReport,
-    CurvatureTable,
     DirectedComplex,
     DirectionError,
     FiltrationStep,
     curvature_filtration,
+    filtration_balance,
     forman_ricci,
     forman_ricci_closed,
     gauss_bonnet,
     poset_curvature_filtration,
-    poset_curvature_table,
     poset_gauss_bonnet,
     two_skeleton,
     vertex_curvature,
@@ -48,7 +47,6 @@ __all__ = [
     "ChainCapExceeded",
     "CurvatureBalance",
     "CurvatureReport",
-    "CurvatureTable",
     "DEFAULT_CHAIN_CAP",
     "DirectedComplex",
     "DirectionError",
@@ -66,6 +64,7 @@ __all__ = [
     "TRIANGLE_TERM",
     "curvature_filtration",
     "face_poset",
+    "filtration_balance",
     "forman_ricci",
     "forman_ricci_closed",
     "gauss_bonnet",
@@ -73,7 +72,6 @@ __all__ = [
     "order_complex",
     "parse",
     "poset_curvature_filtration",
-    "poset_curvature_table",
     "poset_from_hypernetwork",
     "poset_gauss_bonnet",
     "random_hypernetwork",

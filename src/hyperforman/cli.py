@@ -9,14 +9,13 @@ the default full skeleton, chi's delta is one Moebius pass over the up
 sets, curvature, gauss-bonnet and filtrate count the faces up to
 dimension 2 and take the dimension from a longest chain, and report
 counts the whole f-vector, which it prints. The per-edge curvature
-rows, their balance and the filtration come from the poset's
-comparability bitsets and the face counts, gauss-bonnet reads its
-balance from the counts and the up and down sizes alone, and the
-triangle lines come from walking the chains x < y < z. Only report
-holds a table of the rows, since it writes them after the balance is
-known, and walks its filtration from them; filtrate buckets the edges by
-curvature straight from the bitsets, or counts them per curvature
-without triangles, and builds no row. ``--directed``
+rows and the filtration come from the poset's comparability bitsets
+and the face counts (from the up and down sizes alone without
+triangles), and the triangle lines from walking the chains x < y < z.
+gauss-bonnet reads its balance from the counts and the up and down
+sizes; report reads its own back from the filtration, whose edges are
+bucketed by curvature, as filtrate prints them, with no row built, so
+the bitsets its rows read are those the balance checks. ``--directed``
 builds its directed graph complex once, as neighbour bitsets, and reads
 its counts.
 Each run builds one :class:`Analysis` that holds the loaded input and
@@ -26,9 +25,9 @@ before the first byte is written. The large sections (edges, vertices,
 triangles, filtration steps and the chosen directed triangles) are then
 written a chunk of :data:`_CHUNK` rows at a time, each from one row
 source through one template per format (the ``csv`` module for CSV), so
-a run holds one chunk of its output; curvature builds its edge rows as
-it writes them and holds no table, and report's cover pairs are built
-as they are written. Exit codes: 0 success, 2 invalid
+a run holds one chunk of its output: curvature and report build their
+edge rows and report its cover pairs as they are written, and no command
+holds a table of them. Exit codes: 0 success, 2 invalid
 input or configuration, 3 I/O failure (a stdout pipe whose reader has
 closed, before or during the write, a closed stdout descriptor and a
 label that stdout's encoding cannot carry included, with one ``error:``
@@ -63,17 +62,16 @@ from .complexes import order_complex  # noqa: F401  not called here; perfbench/t
 from .curvature import (
     TRIANGLE_TERM,
     CurvatureBalance,
-    CurvatureTable,
     DirectedComplex,
     DirectionError,
     EdgeRow,
     FiltrationStep,
     _twice_vertex_term,
     curvature_filtration,  # noqa: F401  not called here; perfbench/tracing.py patches it
+    filtration_balance,
     forman_ricci_closed,  # noqa: F401  not called here; perfbench/tracing.py patches it
     gauss_bonnet,  # noqa: F401  not called here; perfbench/tracing.py patches it
     poset_curvature_filtration,
-    poset_curvature_table,
     poset_degrees,
     poset_edge_rows,
     poset_gauss_bonnet,
@@ -256,21 +254,16 @@ class Analysis:
         return poset_gauss_bonnet(self.poset, self.curvature_counts)
 
     @cached_property
-    def table(self) -> CurvatureTable:
-        """The per-edge curvature table and its balance, from the counts
-        and the comparability bitsets: no chain is listed and no complex
-        is built. Only ``report`` holds it, since it writes every row after
-        the balance is known; ``curvature`` writes the same rows as they
-        are built, and ``filtrate`` reads no row."""
-        return poset_curvature_table(self.poset, self.curvature_counts)
+    def degrees(self) -> list[int]:
+        """The degree of each element in the complex curvature reads, from
+        the up and down sizes: what the vertex terms and the closed form
+        of each edge row read."""
+        return poset_degrees(self.poset, self.curvature_counts)
 
     @cached_property
     def filtration(self) -> list[FiltrationStep]:
-        """The curvature sublevel filtration: for ``report``, from the rows
-        of the table it holds; for ``filtrate``, from the poset's bitsets
-        and the counts, with no table built. Both take the same walk."""
-        if self.args.command == "report":
-            return self.table.filtration()
+        """The curvature sublevel filtration, from the poset's bitsets and
+        the counts, with no edge row built."""
         return poset_curvature_filtration(self.poset, self.curvature_counts)
 
     @cached_property
@@ -798,7 +791,7 @@ _MATCH = ("false", "true")
 def curvature_obj(
     a: Analysis, degrees: Sequence[int], edges: Iterable[list[EdgeRow]]
 ) -> dict:
-    """The curvature table as JSON: the edge, vertex and triangle arrays,
+    """The curvature section as JSON: the edge, vertex and triangle arrays,
     each a :class:`_Rows` table filled from ``edges`` (lists of
     :data:`EdgeRow`), ``degrees`` and the triangle walk with the escaped
     labels as it is written, with no per-row dict and no label joined
@@ -940,9 +933,8 @@ def _check_directed_flags(args, loaded: Loaded) -> None:
 
 def cmd_curvature(a: Analysis) -> int:
     """Every stage runs, and the labels are checked against stdout's
-    encoding, before the first byte. The edge rows are then built from
-    the bitsets as they are written, each read once, so no table is
-    held."""
+    encoding, before the first byte. The edge rows are then built as
+    they are written, each read once, so no table is held."""
     args = a.args
     _check_directed_flags(args, a.loaded)
     if args.directed:
@@ -955,8 +947,7 @@ def cmd_curvature(a: Analysis) -> int:
         )
         return EXIT_OK
 
-    p, counts = a.poset, a.curvature_counts
-    degrees = poset_degrees(p, counts)
+    p, counts, degrees = a.poset, a.curvature_counts, a.degrees
     edges = poset_edge_rows(p, counts, degrees)
     if args.output != "json":
         # the label of each edge's ends, edge by edge; then each vertex's
@@ -1033,8 +1024,10 @@ def cmd_filtrate(a: Analysis) -> int:
 
 def cmd_report(a: Analysis) -> int:
     """Every stage, the balance included, runs before the first byte; the
-    row tables are then written a chunk at a time, the edges from the one
-    table the balance and the filtration read."""
+    row tables are then written a chunk at a time, the edge rows built
+    as they are written, as ``curvature`` writes them. The balance is read
+    from the filtration, so the bitsets the rows read are those its edge
+    sum was taken from."""
     args = a.args
     _check_directed_flags(args, a.loaded)
     if isinstance(a.rank, RankFunction):
@@ -1046,7 +1039,8 @@ def cmd_report(a: Analysis) -> int:
         }
     else:
         rank_obj = {"ranked": False, **a.rank_witness()}
-    report = a.table
+    counts, degrees = a.curvature_counts, a.degrees
+    report = filtration_balance(degrees, counts, a.filtration)
     obj = {
         "input": {**input_summary(a.loaded), "format": a.loaded.fmt},
         "config": {
@@ -1063,7 +1057,7 @@ def cmd_report(a: Analysis) -> int:
             "truncated_for_curvature": len(a.face_counts) > 3,
         },
         "curvature": {
-            **curvature_obj(a, report.degrees, _chunks(report.edges)),
+            **curvature_obj(a, degrees, poset_edge_rows(a.poset, counts, degrees)),
             "sums": {
                 "vertex": _exact(report.vertex_sum),
                 "ricci": report.ricci_sum,

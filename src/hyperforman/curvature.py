@@ -21,13 +21,12 @@ below it). These are tuned so that
 
 holds exactly, which is what :func:`gauss_bonnet` verifies on a complex
 and :func:`poset_gauss_bonnet` on the order complex of a poset, from its
-counts alone. :func:`poset_curvature_table` gives the per-edge table
-and the balance of that order complex from comparability bitsets, with
-no triangle listed, for a caller that holds the rows (the CLI's
-``report``); :func:`poset_curvature_filtration` gives its filtration
-from the bitsets and the counts with no table at all, and
-:meth:`CurvatureTable.filtration` from a table already held, both
-through one walk over the edges bucketed by curvature.
+counts alone. On that order complex, with no triangle listed,
+:func:`poset_edge_rows` gives the per-edge rows, one element's at a
+time, from comparability bitsets where there are triangles, and
+:func:`poset_curvature_filtration` the filtration from the bitsets and
+the counts, through one walk over the edges bucketed by curvature;
+:func:`filtration_balance` reads the balance back from those steps.
 
 The directed variants work on the clique complex of an arc set, read
 from its neighbour bitsets by counting: its transitive or its cyclic
@@ -41,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add, itemgetter, mul, or_
+from operator import add, mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .complexes import Simplex, SimplicialComplex
@@ -225,42 +224,6 @@ def poset_gauss_bonnet(p: "Poset", f: Sequence[int]) -> CurvatureBalance:
 EdgeRow = tuple[int, int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class CurvatureTable(CurvatureBalance):
-    """The balance of the order complex of a poset at a skeleton of
-    dimension ``dim`` (2 at most), with the per-edge table it is summed
-    from.
-
-    ``degrees[x]`` is the degree of element x in that complex and
-    ``edges`` holds one :data:`EdgeRow` per comparable pair x < y, in the
-    order :func:`~hyperforman.complexes.order_complex` lists the edges.
-    ``ric`` is the definitional value and ``closed`` the closed form,
-    each computed on its own.
-    """
-
-    degrees: list[int]
-    edges: list[EdgeRow]
-    dim: int
-
-    def filtration(self) -> list["FiltrationStep"]:
-        """:func:`poset_curvature_filtration` of the complex the table was
-        read from, fed from its rows: without triangles a count per ric
-        value, with them the rows' ends bucketed by their ``ric`` column
-        for :func:`_walk`."""
-        n = len(self.degrees)
-        if self.dim < 2:
-            return _steps(n, Counter(map(itemgetter(4), self.edges)), {})
-        ends_at: dict[int, list[int]] = {}
-        for x, y, _, _, ric, _ in self.edges:
-            ends = ends_at.get(ric)
-            if ends is None:
-                ends_at[ric] = [x, y]
-            else:
-                ends.append(x)
-                ends.append(y)
-        return _walk(n, ends_at)
-
-
 def _comparability_masks(children: Sequence[Sequence[int]]) -> list[int]:
     """N[x] = (below x) | (above x) as an int bitset, one per element:
     the neighbours of x in the comparability graph, from the covers
@@ -304,23 +267,24 @@ def poset_edge_rows(
     p: "Poset", f: Sequence[int], degrees: Sequence[int]
 ) -> Iterator[list[EdgeRow]]:
     """The :data:`EdgeRow` of each edge of the order complex of p at the
-    skeleton ``f`` was counted at, from comparability bitsets, with no
-    chain listed: one list per element x below another, of its edges
-    x < y in ascending y, built as it is read, so a caller that reads each row
-    once holds one element's rows and the bitsets.
+    skeleton ``f`` was counted at, with no chain listed: one list per
+    element x below another, of its edges x < y in ascending y, built as
+    it is read, so a caller that reads each row once holds one element's
+    rows and, with triangles, the bitsets.
 
     ``f`` is the counted f-vector, as for :func:`poset_gauss_bonnet`; its
     length says which faces the complex has (no edges below 2 entries,
     no triangles below 3), and ``degrees`` are :func:`poset_degrees`.
-    The order complex is the clique complex of the comparability graph,
-    since three pairwise comparable elements form a chain. So with N[x]
-    the neighbours of x, the triangles on an edge x < y are its common
-    neighbours, T = |N[x] & N[y]|. The parallels of x < y are the edges
-    meeting it in one vertex that lie in no triangle on it: the
-    neighbours of exactly one end, |N[x] ^ N[y]| - 2 (x and y are in
-    it), plus, without triangles, two edges per common neighbour. The
-    first is |N[x]| + |N[y]| - 2T - 2, so each edge takes one ``&`` of
-    two bitsets, and none without triangles. Then ric = T - parallels + 2
+    Without triangles every other edge at x or y is parallel to x < y,
+    so the row is read from ``degrees`` alone and no bitset is built.
+    With them, the order complex is the clique complex of the
+    comparability graph, since three pairwise comparable elements form a
+    chain. So with N[x] the neighbours of x, the triangles on an edge
+    x < y are its common neighbours, T = |N[x] & N[y]|, and its
+    parallels, the edges meeting it in one vertex that lie in no
+    triangle on it, are the neighbours of exactly one end,
+    |N[x] ^ N[y]| - 2 = |N[x]| + |N[y]| - 2T - 2 (x and y are in it). So
+    each edge takes one ``&`` of two bitsets. Then ric = T - parallels + 2
     by its definition, and the closed form 3T + 4 - deg x - deg y is
     evaluated from T and ``degrees``, not from the bitsets. The CLI's
     ``match`` column compares the two, so it fails wherever N[x] or N[y]
@@ -329,53 +293,29 @@ def poset_edge_rows(
     if len(f) < 2:
         return
     above = p._above
+    if len(f) < 3:
+        for x, ups in enumerate(above):
+            if ups:
+                rest = degrees[x] - 2
+                yield [(x, y, 0, q := rest + degrees[y], 2 - q, 2 - q) for y in ups]
+        return
     masks = _comparability_masks(p._children)
     sizes = list(map(int.bit_count, masks))
-    triangles = len(f) > 2
     for x, ups in enumerate(above):
         if not ups:
             continue
         mx, nx, dx = masks[x], sizes[x] - 2, degrees[x]
-        if triangles:
-            yield [
-                (
-                    x,
-                    y,
-                    t := (mx & masks[y]).bit_count(),
-                    q := nx + sizes[y] - 2 * t,
-                    t - q + 2,
-                    3 * t + 4 - dx - degrees[y],
-                )
-                for y in ups
-            ]
-        else:
-            yield [
-                (x, y, 0, q := nx + sizes[y], 2 - q, 4 - dx - degrees[y])
-                for y in ups
-            ]
-
-
-def poset_curvature_table(p: "Poset", f: Sequence[int]) -> CurvatureTable:
-    """The per-edge curvature table and the balance of :func:`gauss_bonnet`
-    on the order complex of p, from :func:`poset_edge_rows`, for callers
-    that hold the rows: the CLI's ``report`` writes them after the
-    balance and walks its filtration from them.
-
-    The sums come from the table and chi and the triangle sum from f,
-    so the residual is zero only when the bitsets agree with the chain
-    counts. Memory is one row per edge and one |P|-bit int per element.
-    """
-    degrees = poset_degrees(p, f)
-    rows = list(chain.from_iterable(poset_edge_rows(p, f, degrees)))
-    return _balanced(
-        CurvatureTable,
-        degrees,
-        sum([row[4] for row in rows]),
-        f,
-        degrees=degrees,
-        edges=rows,
-        dim=min(len(f), 3) - 1,
-    )
+        yield [
+            (
+                x,
+                y,
+                t := (mx & masks[y]).bit_count(),
+                q := nx + sizes[y] - 2 * t,
+                t - q + 2,
+                3 * t + 4 - dx - degrees[y],
+            )
+            for y in ups
+        ]
 
 
 @dataclass(frozen=True)
@@ -462,7 +402,7 @@ def poset_curvature_filtration(p: "Poset", f: Sequence[int]) -> list[FiltrationS
     skeleton ``f`` was counted at, from the poset and its counts, with no
     triangle listed, no :data:`EdgeRow` built and no edge sorted.
 
-    ``f`` is the counted f-vector, as for :func:`poset_curvature_table`:
+    ``f`` is the counted f-vector, as for :func:`poset_gauss_bonnet`:
     no edges below 2 entries, no triangles below 3. Each edge x < y
     enters at ric = 3T + 4 - deg x - deg y, with T its triangles.
     Without triangles T = 0 and the degrees are :func:`poset_degrees`,
@@ -502,6 +442,30 @@ def poset_curvature_filtration(p: "Poset", f: Sequence[int]) -> list[FiltrationS
     # the walk's present sets grow to the size of the bitsets
     del masks, sizes
     return _walk(n, ends_at)
+
+
+def filtration_balance(
+    degrees: Sequence[int], f: Sequence[int], steps: Iterable[FiltrationStep]
+) -> CurvatureBalance:
+    """The balance :func:`gauss_bonnet` gives on a 2-complex, from the
+    degree of each vertex, the face counts f0..f2 and the curvature
+    filtration ``steps``, with no edge read again.
+
+    Each step adds the edges whose curvature is its threshold, so the
+    edge sum is each threshold times the edges its step adds. The vertex
+    terms come from ``degrees``, and chi and the triangle terms from
+    ``f``. On the order complex of a poset, with :func:`poset_degrees`
+    and the steps of :func:`poset_curvature_filtration`, each edge
+    entered at 3 * |N[x] & N[y]| + 4 - |N[x]| - |N[y]| where there are
+    triangles, so the residual is zero only when the comparability
+    bitsets agree with the up and down sizes and the chain counts.
+    """
+    ricci_sum = added = 0
+    for step in steps:
+        f1 = step.f_vector[1]
+        ricci_sum += step.threshold * (f1 - added)
+        added = f1
+    return _balanced(CurvatureBalance, degrees, ricci_sum, f)
 
 
 # -- directed complexes ------------------------------------------------------

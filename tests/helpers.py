@@ -361,17 +361,19 @@ def plain_poset_section(p: Poset) -> dict:
     }
 
 
-def plain_curvature_section(p: Poset, table) -> dict:
-    """The edge, vertex and triangle arrays of ``table``, the curvature
-    table of ``p``, as plain dicts, one per row, with every label built
-    and joined per row. The triangles are the chains x < y < z found by
-    :func:`brute_chains`, in index order, when the table reaches
-    dimension 2; each vertex term is 1 + 3d/2 - d^2 of its degree d."""
+def plain_curvature_section(p: Poset, f, degrees, edges) -> dict:
+    """The edge, vertex and triangle arrays of the curvature section of
+    ``p`` at the skeleton its counted f-vector ``f`` was counted at, as
+    plain dicts, one per row, with every label built and joined per row:
+    one per edge row of ``edges`` and per vertex degree of ``degrees``.
+    The triangles are the chains x < y < z found by :func:`brute_chains`,
+    in index order, when ``f`` reaches dimension 2; each vertex term is
+    1 + 3d/2 - d^2 of its degree d."""
     labels = [plain_label(e) for e in p.elements]
     triangles = []
-    if table.dim >= 2:
+    if len(f) > 2:
         triangles = sorted(c for c in brute_chains(p.elements, 3) if len(c) == 3)
-    terms = [Fraction(2 + 3 * d - 2 * d * d, 2) for d in table.degrees]
+    terms = [Fraction(2 + 3 * d - 2 * d * d, 2) for d in degrees]
     return {
         "edges": [
             {
@@ -382,7 +384,7 @@ def plain_curvature_section(p: Poset, table) -> dict:
                 "ric_closed": c,
                 "triangles": t,
             }
-            for x, y, t, par, r, c in table.edges
+            for x, y, t, par, r, c in edges
         ],
         "vertices": [
             {

@@ -13,6 +13,7 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -29,12 +30,14 @@ from hyperforman import (
     forman_ricci,
     forman_ricci_closed,
     gauss_bonnet,
+    filtration_balance,
     order_complex,
     parse,
     poset_from_hypernetwork,
     random_hypernetwork,
     serialize,
 )
+from hyperforman.curvature import poset_edge_rows
 from hyperforman.hypernet import to_json_obj as network_json_obj
 from hyperforman.cli import (
     _decimal,
@@ -80,6 +83,24 @@ def count_calls(monkeypatch, targets) -> dict[str, int]:
         calls[name] = 0
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     return calls
+
+
+def drop_the_first_pair(monkeypatch) -> None:
+    """Make the comparability bitsets lose the pair of element 0 and the
+    first element covering it, though the poset's store keeps it; the
+    bitsets stay symmetric."""
+    from hyperforman import curvature
+
+    masks_of = curvature._comparability_masks
+
+    def missing_pair(children):
+        masks = masks_of(children)
+        x, y = 0, children[0][0]
+        masks[x] &= ~(1 << y)
+        masks[y] &= ~(1 << x)
+        return masks
+
+    monkeypatch.setattr(curvature, "_comparability_masks", missing_pair)
 
 
 def tournament_hnet(n: int, seed: int) -> str:
@@ -528,18 +549,7 @@ class TestCurvature:
     ):
         # the masks stay symmetric, but the degrees come from the store,
         # so the closed form disagrees with ric on {a} < {a,b}
-        from hyperforman import curvature
-
-        masks_of = curvature._comparability_masks
-
-        def missing_pair(above):
-            masks = masks_of(above)
-            x, y = 0, above[0][0]
-            masks[x] &= ~(1 << y)
-            masks[y] &= ~(1 << x)
-            return masks
-
-        monkeypatch.setattr(curvature, "_comparability_masks", missing_pair)
+        drop_the_first_pair(monkeypatch)
         rc, out, _ = run(
             capsys, "curvature", corpus_path(corpus_dir, NET, "example.json")
         )
@@ -557,19 +567,25 @@ class TestCurvature:
             paths.append(path)
         for path in paths:
             a = cli.Analysis(cli.build_parser().parse_args(["curvature", str(path)]))
-            # the oracle builds the 2-skeleton the table never builds
+            # the oracle builds the 2-skeleton the rows never build
             k = order_complex(a.poset, skeleton_dim=2)
+            report = gauss_bonnet(k)
             expected = []
             for e in k.edges:
                 t, ric = len(k.triangles_containing(e)), forman_ricci(k, e)
                 closed = forman_ricci_closed(k, e)
                 expected.append((k.face_label(e), t, t + 2 - ric, ric, closed))
-            labels = a.labels
+            labels, counts = a.labels, a.curvature_counts
             rows = [
                 (labels[x] + "|" + labels[y], t, p, r, c)
-                for x, y, t, p, r, c in a.table.edges
+                for x, y, t, p, r, c in chain.from_iterable(
+                    poset_edge_rows(a.poset, counts, a.degrees)
+                )
             ]
             assert rows == expected, path.name
+            balance = filtration_balance(a.degrees, counts, a.filtration)
+            fields = dataclasses.asdict(balance)
+            assert fields == {name: getattr(report, name) for name in fields}, path.name
 
     def test_star_all_zero(self, capsys, corpus_dir):
         rc, out, _ = run(
@@ -1004,12 +1020,10 @@ class TestGaussBonnet:
     ):
         # the identity cannot fail on a real complex, so force a fake
         # report through the command to pin the exit path; gauss-bonnet
-        # takes its balance from the counts, report from the counted table
+        # takes its balance from the counts, report from the filtration
         import hyperforman.cli as cli
 
-        name = (
-            "poset_gauss_bonnet" if command == "gauss-bonnet" else "poset_curvature_table"
-        )
+        name = "poset_gauss_bonnet" if command == "gauss-bonnet" else "filtration_balance"
         real = getattr(cli, name)
         monkeypatch.setattr(
             cli,
@@ -1124,8 +1138,6 @@ class TestFiltrate:
     def test_builds_no_table(self, capsys, corpus_dir, monkeypatch, name, skeleton):
         # the twin of report's stage count: filtrate reads the bitsets and
         # the counts directly, builds no row and gives report's steps
-        from hyperforman import curvature
-
         path = corpus_path(corpus_dir, NET, name)
         flags = () if skeleton is None else ("--skeleton", skeleton)
         rc, out, _ = run(capsys, "report", path, *flags)
@@ -1134,20 +1146,18 @@ class TestFiltrate:
         calls = count_calls(
             monkeypatch,
             [
-                (cli, "poset_curvature_table"),
                 (cli, "poset_curvature_filtration"),
-                (curvature, "poset_edge_rows"),
-                (curvature.CurvatureTable, "filtration"),
+                (cli, "poset_edge_rows"),
+                (cli, "filtration_balance"),
             ],
         )
         rc, out, _ = run(capsys, "filtrate", path, *flags, "--output", "json")
         assert rc == 0
         assert json.loads(out)["filtration"] == expected
         assert calls == {
-            "poset_curvature_table": 0,
             "poset_curvature_filtration": 1,
             "poset_edge_rows": 0,
-            "filtration": 0,
+            "filtration_balance": 0,
         }
 
 
@@ -1227,10 +1237,11 @@ class TestReport:
                 (cli, "poset_from_hypernetwork"),
                 (cli, "order_complex"),
                 (cli, "gauss_bonnet"),
-                (cli, "poset_curvature_table"),
+                (cli, "poset_degrees"),
                 (cli, "poset_curvature_filtration"),
+                (cli, "filtration_balance"),
+                (cli, "poset_edge_rows"),
                 (curvature, "forman_ricci"),
-                (curvature.CurvatureTable, "filtration"),
             ],
         )
         rc, out, _ = run(
@@ -1240,18 +1251,37 @@ class TestReport:
         report = json.loads(out)
         assert len(report["curvature"]["edges"]) == 9
         assert len(report["curvature"]["triangles"]) == 4
-        # one counted table serves every section, the filtration walked
-        # from its rows: no complex, no per-edge call, no second pass over
-        # the bitsets
+        # the balance is read back from the filtration, and the edge rows
+        # are built once, as they are written: no complex, no per-edge call
         assert calls == {
             "poset_from_hypernetwork": 1,
             "order_complex": 0,
             "gauss_bonnet": 0,
-            "poset_curvature_table": 1,
-            "poset_curvature_filtration": 0,
+            "poset_degrees": 1,
+            "poset_curvature_filtration": 1,
+            "filtration_balance": 1,
+            "poset_edge_rows": 1,
             "forman_ricci": 0,
-            "filtration": 1,
         }
+
+    @pytest.mark.parametrize("flags", [(), ("--skeleton", "2"), ("--skeleton", "1")])
+    def test_the_balance_covers_every_bitset_it_prints(
+        self, capsys, corpus_dir, monkeypatch, flags
+    ):
+        # the edge sum is read from the bitsets the rows read, so a pair
+        # missing from them unbalances the report; without triangles no
+        # bitset is read, and the bytes are those of the unpatched run
+        example = corpus_path(corpus_dir, NET, "example.json")
+        rc, clean, err = run(capsys, "report", example, *flags)
+        assert (rc, err) == (0, "")
+        drop_the_first_pair(monkeypatch)
+        rc, out, err = run(capsys, "report", example, *flags)
+        if flags == ("--skeleton", "1"):
+            assert (rc, out, err) == (0, clean, "")
+        else:
+            assert rc == 5
+            assert err == "error: curvature does not balance the Euler characteristic\n"
+            assert json.loads(out)["curvature"]["residual"] != 0
 
     def test_byte_identical_across_hash_seeds(self, corpus_dir):
         env = dict(os.environ)
@@ -1364,7 +1394,9 @@ class TestWriterReference:
                 outs.append(out.getvalue())
             with redirect_stderr(io.StringIO()):
                 a = cli.Analysis(cli._parser().parse_args(["curvature", path, *flags]))
-                curvature = plain_curvature_section(a.poset, a.table)
+                f, degrees = a.curvature_counts, a.degrees
+                rows = chain.from_iterable(poset_edge_rows(a.poset, f, degrees))
+                curvature = plain_curvature_section(a.poset, f, degrees, rows)
                 filtration = [
                     {"chi": s.chi, "f_vector": list(s.f_vector), "threshold": s.threshold}
                     for s in a.filtration
@@ -1395,7 +1427,9 @@ class TestWriterReference:
                 labels = a.labels
                 rows = [
                     (labels[x] + "|" + labels[y], t, p, r)
-                    for x, y, t, p, r, _ in a.table.edges
+                    for x, y, t, p, r, _ in chain.from_iterable(
+                        poset_edge_rows(a.poset, a.curvature_counts, a.degrees)
+                    )
                 ]
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")

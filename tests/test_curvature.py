@@ -1,7 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from operator import or_
 
 import pytest
@@ -13,12 +13,12 @@ from hyperforman import (
     Poset,
     SimplicialComplex,
     curvature_filtration,
+    filtration_balance,
     forman_ricci,
     forman_ricci_closed,
     gauss_bonnet,
     order_complex,
     poset_curvature_filtration,
-    poset_curvature_table,
     poset_from_hypernetwork,
     poset_gauss_bonnet,
     random_hypernetwork,
@@ -26,7 +26,13 @@ from hyperforman import (
     vertex_curvature,
 )
 from hyperforman.cli import load_input
-from hyperforman.curvature import DirectedComplex, DirectionError, _comparability_masks
+from hyperforman.curvature import (
+    DirectedComplex,
+    DirectionError,
+    _comparability_masks,
+    poset_degrees,
+    poset_edge_rows,
+)
 
 from conftest import ABSENT_EDGE_IDS, ABSENT_EDGES, complexes, hypernetworks
 from helpers import (
@@ -311,21 +317,19 @@ class TestPosetGaussBonnet:
 def assert_table_matches_the_complex(
     p: Poset, skeleton: int | None, brute: bool = True
 ) -> None:
-    """The counted table, balance and filtration of p at ``--skeleton``
-    equal the complex route on the order complex cut to dimension
-    min(skeleton, 2): gauss_bonnet, forman_ricci, forman_ricci_closed
-    and curvature_filtration, and with ``brute`` also the parallels
-    counted edge by edge. The filtration is held there, and to the
-    threshold-by-threshold rebuild, on both routes the CLI takes: from
-    the bitsets and the counts (``filtrate``) and from the table's rows
-    (``report``)."""
+    """The counted degrees, edge rows, filtration and balance of p at
+    ``--skeleton`` equal the complex route on the order complex cut to
+    dimension min(skeleton, 2): gauss_bonnet, forman_ricci,
+    forman_ricci_closed and curvature_filtration, and with ``brute``
+    also the parallels counted edge by edge. The filtration, which
+    ``filtrate`` and ``report`` print, is held there and to the
+    threshold-by-threshold rebuild, and the balance ``report`` reads back
+    from it to gauss_bonnet's."""
     f = p.chain_counts(None if skeleton is None else skeleton + 1)
     k = order_complex(p, 2 if skeleton is None else min(skeleton, 2))
     report = gauss_bonnet(k)
-    table = poset_curvature_table(p, f)
-    assert balance_numbers(table) == balance_numbers(report)
-    assert table.residual == 0
-    assert table.degrees == list(k._degrees)
+    degrees = poset_degrees(p, f)
+    assert degrees == list(k._degrees)
     expected = []
     for e in k.edges:
         t, ric = len(k.triangles_containing(e)), forman_ricci(k, e)
@@ -333,11 +337,13 @@ def assert_table_matches_the_complex(
         if brute:
             assert t + 2 - ric == len(brute_parallel(k, e))
         expected.append((*e, t, t + 2 - ric, ric, forman_ricci_closed(k, e)))
-    assert table.edges == expected
+    assert list(chain.from_iterable(poset_edge_rows(p, f, degrees))) == expected
     steps = poset_curvature_filtration(p, f)
     assert steps == curvature_filtration(k, report.ricci)
     assert steps == brute_filtration(k, report.ricci)
-    assert table.filtration() == steps
+    balance = filtration_balance(degrees, f, steps)
+    assert balance_numbers(balance) == balance_numbers(report)
+    assert balance.residual == 0
 
 
 def corpus_posets(corpus_dir):
@@ -386,24 +392,33 @@ class TestCountedTable:
         assert _comparability_masks(p._children) == list(map(or_, up, down))
 
     def test_the_residual_ties_the_bitsets_to_the_chain_counts(self):
-        # the sums come from the bitsets and chi from f, so a miscounted
-        # f moves the residual by -chi's change plus 10 per triangle
+        # the edge sum comes from the filtration, walked from the bitsets,
+        # and chi from f, so a miscounted f moves the residual by -chi's
+        # change plus 10 per triangle
         p = Poset.from_sets(frozenset(s) for s in ("a", "b", "ab", "abc"))
         f0, f1, f2 = p.chain_counts(3)
-        assert poset_curvature_table(p, (f0, f1, f2)).residual == 0
-        assert poset_curvature_table(p, (f0, f1 + 1, f2)).residual == 1
-        assert poset_curvature_table(p, (f0, f1, f2 + 1)).residual == 9
-        assert poset_curvature_table(p, (f0 + 1, f1, f2)).residual == -1
+
+        def residual(f):
+            steps = poset_curvature_filtration(p, f)
+            return filtration_balance(poset_degrees(p, f), f, steps).residual
+
+        assert residual((f0, f1, f2)) == 0
+        assert residual((f0, f1 + 1, f2)) == 1
+        assert residual((f0, f1, f2 + 1)) == 9
+        assert residual((f0 + 1, f1, f2)) == -1
 
     def test_the_skeleton_is_read_from_the_length_of_f(self):
         p = Poset.from_sets(frozenset(s) for s in ("a", "b", "ab", "abc"))
-        assert [poset_curvature_table(p, p.chain_counts(m)).dim for m in (0, 1, 2, 3)] == [
-            -1, 0, 1, 2
-        ]
-        no_edges = poset_curvature_table(p, p.chain_counts(1))
-        assert (no_edges.edges, no_edges.degrees) == ([], [0, 0, 0, 0])
-        no_triangles = poset_curvature_table(p, p.chain_counts(2))
-        assert {row[2] for row in no_triangles.edges} == {0}
+
+        def rows(m):
+            f = p.chain_counts(m)
+            return list(chain.from_iterable(poset_edge_rows(p, f, poset_degrees(p, f))))
+
+        assert poset_degrees(p, p.chain_counts(1)) == [0, 0, 0, 0]
+        assert rows(0) == rows(1) == []
+        # without triangles every other edge at either end is parallel
+        assert [row[2:4] for row in rows(2)] == [(0, 3)] * 4 + [(0, 4)]
+        assert {row[2] for row in rows(3)} == {1, 2}
 
 
 def filtration(k):
@@ -450,6 +465,16 @@ class TestFiltration:
         for name, k in corpus.items():
             for s in filtration(k):
                 assert s.f_vector[0] == k.n_vertices, name
+
+    @given(complexes())
+    def test_the_balance_reads_back_from_the_steps(self, k):
+        # each step adds its threshold once per edge it adds
+        if k.dim > 2:
+            k = k.skeleton(2)
+        report = gauss_bonnet(k)
+        steps = curvature_filtration(k, report.ricci)
+        balance = filtration_balance(k._degrees, k.f_vector(), steps)
+        assert balance_numbers(balance) == balance_numbers(report)
 
     @given(complexes())
     @settings(max_examples=60)
