@@ -263,8 +263,12 @@ class Analysis:
     @cached_property
     def filtration(self) -> list[FiltrationStep]:
         """The curvature sublevel filtration, from the poset's bitsets and
-        the counts, with no edge row built."""
-        return poset_curvature_filtration(self.poset, self.curvature_counts)
+        the counts, with no edge row built. Without triangles it reads the
+        cached :attr:`degrees`, so a run counts them once; with triangles
+        it reads none, so ``filtrate`` counts no degrees there."""
+        counts = self.curvature_counts
+        degrees = self.degrees if len(counts) < 3 else None
+        return poset_curvature_filtration(self.poset, counts, degrees)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:

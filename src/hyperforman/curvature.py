@@ -397,7 +397,9 @@ def _walk(n: int, ends_at: Mapping[int, list[int]]) -> list[FiltrationStep]:
     return _steps(n, edges_at, triangles_at)
 
 
-def poset_curvature_filtration(p: "Poset", f: Sequence[int]) -> list[FiltrationStep]:
+def poset_curvature_filtration(
+    p: "Poset", f: Sequence[int], degrees: Sequence[int] | None = None
+) -> list[FiltrationStep]:
     """:func:`curvature_filtration` of the order complex of p at the
     skeleton ``f`` was counted at, from the poset and its counts, with no
     triangle listed, no :data:`EdgeRow` built and no edge sorted.
@@ -406,7 +408,9 @@ def poset_curvature_filtration(p: "Poset", f: Sequence[int]) -> list[FiltrationS
     no edges below 2 entries, no triangles below 3. Each edge x < y
     enters at ric = 3T + 4 - deg x - deg y, with T its triangles.
     Without triangles T = 0 and the degrees are :func:`poset_degrees`,
-    so a count per ric value gives every step, and no bitset is built.
+    read from ``degrees`` when the caller holds them and counted here
+    otherwise, so a count per ric value gives every step, and no bitset
+    is built; with triangles ``degrees`` is not read.
     With them, one pass over the comparability bitsets N[x] of
     :func:`poset_edge_rows` takes T = |N[x] & N[y]| and deg x = |N[x]|
     and puts the edge's two ends in the bucket of its ric, and
@@ -420,7 +424,8 @@ def poset_curvature_filtration(p: "Poset", f: Sequence[int]) -> list[FiltrationS
     if len(f) < 3:
         edges_at = Counter()
         if len(f) > 1:
-            degrees = poset_degrees(p, f)
+            if degrees is None:
+                degrees = poset_degrees(p, f)
             for x, ups in enumerate(above):
                 if ups:
                     rest = 4 - degrees[x]

@@ -13,6 +13,8 @@ its whole up set.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -139,15 +141,23 @@ class Poset:
     def from_sets(cls, sets: Iterable[Iterable]) -> "Poset":
         """Build the poset of the given sets (deduplicated) under inclusion.
 
-        Elements are taken from the largest index down. The supersets of
-        an element are among the elements holding its rarest member (all
-        of them for the empty set), read from a node -> indices posting
-        list in ascending order: the first superset met is a cover, and
-        so is every later one not already above an earlier cover, since
-        a superset that is not a cover contains a cover of smaller
-        index. So subset tests run only on such unblocked candidates;
-        the covers found are the ``_children`` table, in ascending
-        order, and the up sets merged on the way are the ``_above`` table.
+        Elements are taken from the largest index down, so the up set of
+        every element above the current one is already stored, as the
+        sorted tuple the poset keeps. A node -> indices posting list, in
+        ascending order, holds every element containing that node. A
+        singleton {x} is the first entry of its node's list, so its up set
+        is the rest of that list, taken with no subset test. Any other
+        element's supersets are among those holding its rarest member (all
+        elements for the empty set), past its own index, so that list is
+        cut there with a binary search. In either case the first superset
+        met is a cover, and so is every later one not already above an
+        earlier cover, since a superset that is not a cover contains a
+        cover of smaller index. So the subset test runs only on such
+        unblocked candidates, and the up set is the covers and their
+        stored up sets. It is a hash set only while its element is taken,
+        and is stored at once as a tuple, so the build holds one set at a
+        time. The covers are the ``_children`` table, in ascending order,
+        and the up sets the ``_above`` table.
         """
         uniq = {frozenset(s) for s in sets}
         # by size, then by sorted members: sets of two sizes are never compared
@@ -155,27 +165,33 @@ class Poset:
         members = tuple([m for _, m, _ in keyed])
         elements = tuple([s for _, _, s in keyed])
         n = len(elements)
-        postings: dict[object, list[int]] = {}
+        postings: defaultdict[object, list[int]] = defaultdict(list)
         for i, e in enumerate(elements):
             for x in e:
-                postings.setdefault(x, []).append(i)
-        above: list[set[int]] = [set() for _ in range(n)]
+                postings[x].append(i)
+        get = postings.__getitem__
+        above: list[tuple[int, ...]] = [()] * n
         children: list[tuple[int, ...]] = [()] * n
         for i in reversed(range(n)):
-            e, up = elements[i], above[i]
-            candidates = min((postings[x] for x in e), key=len) if e else range(n)
-            found = []
-            for j in candidates:
-                if j <= i or j in up:
-                    continue
-                if e < elements[j]:
-                    found.append(j)
-                    up.add(j)
-                    up |= above[j]
+            e, found, up = elements[i], [], set()
+            if len(e) == 1:
+                ups = above[i] = tuple(get(members[i][0])[1:])
+                # up gathers the up sets of the covers so far, which are blocked
+                for j in ups:
+                    if j not in up:
+                        found.append(j)
+                        up.update(above[j])
+            else:
+                candidates = min(map(get, e), key=len) if e else range(n)
+                for j in candidates[bisect_right(candidates, i) :]:
+                    if j in up:
+                        continue
+                    if e < elements[j]:
+                        found.append(j)
+                        up.add(j)
+                        up.update(above[j])
+                above[i] = tuple(sorted(up))
             children[i] = tuple(found)
-        # in place, so each set is freed as its tuple is built
-        for i, up in enumerate(above):
-            above[i] = tuple(sorted(up))
         return cls._trusted(elements, members, tuple(children), tuple(above))
 
     def __len__(self) -> int:

@@ -1160,6 +1160,31 @@ class TestFiltrate:
             "filtration_balance": 0,
         }
 
+    @pytest.mark.parametrize(
+        ("command", "skeleton", "passes"),
+        [
+            ("report", "1", 1),
+            ("filtrate", "1", 1),
+            ("report", None, 1),
+            ("filtrate", None, 0),
+        ],
+    )
+    def test_degrees_are_counted_at_most_once(
+        self, capsys, corpus_dir, monkeypatch, command, skeleton, passes
+    ):
+        # without triangles the filtration reads the run's cached degrees;
+        # with them filtrate reads the bitsets and counts no degrees
+        from hyperforman import curvature
+
+        path = corpus_path(corpus_dir, NET, "example.json")
+        flags = () if skeleton is None else ("--skeleton", skeleton)
+        calls = count_calls(
+            monkeypatch, [(cli, "poset_degrees"), (curvature, "poset_degrees")]
+        )
+        rc, _, _ = run(capsys, command, path, *flags)
+        assert rc == 0
+        assert calls == {"poset_degrees": passes}
+
 
 class TestReport:
     def test_report_is_valid_json_with_sections(self, capsys, corpus_dir):

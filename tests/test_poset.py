@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -33,6 +35,13 @@ F = frozenset
 
 def chain_poset(*sets):
     return Poset.from_sets([F(s) for s in sets])
+
+
+def pairs_family(n):
+    """Every 2-subset of n nodes and the n coatoms."""
+    nodes = F(f"n{i}" for i in range(n))
+    pairs = list(map(F, itertools.combinations(nodes, 2)))
+    return pairs + [nodes - {x} for x in nodes]
 
 
 def assert_store_matches_brute_force(p):
@@ -124,6 +133,39 @@ class TestConstruction:
         assert p.covers == frozenset((k, k + 1) for k in range(300))
         assert (p.elements, p.covers) == pairwise_poset(sets)
         assert p.comparable_pair_count() == 301 * 300 // 2
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["", "empty"])
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            pairs_family(7),
+            [F({"hub", f"p{i}"}) for i in range(6)],
+            [F(f"t{i}" for i in range(k)) for k in range(2, 8)],
+            [F("ab"), F("abc"), F("bcd")],
+        ],
+        ids=["pairs", "hub", "tower", "lone"],
+    )
+    def test_singleton_up_sets_match_brute_force(self, sets, empty):
+        # every node's singleton, one node ("z") held by nothing else
+        nodes = set().union(*sets) | {"z"}
+        sets = sets + [F({x}) for x in nodes] + [F()] * empty
+        p = Poset.from_sets(sets)
+        assert_store_matches_brute_force(p)
+        assert (p.elements, p.covers) == pairwise_poset(sets)
+
+    def test_build_holds_about_the_poset_it_returns(self):
+        # the up sets are stored as tuples as they are built, so the
+        # build's peak stays near the size of what it keeps
+        sets = pairs_family(80)
+        sets += [F({x}) for x in sets[-1] | sets[-2]]
+        tracemalloc.start()
+        try:
+            p = Poset.from_sets(sets)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.comparable_pair_count() == 80 * 2 * 79 + 80 * 79 // 2 * 78
+        assert peak <= 1.5 * kept
 
     @given(set_families())
     def test_reachability_equals_comparability(self, fam):
