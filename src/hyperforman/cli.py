@@ -125,12 +125,11 @@ def _poset_from_json_obj(obj) -> Poset:
     sets: list[frozenset] = []
     seen: set[frozenset] = set()
     for i, raw in enumerate(elements):
-        if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+        if not isinstance(raw, list) or not all(map(isinstance, raw, repeat(str))):
             raise InputError(f"elements[{i}] must be an array of strings")
-        dup = repeated(raw)
-        if dup is not None:
-            raise InputError(f"elements[{i}] repeats member '{dup}'")
         s = frozenset(raw)
+        if len(s) != len(raw):
+            raise InputError(f"elements[{i}] repeats member '{repeated(raw)}'")
         if s in seen:
             raise InputError(f"elements[{i}] duplicates an earlier element")
         seen.add(s)

@@ -27,6 +27,8 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 from .poset import ChainCapExceeded, Poset
 
@@ -48,14 +50,18 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Hypervertex:
+class Hypervertex(NamedTuple):
+    """A named group of nodes: an immutable tuple record, so it compares,
+    hashes and unpacks as the plain tuple ``(id, nodes)``."""
+
     id: str
     nodes: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Hyperedge:
+class Hyperedge(NamedTuple):
+    """A pairwise link between two hypervertex ids: an immutable tuple
+    record, the plain tuple ``(id, tail, head, directed)``."""
+
     id: str
     tail: str
     head: str
@@ -69,6 +75,15 @@ class Hypernetwork:
     Hyperedges are strictly pairwise and never loop; undirected edges
     store their endpoints in lexicographic order so equal networks
     compare equal.
+
+    Construction checks the hypervertices, then the hyperedges, each in
+    order, and raises :class:`HypernetworkError` at the first fault:
+    per hypervertex a duplicate id, an empty node set, then an unknown
+    node (the least); per hyperedge a duplicate id, an unknown tail,
+    then head, a loop, an undirected edge in a directed network,
+    undirected endpoints out of order, then a hypervertex pair an
+    earlier edge already joins (either way round, unless the network is
+    directed).
     """
 
     nodes: frozenset[str] = field(default_factory=frozenset)
@@ -77,50 +92,54 @@ class Hypernetwork:
     directed: bool = False
 
     def __post_init__(self):
+        nodes = self.nodes
         seen_hv: set[str] = set()
-        for hv in self.hypervertices:
-            if hv.id in seen_hv:
-                raise HypernetworkError(f"duplicate hypervertex id '{hv.id}'")
-            seen_hv.add(hv.id)
-            if not hv.nodes:
-                raise HypernetworkError(f"empty hypervertex '{hv.id}'")
-            if not hv.nodes <= self.nodes:
+        for hv_id, members in self.hypervertices:
+            if hv_id in seen_hv:
+                raise HypernetworkError(f"duplicate hypervertex id '{hv_id}'")
+            seen_hv.add(hv_id)
+            if not members:
+                raise HypernetworkError(f"empty hypervertex '{hv_id}'")
+            if not members <= nodes:
                 # the least unknown node, whatever the set order
-                n = min(hv.nodes - self.nodes)
+                n = min(members - nodes)
                 raise HypernetworkError(
-                    f"hypervertex '{hv.id}' references unknown node '{n}'"
+                    f"hypervertex '{hv_id}' references unknown node '{n}'"
                 )
+        directed = self.directed
         seen_he: set[str] = set()
-        seen_pairs: dict[object, str] = {}
-        for e in self.hyperedges:
-            if e.id in seen_he:
-                raise HypernetworkError(f"duplicate hyperedge id '{e.id}'")
-            seen_he.add(e.id)
-            for ref in (e.tail, e.head):
-                if ref not in seen_hv:
-                    raise HypernetworkError(
-                        f"hyperedge '{e.id}' references unknown hypervertex '{ref}'"
-                    )
-            if e.tail == e.head:
+        seen_pairs: dict[tuple[str, str], str] = {}
+        for eid, tail, head, e_directed in self.hyperedges:
+            if eid in seen_he:
+                raise HypernetworkError(f"duplicate hyperedge id '{eid}'")
+            seen_he.add(eid)
+            if tail not in seen_hv or head not in seen_hv:
+                ref = head if tail in seen_hv else tail
                 raise HypernetworkError(
-                    f"hyperedge '{e.id}' is a hyper-loop (tail equals head)"
+                    f"hyperedge '{eid}' references unknown hypervertex '{ref}'"
                 )
-            if self.directed and not e.directed:
+            if tail == head:
                 raise HypernetworkError(
-                    f"hypernetwork marked directed but hyperedge '{e.id}' is undirected"
+                    f"hyperedge '{eid}' is a hyper-loop (tail equals head)"
                 )
-            if not e.directed and e.tail > e.head:
+            if directed and not e_directed:
                 raise HypernetworkError(
-                    f"undirected hyperedge '{e.id}' must order its endpoints "
+                    f"hypernetwork marked directed but hyperedge '{eid}' is undirected"
+                )
+            if not e_directed and tail > head:
+                raise HypernetworkError(
+                    f"undirected hyperedge '{eid}' must order its endpoints "
                     "lexicographically"
                 )
-            key = (e.tail, e.head) if self.directed else frozenset((e.tail, e.head))
+            # unless the network is directed, the pair is unordered: its
+            # sorted tuple keys it, since a loop was rejected above
+            key = (head, tail) if not directed and head < tail else (tail, head)
             if key in seen_pairs:
                 raise HypernetworkError(
-                    f"hyperedges '{seen_pairs[key]}' and '{e.id}' connect the "
+                    f"hyperedges '{seen_pairs[key]}' and '{eid}' connect the "
                     "same hypervertex pair"
                 )
-            seen_pairs[key] = e.id
+            seen_pairs[key] = eid
 
     def generator_sets(self) -> list[frozenset[str]]:
         """Hypervertex node sets, then hyperedge endpoint unions."""
@@ -164,7 +183,19 @@ def repeated(items) -> object | None:
     return None
 
 
+def _strings(xs) -> bool:
+    """Whether ``xs`` is a list of strings."""
+    return isinstance(xs, list) and all(map(isinstance, xs, repeat(str)))
+
+
+_BANNED = ("nodes", "members", "hypervertices")
+
+
 def from_json_obj(obj) -> Hypernetwork:
+    """The network of a decoded JSON object. Each check runs in document
+    order and raises :class:`ParseError` at the first fault; the
+    :class:`Hypernetwork` checks then run on what passed. A repeat is
+    found by the size of the set the record stores, and only then named."""
     # plain ifs, not a check(cond, message) helper, which would format
     # every message, f-strings included, on the success path too
     if not isinstance(obj, dict):
@@ -172,11 +203,11 @@ def from_json_obj(obj) -> Hypernetwork:
     if "nodes" not in obj:
         raise ParseError("missing required key 'nodes'")
     nodes = obj["nodes"]
-    if not (isinstance(nodes, list) and all(isinstance(n, str) for n in nodes)):
+    if not _strings(nodes):
         raise ParseError("'nodes' must be an array of strings")
-    dup = repeated(nodes)
-    if dup is not None:
-        raise ParseError(f"duplicate node '{dup}'")
+    node_set = frozenset(nodes)
+    if len(node_set) != len(nodes):
+        raise ParseError(f"duplicate node '{repeated(nodes)}'")
     directed = obj.get("directed", False)
     if not isinstance(directed, bool):
         raise ParseError("'directed' must be a boolean")
@@ -188,15 +219,18 @@ def from_json_obj(obj) -> Hypernetwork:
     for i, raw in enumerate(raw_hvs):
         if not isinstance(raw, dict):
             raise ParseError(f"hypervertices[{i}] must be an object")
-        if not isinstance(raw.get("id"), str):
+        hv_id = raw.get("id")
+        if not isinstance(hv_id, str):
             raise ParseError(f"hypervertices[{i}].id must be a string")
         members = raw.get("nodes")
-        if not (isinstance(members, list) and all(isinstance(n, str) for n in members)):
+        if not _strings(members):
             raise ParseError(f"hypervertices[{i}].nodes must be an array of strings")
-        dup = repeated(members)
-        if dup is not None:
-            raise ParseError(f"hypervertices[{i}].nodes repeats node '{dup}'")
-        hvs.append(Hypervertex(raw["id"], frozenset(members)))
+        member_set = frozenset(members)
+        if len(member_set) != len(members):
+            raise ParseError(
+                f"hypervertices[{i}].nodes repeats node '{repeated(members)}'"
+            )
+        hvs.append(Hypervertex(hv_id, member_set))
 
     raw_edges = obj.get("hyperedges", [])
     if not isinstance(raw_edges, list):
@@ -205,21 +239,25 @@ def from_json_obj(obj) -> Hypernetwork:
     for i, raw in enumerate(raw_edges):
         if not isinstance(raw, dict):
             raise ParseError(f"hyperedges[{i}] must be an object")
-        for banned in ("nodes", "members", "hypervertices"):
-            if banned in raw:
-                raise ParseError(
-                    f"hyperedges[{i}]: hyperedges connect exactly two hypervertices "
-                    f"(unexpected key '{banned}')"
-                )
-        for k in ("id", "tail", "head"):
-            if not isinstance(raw.get(k), str):
-                raise ParseError(f"hyperedges[{i}].{k} must be a string")
+        if not raw.keys().isdisjoint(_BANNED):
+            banned = next(k for k in _BANNED if k in raw)
+            raise ParseError(
+                f"hyperedges[{i}]: hyperedges connect exactly two hypervertices "
+                f"(unexpected key '{banned}')"
+            )
+        eid, tail, head = raw.get("id"), raw.get("tail"), raw.get("head")
+        if not (
+            isinstance(eid, str) and isinstance(tail, str) and isinstance(head, str)
+        ):
+            for k in ("id", "tail", "head"):
+                if not isinstance(raw.get(k), str):
+                    raise ParseError(f"hyperedges[{i}].{k} must be a string")
         e_directed = raw.get("directed", False)
         if not isinstance(e_directed, bool):
             raise ParseError(f"hyperedges[{i}].directed must be a boolean")
-        edges.append(_edge(raw["id"], raw["tail"], raw["head"], e_directed))
+        edges.append(_edge(eid, tail, head, e_directed))
 
-    return Hypernetwork(frozenset(nodes), tuple(hvs), tuple(edges), directed)
+    return Hypernetwork(node_set, tuple(hvs), tuple(edges), directed)
 
 
 def to_json_obj(h: Hypernetwork) -> dict:
@@ -269,14 +307,15 @@ def _from_text(text: str) -> Hypernetwork:
         members = rest.split()
         if not members:
             raise ParseError(f"empty hypervertex '{hv_id}'", line=lineno)
-        dup = repeated(members)
-        if dup is not None:
+        member_set = frozenset(members)
+        if len(member_set) != len(members):
             raise ParseError(
-                f"hypervertex '{hv_id}' repeats node '{dup}'", line=lineno
+                f"hypervertex '{hv_id}' repeats node '{repeated(members)}'",
+                line=lineno,
             )
-        hvs.append(Hypervertex(hv_id, frozenset(members)))
+        hvs.append(Hypervertex(hv_id, member_set))
 
-    nodes = frozenset(n for hv in hvs for n in hv.nodes)
+    nodes = frozenset().union(*[hv.nodes for hv in hvs])
     edges = tuple(
         _edge(f"E{i}", tail, head, directed)
         for i, (tail, head, directed) in enumerate(arcs, start=1)

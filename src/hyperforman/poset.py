@@ -141,6 +141,12 @@ class Poset:
     def from_sets(cls, sets: Iterable[Iterable]) -> "Poset":
         """Build the poset of the given sets (deduplicated) under inclusion.
 
+        The canonical order puts the sets in one bucket per size, keyed by
+        their sorted member tuples, which drops repeats; the buckets are
+        taken by size and each is sorted by member tuple alone, so no two
+        sets are compared. The member tuples are the ``_members`` table,
+        and the posting lists below are built from them.
+
         Elements are taken from the largest index down, so the up set of
         every element above the current one is already stored, as the
         sorted tuple the poset keeps. A node -> indices posting list, in
@@ -159,15 +165,20 @@ class Poset:
         time. The covers are the ``_children`` table, in ascending order,
         and the up sets the ``_above`` table.
         """
-        uniq = {frozenset(s) for s in sets}
-        # by size, then by sorted members: sets of two sizes are never compared
-        keyed = sorted([(len(s), tuple(sorted(s)), s) for s in uniq])
-        members = tuple([m for _, m, _ in keyed])
-        elements = tuple([s for _, _, s in keyed])
+        by_size: defaultdict[int, dict[tuple, frozenset]] = defaultdict(dict)
+        for s in map(frozenset, sets):
+            by_size[len(s)][tuple(sorted(s))] = s
+        members: list[tuple] = []
+        elements: list[frozenset] = []
+        for size in sorted(by_size):
+            bucket = by_size[size]
+            keys = sorted(bucket)
+            members += keys
+            elements += map(bucket.__getitem__, keys)
         n = len(elements)
         postings: defaultdict[object, list[int]] = defaultdict(list)
-        for i, e in enumerate(elements):
-            for x in e:
+        for i, m in enumerate(members):
+            for x in m:
                 postings[x].append(i)
         get = postings.__getitem__
         above: list[tuple[int, ...]] = [()] * n
@@ -192,7 +203,9 @@ class Poset:
                         up.update(above[j])
                 above[i] = tuple(sorted(up))
             children[i] = tuple(found)
-        return cls._trusted(elements, members, tuple(children), tuple(above))
+        return cls._trusted(
+            tuple(elements), tuple(members), tuple(children), tuple(above)
+        )
 
     def __len__(self) -> int:
         return len(self.elements)

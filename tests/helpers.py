@@ -2,7 +2,8 @@
 
 Everything here recomputes results by brute force (exhaustive loops,
 powerset materialization, Fraction arithmetic) without reusing the
-library's indexed or closed-form code paths. The tests are one user;
+library's indexed or closed-form code paths; the input loaders are kept
+here in their one-check-at-a-time form. The tests are one user;
 ``scripts/random_audit.py`` is the other, and checks the library against
 these same oracles on random networks, so each oracle is defined here
 only.
@@ -10,11 +11,20 @@ only.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from hyperforman import TRIANGLE_TERM, NotRanked, Poset, RankFunction, SimplicialComplex
+from hyperforman.cli import InputError, Loaded
 from hyperforman.curvature import FiltrationStep
+from hyperforman.hypernet import (
+    HypernetworkError,
+    ParseError,
+    _decode,
+    decode_json,
+    repeated,
+)
 
 
 def brute_less(elements) -> set[tuple[int, int]]:
@@ -398,3 +408,261 @@ def plain_curvature_section(p: Poset, f, degrees, edges) -> dict:
             for t in triangles
         ],
     }
+
+
+# -- the input loaders, one check at a time ---------------------------------
+#
+# The loaders as they stood with dataclass records: each type check a
+# generator, each repeat found by scanning the members, each record
+# built field by field, and each undirected pair keyed by a frozenset.
+# A poset input's covers are checked against the triple loop of
+# :func:`brute_covers`. ``cli.load_input`` must agree with them on every
+# input, in its result, or in the class and message of its error.
+
+LOAD_ERRORS = (ParseError, HypernetworkError, InputError)
+
+
+@dataclass(frozen=True)
+class RefHypervertex:
+    id: str
+    nodes: frozenset[str]
+
+
+@dataclass(frozen=True)
+class RefHyperedge:
+    id: str
+    tail: str
+    head: str
+    directed: bool = False
+
+
+@dataclass(frozen=True)
+class RefHypernetwork:
+    nodes: frozenset[str] = field(default_factory=frozenset)
+    hypervertices: tuple[RefHypervertex, ...] = ()
+    hyperedges: tuple[RefHyperedge, ...] = ()
+    directed: bool = False
+
+    def __post_init__(self):
+        seen_hv: set[str] = set()
+        for hv in self.hypervertices:
+            if hv.id in seen_hv:
+                raise HypernetworkError(f"duplicate hypervertex id '{hv.id}'")
+            seen_hv.add(hv.id)
+            if not hv.nodes:
+                raise HypernetworkError(f"empty hypervertex '{hv.id}'")
+            if not hv.nodes <= self.nodes:
+                # the least unknown node, whatever the set order
+                n = min(hv.nodes - self.nodes)
+                raise HypernetworkError(
+                    f"hypervertex '{hv.id}' references unknown node '{n}'"
+                )
+        seen_he: set[str] = set()
+        seen_pairs: dict[object, str] = {}
+        for e in self.hyperedges:
+            if e.id in seen_he:
+                raise HypernetworkError(f"duplicate hyperedge id '{e.id}'")
+            seen_he.add(e.id)
+            for ref in (e.tail, e.head):
+                if ref not in seen_hv:
+                    raise HypernetworkError(
+                        f"hyperedge '{e.id}' references unknown hypervertex '{ref}'"
+                    )
+            if e.tail == e.head:
+                raise HypernetworkError(
+                    f"hyperedge '{e.id}' is a hyper-loop (tail equals head)"
+                )
+            if self.directed and not e.directed:
+                raise HypernetworkError(
+                    f"hypernetwork marked directed but hyperedge '{e.id}' is undirected"
+                )
+            if not e.directed and e.tail > e.head:
+                raise HypernetworkError(
+                    f"undirected hyperedge '{e.id}' must order its endpoints "
+                    "lexicographically"
+                )
+            key = (e.tail, e.head) if self.directed else frozenset((e.tail, e.head))
+            if key in seen_pairs:
+                raise HypernetworkError(
+                    f"hyperedges '{seen_pairs[key]}' and '{e.id}' connect the "
+                    "same hypervertex pair"
+                )
+            seen_pairs[key] = e.id
+
+
+def _ref_edge(eid: str, tail: str, head: str, directed: bool) -> RefHyperedge:
+    if not directed and tail > head:
+        tail, head = head, tail
+    return RefHyperedge(eid, tail, head, directed)
+
+
+def _ref_from_json_obj(obj) -> RefHypernetwork:
+    if not isinstance(obj, dict):
+        raise ParseError("top level must be a JSON object")
+    if "nodes" not in obj:
+        raise ParseError("missing required key 'nodes'")
+    nodes = obj["nodes"]
+    if not (isinstance(nodes, list) and all(isinstance(n, str) for n in nodes)):
+        raise ParseError("'nodes' must be an array of strings")
+    dup = repeated(nodes)
+    if dup is not None:
+        raise ParseError(f"duplicate node '{dup}'")
+    directed = obj.get("directed", False)
+    if not isinstance(directed, bool):
+        raise ParseError("'directed' must be a boolean")
+
+    raw_hvs = obj.get("hypervertices", [])
+    if not isinstance(raw_hvs, list):
+        raise ParseError("'hypervertices' must be an array")
+    hvs = []
+    for i, raw in enumerate(raw_hvs):
+        if not isinstance(raw, dict):
+            raise ParseError(f"hypervertices[{i}] must be an object")
+        if not isinstance(raw.get("id"), str):
+            raise ParseError(f"hypervertices[{i}].id must be a string")
+        members = raw.get("nodes")
+        if not (isinstance(members, list) and all(isinstance(n, str) for n in members)):
+            raise ParseError(f"hypervertices[{i}].nodes must be an array of strings")
+        dup = repeated(members)
+        if dup is not None:
+            raise ParseError(f"hypervertices[{i}].nodes repeats node '{dup}'")
+        hvs.append(RefHypervertex(raw["id"], frozenset(members)))
+
+    raw_edges = obj.get("hyperedges", [])
+    if not isinstance(raw_edges, list):
+        raise ParseError("'hyperedges' must be an array")
+    edges = []
+    for i, raw in enumerate(raw_edges):
+        if not isinstance(raw, dict):
+            raise ParseError(f"hyperedges[{i}] must be an object")
+        for banned in ("nodes", "members", "hypervertices"):
+            if banned in raw:
+                raise ParseError(
+                    f"hyperedges[{i}]: hyperedges connect exactly two hypervertices "
+                    f"(unexpected key '{banned}')"
+                )
+        for k in ("id", "tail", "head"):
+            if not isinstance(raw.get(k), str):
+                raise ParseError(f"hyperedges[{i}].{k} must be a string")
+        e_directed = raw.get("directed", False)
+        if not isinstance(e_directed, bool):
+            raise ParseError(f"hyperedges[{i}].directed must be a boolean")
+        edges.append(_ref_edge(raw["id"], raw["tail"], raw["head"], e_directed))
+
+    return RefHypernetwork(frozenset(nodes), tuple(hvs), tuple(edges), directed)
+
+
+def _ref_from_text(text: str) -> RefHypernetwork:
+    hvs: list[RefHypervertex] = []
+    arcs: list[tuple[str, str, bool]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("E>:") or line.startswith("E:"):
+            directed = line.startswith("E>:")
+            rest = line[3:] if directed else line[2:]
+            refs = rest.split()
+            if len(refs) != 2:
+                raise ParseError(
+                    "hyperedges connect exactly two hypervertices", line=lineno
+                )
+            arcs.append((refs[0], refs[1], directed))
+            continue
+        if ":" not in line:
+            raise ParseError(
+                "expected '<id>: node node ...' or 'E: <id> <id>'", line=lineno
+            )
+        hv_id, _, rest = line.partition(":")
+        hv_id = hv_id.strip()
+        if not hv_id:
+            raise ParseError("missing hypervertex id", line=lineno)
+        members = rest.split()
+        if not members:
+            raise ParseError(f"empty hypervertex '{hv_id}'", line=lineno)
+        dup = repeated(members)
+        if dup is not None:
+            raise ParseError(
+                f"hypervertex '{hv_id}' repeats node '{dup}'", line=lineno
+            )
+        hvs.append(RefHypervertex(hv_id, frozenset(members)))
+
+    nodes = frozenset(n for hv in hvs for n in hv.nodes)
+    edges = tuple(
+        _ref_edge(f"E{i}", tail, head, directed)
+        for i, (tail, head, directed) in enumerate(arcs, start=1)
+    )
+    directed = bool(edges) and all(e.directed for e in edges)
+    return RefHypernetwork(nodes, tuple(hvs), edges, directed)
+
+
+def _ref_poset_from_json_obj(obj) -> tuple:
+    elements = obj.get("elements")
+    if not isinstance(elements, list):
+        raise InputError("poset input requires an 'elements' array")
+    sets: list[frozenset] = []
+    seen: set[frozenset] = set()
+    for i, raw in enumerate(elements):
+        if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+            raise InputError(f"elements[{i}] must be an array of strings")
+        dup = repeated(raw)
+        if dup is not None:
+            raise InputError(f"elements[{i}] repeats member '{dup}'")
+        s = frozenset(raw)
+        if s in seen:
+            raise InputError(f"elements[{i}] duplicates an earlier element")
+        seen.add(s)
+        sets.append(s)
+    ordered, covers = pairwise_poset(sets)
+    if "covers" in obj:
+        pairs = obj["covers"]
+        if not isinstance(pairs, list):
+            raise InputError("'covers' must be an array")
+        for n, pair in enumerate(pairs):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InputError(
+                    f"malformed 'covers' array: entry {n} is not a pair of indices"
+                )
+            for i in pair:
+                if type(i) is not int or not 0 <= i < len(sets):
+                    raise InputError(f"malformed 'covers' array: {i!r} is not an index")
+        given = {(sets[q], sets[r]) for q, r in pairs}
+        if given != {(ordered[q], ordered[c]) for q, c in covers}:
+            raise InputError("'covers' does not match the inclusion order")
+    return "poset", ordered, covers
+
+
+def _plain_network(h) -> tuple:
+    """A network as plain tuples: its nodes, each hypervertex as
+    ``(id, nodes)``, each hyperedge as ``(id, tail, head, directed)``,
+    and its flag."""
+    return (
+        "hypernetwork",
+        h.nodes,
+        tuple((hv.id, hv.nodes) for hv in h.hypervertices),
+        tuple((e.id, e.tail, e.head, e.directed) for e in h.hyperedges),
+        h.directed,
+    )
+
+
+def plain_loaded(loaded: Loaded) -> tuple:
+    """What ``cli.load_input`` loaded, in the form of :func:`reference_load`."""
+    if loaded.kind == "poset":
+        return "poset", loaded.poset.elements, loaded.poset.covers
+    return _plain_network(loaded.network)
+
+
+def reference_load(data: bytes, suffix: str) -> tuple:
+    """The input in ``data``, read as a file with ``suffix`` ``.json`` or
+    ``.hnet`` by the loaders above: a network as plain tuples, a poset
+    as its elements in canonical order and its cover pairs, or the class
+    and message of the error that rejects it."""
+    try:
+        if suffix == ".hnet":
+            return _plain_network(_ref_from_text(_decode(data)))
+        obj = decode_json(data)
+        if isinstance(obj, dict) and "elements" in obj and "hypervertices" not in obj:
+            return _ref_poset_from_json_obj(obj)
+        return _plain_network(_ref_from_json_obj(obj))
+    except LOAD_ERRORS as ex:
+        return type(ex), str(ex)

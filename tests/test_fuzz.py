@@ -5,6 +5,9 @@ Whatever the input, the CLI must answer with a documented exit code
 Stdout is a strict UTF-8 stream, as a real terminal or pipe is, so
 output that cannot be encoded fails too. The explicit examples are
 shapes that earlier fixes closed and the two directed errors.
+
+The same inputs go through the input loader alone, which must agree
+with the reference loaders of ``helpers.py``, error messages included.
 """
 
 import copy
@@ -17,10 +20,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hyperforman import random_hypernetwork, serialize
-from hyperforman.cli import main
+from hyperforman.cli import load_input, main
 from hyperforman.hypernet import to_json_obj
 
 from conftest import hypernetworks, time_limit
+from helpers import LOAD_ERRORS, plain_loaded, reference_load
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 # report first: hypothesis favours the first choice, and report runs every stage
@@ -234,3 +238,103 @@ def test_every_input_gets_a_documented_exit_code(workdir, case, flags):
         out.flush()
     assert code in EXIT_CODES, (code, err.getvalue())
     assert "Traceback" not in out.buffer.getvalue().decode() + err.getvalue()
+
+
+def _loaded(path, fmt):
+    try:
+        return plain_loaded(load_input(path, fmt))
+    except LOAD_ERRORS as ex:
+        return type(ex), str(ex)
+
+
+@given(case=inputs())
+@settings(
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_loader_matches_the_reference_loaders(workdir, case):
+    suffix, data = case
+    path = workdir / f"load{suffix}"
+    path.write_bytes(data)
+    # a suffix that names no format: the bytes are read as each format
+    for fmt, as_suffix in (("json", ".json"), ("text", ".hnet")):
+        if suffix in (as_suffix, ".txt"):
+            assert _loaded(path, fmt) == reference_load(data, as_suffix)
+
+
+def _network(hypervertices=(), hyperedges=(), nodes=("a", "b"), **extra):
+    return json.dumps({"nodes": list(nodes), "hypervertices": list(hypervertices),
+                       "hyperedges": list(hyperedges), **extra}).encode()
+
+
+def _hv(hv_id, *nodes):
+    return {"id": hv_id, "nodes": list(nodes)}
+
+
+def _arc(eid, tail, head, **extra):
+    return {"id": eid, "tail": tail, "head": head, **extra}
+
+
+AB = [_hv("A", "a"), _hv("B", "b")]
+PARSE, NETWORK = "ParseError", "HypernetworkError"
+
+
+@pytest.mark.parametrize(
+    "suffix, data, error, message",
+    [
+        # two faults in one input: the first in check order is the one named
+        (".json", _network([_hv("V", "z"), _hv("V", "a")]), NETWORK,
+         "hypervertex 'V' references unknown node 'z'"),
+        (".json", _network(nodes=["b", "a", "a", "b"], directed=1), PARSE,
+         "duplicate node 'a'"),
+        (".json", _network([_hv("V", "b", "a", "b", "a"), {"id": 1, "nodes": []}]),
+         PARSE, "hypervertices[0].nodes repeats node 'b'"),
+        (".json", _network([_hv("V", "a", "a")], nodes=["a", "a"]), PARSE,
+         "duplicate node 'a'"),
+        (".json", _network(AB, [{"members": [], "nodes": [], "id": 1}]), PARSE,
+         "hyperedges[0]: hyperedges connect exactly two hypervertices "
+         "(unexpected key 'nodes')"),
+        (".json", _network(AB, [{"head": 1, "tail": 2}]), PARSE,
+         "hyperedges[0].id must be a string"),
+        (".json", _network(AB, [_arc("E", 1, None, directed=2)]), PARSE,
+         "hyperedges[0].tail must be a string"),
+        (".json", _network(AB, [_arc("E", "Y", "X", directed=True)]), NETWORK,
+         "hyperedge 'E' references unknown hypervertex 'Y'"),
+        (".json", _network(AB, [_arc("E", "A", "X", directed=True)]), NETWORK,
+         "hyperedge 'E' references unknown hypervertex 'X'"),
+        (".json", _network(AB, [_arc("E", "A", "B"), _arc("E", "A", "Z")]), NETWORK,
+         "duplicate hyperedge id 'E'"),
+        (".json", _network(AB, [_arc("E", "A", "A")], directed=True), NETWORK,
+         "hyperedge 'E' is a hyper-loop (tail equals head)"),
+        # one pair either way round: the same pair unless the network is directed
+        (".json", _network(AB, [_arc("E1", "A", "B", directed=True),
+                                _arc("E2", "B", "A", directed=True)]), NETWORK,
+         "hyperedges 'E1' and 'E2' connect the same hypervertex pair"),
+        (".json", _network(AB, [_arc("E1", "B", "A", directed=True),
+                                _arc("E2", "A", "B")]), NETWORK,
+         "hyperedges 'E1' and 'E2' connect the same hypervertex pair"),
+        (".json", _network(AB, [_arc("E1", "A", "B", directed=True),
+                                _arc("E2", "B", "A", directed=True)], directed=True),
+         None, None),
+        (".json", b'{"elements": [["b", "a", "b"], 7]}', "InputError",
+         "elements[0] repeats member 'b'"),
+        (".json", b'{"elements": [["a"], ["a"], ["b", "b"]]}', "InputError",
+         "elements[1] duplicates an earlier element"),
+        (".hnet", b"V: b a a b\nE: V W\n", PARSE,
+         "line 1: hypervertex 'V' repeats node 'a'"),
+        (".hnet", b"E: A B\nV: a a\n", PARSE,
+         "line 2: hypervertex 'V' repeats node 'a'"),
+        (".hnet", b"A: a\nB: b\nE: B A\nE>: A B\n", NETWORK,
+         "hyperedges 'E1' and 'E2' connect the same hypervertex pair"),
+    ],
+)
+def test_first_of_two_faults_is_reported(workdir, suffix, data, error, message):
+    path = workdir / f"faults{suffix}"
+    path.write_bytes(data)
+    got = _loaded(path, "auto")
+    assert got == reference_load(data, suffix)
+    if error is None:
+        assert got[0] == "hypernetwork"
+    else:
+        assert (got[0].__name__, got[1]) == (error, message)

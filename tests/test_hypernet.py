@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from hyperforman import (
     ChainCapExceeded,
+    Hyperedge,
     Hypernetwork,
     HypernetworkError,
     Hypervertex,
@@ -193,6 +194,43 @@ class TestParsing:
             "json",
         )
         assert (h.hyperedges[0].tail, h.hyperedges[0].head) == ("A", "Z")
+
+
+class TestRecords:
+    """Hypervertex and Hyperedge are immutable named tuples: they compare,
+    hash and unpack as the plain tuples of their fields, and print as the
+    dataclass records they replaced did."""
+
+    def test_fields_and_default(self):
+        assert Hypervertex._fields == ("id", "nodes")
+        assert Hyperedge._fields == ("id", "tail", "head", "directed")
+        assert Hyperedge("E", "A", "B").directed is False
+        assert Hyperedge("E", "A", "B")._replace(directed=True).directed is True
+
+    def test_assignment_raises(self):
+        hv, e = Hypervertex("V", frozenset("a")), Hyperedge("E", "A", "B")
+        with pytest.raises(AttributeError):
+            hv.id = "W"
+        with pytest.raises(AttributeError):
+            e.directed = True
+
+    def test_equality_and_hash_go_by_value(self):
+        a, b = Hypervertex("V", frozenset("ab")), Hypervertex("V", frozenset("ba"))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Hypervertex("W", frozenset("ab"))
+        assert Hyperedge("E", "A", "B") == Hyperedge("E", "A", "B", False)
+        assert Hyperedge("E", "A", "B") != Hyperedge("E", "A", "B", True)
+        assert a == ("V", frozenset("ab"))
+        eid, tail, head, directed = Hyperedge("E", "A", "B", True)
+        assert (eid, tail, head, directed) == ("E", "A", "B", True)
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(Hypervertex("V1", frozenset({"a"}))) == (
+            "Hypervertex(id='V1', nodes=frozenset({'a'}))"
+        )
+        assert repr(Hyperedge("E1", "V1", "V2")) == (
+            "Hyperedge(id='E1', tail='V1', head='V2', directed=False)"
+        )
 
 
 # two unwritable nodes and three unknown ones; each error must name the
